@@ -8,8 +8,12 @@ a non-finite value raises ``NumericError`` naming the op, so NaNs cannot
 propagate silently into a training run.
 
 Only the primitives the point-cloud networks actually need are provided.
-Broadcasting is limited to trailing-shape bias addition; there is no view
-aliasing (every op materialises its output).
+Sequence ops work on the last two axes, (rows, channels), and accept any
+leading batch axes, so one tape covers a whole batch of clouds and an
+unbatched (G, C) input is simply a batch with no leading axes.  A node stores
+its backward function rather than a closure over itself, so a tape holds no
+reference cycles and is freed by reference counting as soon as the last
+reference to its output is dropped.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, InvariantViolation, NumericError
+from .geometry import sq_dists
 
 _MAX_NDIM = 4
 
@@ -46,7 +51,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._op = "leaf"
 
     @property
@@ -100,7 +105,7 @@ class Tensor:
         _accum(self, seed)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.values.shape}, op={self._op}, grad={self.requires_grad})"
@@ -132,7 +137,7 @@ def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
     out._op = op
     if out.requires_grad and backward is not None:
         out._parents = tuple(parents)
-        out._backward = lambda: backward(out)
+        out._backward = backward
     else:
         out._parents = ()
         out._backward = None
@@ -193,39 +198,60 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _node("mul_const", a.values * c, (a,), backward)
 
 
+def _flat_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a 2-d ``w`` as one GEMM over all leading rows of ``x``."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  ``a`` may be 2-d or 3-d; ``b`` must be 2-d."""
+    """Matrix product with numpy matmul semantics over operands of 2+ dims.
+
+    Leading (batch) axes broadcast against each other; a 2-d operand is
+    shared by every batch entry and its gradient sums over them.  A 2-d
+    ``b`` (a weight) is applied to all leading rows of ``a`` as one GEMM.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim not in (2, 3) or b.values.ndim != 2:
-        raise InvalidArgument(
-            f"matmul supports (2|3)-d @ 2-d, got {a.values.ndim}-d @ {b.values.ndim}-d")
-    if a.values.shape[-1] != b.values.shape[0]:
-        raise InvalidArgument(f"matmul inner dims differ: {a.values.shape} @ {b.values.shape}")
-    values = a.values @ b.values
+    av, bv = a.values, b.values
+    if av.ndim < 2 or bv.ndim < 2:
+        raise InvalidArgument(f"matmul needs 2+ dims, got {av.ndim}-d @ {bv.ndim}-d")
+    if av.shape[-1] != bv.shape[-2]:
+        raise InvalidArgument(f"matmul inner dims differ: {av.shape} @ {bv.shape}")
+    try:
+        np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
+    except ValueError:
+        raise InvalidArgument(f"matmul batch axes differ: {av.shape} @ {bv.shape}") from None
+    shared_b = bv.ndim == 2
+    values = _flat_matmul(av, bv) if shared_b else av @ bv
 
     def backward(out: Tensor) -> None:
         g = out.grad
         if a.requires_grad:
-            _accum(a, g @ b.values.T)
+            ga = _flat_matmul(g, bv.T) if shared_b else g @ np.swapaxes(bv, -1, -2)
+            _accum(a, _sum_to_shape(ga, av.shape))
         if b.requires_grad:
-            n = a.values.shape[-1]
-            p = b.values.shape[1]
-            _accum(b, a.values.reshape(-1, n).T @ g.reshape(-1, p))
+            if shared_b:
+                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(av, -1, -2) @ g
+            _accum(b, _sum_to_shape(gb, bv.shape))
 
     return _node("matmul", values, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes; by default swap the last two."""
     a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("transpose needs at least 2 dimensions")
+    if axes is None:
+        axes = tuple(range(a.values.ndim - 2)) + (a.values.ndim - 1, a.values.ndim - 2)
+    inverse = tuple(np.argsort(axes))
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, np.swapaxes(out.grad, -1, -2))
+            _accum(a, np.transpose(out.grad, inverse))
 
-    return _node("transpose", np.swapaxes(a.values, -1, -2), (a,), backward)
+    return _node("transpose", np.transpose(a.values, axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -257,36 +283,50 @@ def concat_last_dim(parts: Iterable[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate along the first axis (token-sequence assembly)."""
+    """Concatenate along the row axis (-2) (token-sequence assembly).
+
+    Leading batch axes broadcast, so a shared (n, C) row block such as a
+    class token joins every sequence of a (B, m, C) batch.
+    """
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise InvalidArgument("concat_rows of zero tensors")
-    counts = [p.values.shape[0] for p in parts]
-    values = np.concatenate([p.values for p in parts], axis=0)
+    if any(p.values.ndim < 2 for p in parts):
+        raise InvalidArgument("concat_rows needs (..., rows, C) tensors")
+    try:
+        lead = np.broadcast_shapes(*(p.values.shape[:-2] for p in parts))
+    except ValueError:
+        raise InvalidArgument("concat_rows batch axes differ") from None
+    counts = [p.values.shape[-2] for p in parts]
+    values = np.concatenate([np.broadcast_to(p.values, lead + p.values.shape[-2:])
+                             for p in parts], axis=-2)
 
     def backward(out: Tensor) -> None:
         offset = 0
         for p, n in zip(parts, counts):
             if p.requires_grad:
-                _accum(p, out.grad[offset:offset + n])
+                _accum(p, _sum_to_shape(out.grad[..., offset:offset + n, :], p.values.shape))
             offset += n
 
     return _node("concat_rows", values, parts, backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of the row axis (-2)."""
     a = _as_tensor(a)
-    n = a.values.shape[0]
+    if a.values.ndim < 2:
+        raise InvalidArgument("slice_rows needs a (..., rows, C) tensor")
+    n = a.values.shape[-2]
     if not (0 <= start <= stop <= n):
         raise InvalidArgument(f"slice_rows[{start}:{stop}] out of range for {n} rows")
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
             g = np.zeros_like(a.values)
-            g[start:stop] = out.grad
+            g[..., start:stop, :] = out.grad
             _accum(a, g)
 
-    return _node("slice_rows", a.values[start:stop].copy(), (a,), backward)
+    return _node("slice_rows", a.values[..., start:stop, :].copy(), (a,), backward)
 
 
 def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
@@ -305,21 +345,34 @@ def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows by integer index; duplicate indices sum their gradients."""
+    """Select rows of the row axis (-2) by integer index.
+
+    ``a`` is (..., N, C).  A 1-d (n,) index selects the same rows from every
+    batch entry; an index shaped like the leading axes plus (n,) selects
+    per entry.  Duplicate indices sum their gradients.
+    """
     a = _as_tensor(a)
+    if a.values.ndim < 2:
+        raise InvalidArgument("gather_rows needs a (..., rows, C) tensor")
+    lead, (n, c) = a.values.shape[:-2], a.values.shape[-2:]
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise InvalidArgument("gather_rows expects a 1-d index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.values.shape[0]):
+    if idx.ndim != 1 and idx.shape[:-1] != lead:
+        raise InvalidArgument(
+            f"gather_rows index of shape {idx.shape} does not match rows of {a.values.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidArgument("gather_rows index out of range")
+    idx = np.broadcast_to(idx, lead + idx.shape[-1:])
+    values = np.take_along_axis(a.values, idx[..., None], axis=-2)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            g = np.zeros_like(a.values)
-            np.add.at(g, idx, out.grad)
-            _accum(a, g)
+            entries = int(np.prod(lead, dtype=np.int64))
+            flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
+            g = np.zeros((entries * n, c))
+            np.add.at(g, flat, out.grad.reshape(-1, c))
+            _accum(a, g.reshape(a.values.shape))
 
-    return _node("gather_rows", a.values[idx].copy(), (a,), backward)
+    return _node("gather_rows", values, (a,), backward)
 
 
 def repeat_rows(a: Tensor, count: int) -> Tensor:
@@ -338,15 +391,15 @@ def repeat_rows(a: Tensor, count: int) -> Tensor:
 
 
 def repeat_middle(a: Tensor, count: int) -> Tensor:
-    """Tile (G, C) into (G, count, C); the per-patch pooled-feature broadcast."""
+    """Tile (..., G, C) into (..., G, count, C); the per-patch pooled-feature broadcast."""
     a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise InvalidArgument("repeat_middle expects a 2-d tensor")
-    values = np.repeat(a.values[:, None, :], count, axis=1)
+    if a.values.ndim < 2:
+        raise InvalidArgument("repeat_middle expects a (..., G, C) tensor")
+    values = np.repeat(a.values[..., None, :], count, axis=-2)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad.sum(axis=1))
+            _accum(a, out.grad.sum(axis=-2))
 
     return _node("repeat_middle", values, (a,), backward)
 
@@ -441,14 +494,14 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _as_tensor(a)
     x = a.values
-    inner = _GELU_C * (x + _GELU_A * x ** 3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
     values = 0.5 * x * (1.0 + t)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
+            d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
             _accum(a, out.grad * local)
 
     return _node("gelu", values, (a,), backward)
@@ -481,11 +534,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm; norms below ``floor`` divide by ``floor``."""
+    """Scale each row (last axis) to unit L2 norm; norms below ``floor`` divide by ``floor``."""
     a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise InvalidArgument("l2_normalize_rows expects a 2-d tensor")
-    norms = np.linalg.norm(a.values, axis=1, keepdims=True)
+    if a.values.ndim < 2:
+        raise InvalidArgument("l2_normalize_rows expects a (..., rows, C) tensor")
+    norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
     denom = np.maximum(norms, floor)
     values = a.values / denom
 
@@ -494,7 +547,7 @@ def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
             g = out.grad
             live = norms > floor
             y = out.values
-            proj = (g - y * (y * g).sum(axis=1, keepdims=True)) / denom
+            proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
             clipped = g / floor
             _accum(a, np.where(live, proj, clipped))
 
@@ -506,12 +559,28 @@ def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _chamfer_parts(a: np.ndarray, b: np.ndarray):
-    d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    ia = np.argmin(d, axis=1)
-    ib = np.argmin(d, axis=0)
-    value = d[np.arange(a.shape[0]), ia].mean() + d[ib, np.arange(b.shape[0])].mean()
+def _nearest(a: np.ndarray, b: np.ndarray):
+    """Nearest-neighbour matching of n point-set pairs, (n, M, D) against (n, L, D).
+
+    Returns (per-pair chamfer values (n,), nearest b for each a (n, M),
+    nearest a for each b (n, L)); ties go to the lowest index.
+    """
+    d = sq_dists(a[:, :, None, :], b[:, None, :, :])
+    ia = np.argmin(d, axis=2)
+    ib = np.argmin(d, axis=1)
+    value = (np.take_along_axis(d, ia[:, :, None], axis=2).mean(axis=(1, 2))
+             + np.take_along_axis(d, ib[:, None, :], axis=1).mean(axis=(1, 2)))
     return value, ia, ib
+
+
+def _chamfer_grad(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """d chamfer / d a for each (n, M, D) / (n, L, D) pair, given the nearest indices."""
+    n, m, dim = a.shape
+    rows = np.arange(n)[:, None]
+    ga = (2.0 / m) * (a - b[rows, ia])
+    pulled = (2.0 / b.shape[1]) * (a[rows, ib] - b)
+    np.add.at(ga.reshape(-1, dim), (rows * m + ib).reshape(-1), pulled.reshape(-1, dim))
+    return ga
 
 
 def chamfer(a: Tensor, b: Tensor) -> Tensor:
@@ -527,57 +596,45 @@ def chamfer(a: Tensor, b: Tensor) -> Tensor:
         raise InvalidArgument(f"chamfer expects (M,D) and (L,D), got {pa.shape} and {pb.shape}")
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise InvalidArgument("chamfer of an empty point set")
-    value, ia, ib = _chamfer_parts(pa, pb)
-    m, l = pa.shape[0], pb.shape[0]
+    value, ia, ib = _nearest(pa[None], pb[None])
 
     def backward(out: Tensor) -> None:
         g = float(out.grad)
         if a.requires_grad:
-            ga = (2.0 / m) * (pa - pb[ia])
-            np.add.at(ga, ib, (2.0 / l) * (pa[ib] - pb))
-            _accum(a, g * ga)
+            _accum(a, g * _chamfer_grad(pa[None], pb[None], ia, ib)[0])
         if b.requires_grad:
-            gb = (2.0 / l) * (pb - pa[ib])
-            np.add.at(gb, ia, (2.0 / m) * (pb[ia] - pa))
-            _accum(b, g * gb)
+            _accum(b, g * _chamfer_grad(pb[None], pa[None], ib, ia)[0])
 
-    return _node("chamfer", value, (a, b), backward)
+    return _node("chamfer", value[0], (a, b), backward)
 
 
 def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over batch entries of chamfer(pred[i], target[i]).
 
-    ``pred`` is (B, M, D) on the tape; ``target`` is a constant (B, L, D)
-    array.  Used for per-patch reconstruction losses.
+    ``pred`` is (..., M, D) on the tape; ``target`` is a constant
+    (..., L, D) array with the same leading axes.  Every leading entry is
+    one pair, so a 2-d input is a single pair and a (B, G, k, 3) input is
+    B·G per-patch pairs.
     """
     pred = _as_tensor(pred)
+    pv = pred.values
     tgt = np.asarray(target, dtype=np.float64)
-    if pred.values.ndim != 3 or tgt.ndim != 3 or pred.values.shape[0] != tgt.shape[0]:
+    if pv.ndim < 2 or tgt.ndim != pv.ndim or tgt.shape[:-2] != pv.shape[:-2] \
+            or tgt.shape[-1] != pv.shape[-1]:
         raise InvalidArgument(
-            f"chamfer_batch expects (B,M,D) and (B,L,D), got {pred.values.shape} and {tgt.shape}")
-    bsz = pred.values.shape[0]
-    if bsz == 0:
-        raise InvalidArgument("chamfer_batch over an empty batch")
-    total = 0.0
-    pairs = []
-    for i in range(bsz):
-        value, ia, ib = _chamfer_parts(pred.values[i], tgt[i])
-        total += value
-        pairs.append((ia, ib))
-    value = total / bsz
-    m, l = pred.values.shape[1], tgt.shape[1]
+            f"chamfer_batch expects (...,M,D) and (...,L,D), got {pv.shape} and {tgt.shape}")
+    if pv.size == 0 or tgt.size == 0:
+        raise InvalidArgument("chamfer_batch over an empty batch or point set")
+    p3 = pv.reshape((-1,) + pv.shape[-2:])
+    t3 = tgt.reshape((-1,) + tgt.shape[-2:])
+    per_pair, ia, ib = _nearest(p3, t3)
 
     def backward(out: Tensor) -> None:
         if pred.requires_grad:
-            g = float(out.grad) / bsz
-            gp = np.zeros_like(pred.values)
-            for i, (ia, ib) in enumerate(pairs):
-                gi = (2.0 / m) * (pred.values[i] - tgt[i][ia])
-                np.add.at(gi, ib, (2.0 / l) * (pred.values[i][ib] - tgt[i]))
-                gp[i] = g * gi
-            _accum(pred, gp)
+            g = float(out.grad) / p3.shape[0]
+            _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape))
 
-    return _node("chamfer_batch", value, (pred,), backward)
+    return _node("chamfer_batch", per_pair.mean(), (pred,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -592,52 +649,78 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+def _split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """(..., n, C) -> (..., H, n, C/H), or (..., H, C/H, n) for keys."""
+    if heads == 1:
+        return transpose(x) if keys else x
+    shape = x.values.shape
+    x = reshape(x, shape[:-1] + (heads, shape[-1] // heads))
+    lead = tuple(range(len(shape) - 2))
+    n, h, d = len(shape) - 2, len(shape) - 1, len(shape)
+    return transpose(x, lead + ((h, d, n) if keys else (h, n, d)))
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    """(..., H, n, C/H) -> (..., n, C), heads side by side in the last axis."""
+    shape = x.values.shape
+    lead = tuple(range(len(shape) - 3))
+    h, n, d = len(shape) - 3, len(shape) - 2, len(shape) - 1
+    x = transpose(x, lead + (n, h, d))
+    return reshape(x, shape[:-3] + (shape[-2], shape[-3] * shape[-1]))
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          out_proj: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention with ``heads`` parallel heads.
 
-    ``q`` is (a, C) and ``k``/``v`` are (b, C); C must divide evenly by
-    ``heads``.  Per head h: Softmax(Q_h K_h^T / sqrt(C/heads)) V_h.  Heads are
-    concatenated and, if ``out_proj`` is given, projected by it.  With a
-    single head and no projection this is exactly the prototype-update
-    attention form.
+    ``q`` is (..., a, C) and ``k``/``v`` are (..., b, C); leading batch axes
+    broadcast, and C must divide evenly by ``heads``.  Per head h:
+    Softmax(Q_h K_h^T / sqrt(C/heads)) V_h, with all heads (and all batch
+    entries) in one batched matmul.  Heads are concatenated and, if
+    ``out_proj`` is given, projected by it.  With a single head and no
+    projection this is exactly the prototype-update attention form.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     c = q.values.shape[-1]
     if k.values.shape[-1] != c or v.values.shape[-1] != c:
         raise InvalidArgument("q/k/v widths differ")
-    if k.values.shape[0] != v.values.shape[0]:
+    if k.values.shape[-2] != v.values.shape[-2]:
         raise InvalidArgument("k and v must have the same number of rows")
     if heads < 1 or c % heads != 0:
         raise InvalidArgument(f"width {c} not divisible by {heads} heads")
-    dh = c // heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_last_dim(q, lo, hi)
-        kh = slice_last_dim(k, lo, hi)
-        vh = slice_last_dim(v, lo, hi)
-        attn = softmax_rows(scale(matmul(qh, transpose(kh)), inv_sqrt))
-        outs.append(matmul(attn, vh))
-    merged = outs[0] if heads == 1 else concat_last_dim(outs)
+    inv_sqrt = 1.0 / math.sqrt(c // heads)
+    scores = matmul(_split_heads(q, heads), _split_heads(k, heads, keys=True))
+    attn = softmax_rows(scale(scores, inv_sqrt))
+    merged = matmul(attn, _split_heads(v, heads))
+    if heads > 1:
+        merged = _merge_heads(merged)
     if out_proj is not None:
         merged = matmul(merged, out_proj)
     return merged
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of ``target`` under softmax(logits row)."""
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Mean negative log-likelihood of ``target`` under softmax of each logit row.
+
+    ``logits`` is (..., n); ``target`` is one class id, or one per row
+    (shaped like the leading axes).  A single row gives that row's loss.
+    """
     logits = _as_tensor(logits)
-    row = reshape(logits, (1, logits.values.size))
-    n = row.values.shape[1]
-    if not 0 <= target < n:
-        raise InvalidArgument(f"target {target} out of range for {n} classes")
-    onehot = np.zeros((1, n))
-    onehot[0, target] = 1.0
-    lse = sum_all(logsumexp_rows(row))
-    picked = sum_all(mul_const(row, onehot))
-    return add(lse, scale(picked, -1.0))
+    n = logits.values.shape[-1]
+    rows = reshape(logits, (-1, n))
+    r = rows.values.shape[0]
+    targets = np.asarray(target, dtype=np.int64).reshape(-1)
+    if targets.size == 1:
+        targets = np.repeat(targets, r)
+    if targets.size != r:
+        raise InvalidArgument(f"{targets.size} targets for {r} logit rows")
+    if targets.min() < 0 or targets.max() >= n:
+        raise InvalidArgument(f"target out of range for {n} classes")
+    onehot = np.zeros((r, n))
+    onehot[np.arange(r), targets] = 1.0
+    lse = sum_all(logsumexp_rows(rows))
+    picked = sum_all(mul_const(rows, onehot))
+    return scale(add(lse, scale(picked, -1.0)), 1.0 / r)
 
 
 # ---------------------------------------------------------------------------

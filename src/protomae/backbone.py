@@ -8,6 +8,9 @@ exact identity, which keeps the wiring testable.
 The decoder consumes encoded visible tokens plus one shared learnable mask
 token per masked patch; each mask token is distinguished only by the position
 embedding of the patch it stands in for.
+
+Sequences are (..., G, C): a (B, G, C) batch runs through the same tape ops
+as a single (G, C) sequence, with every batch entry attending only to itself.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _block(x: Tensor, pos: Tensor, params: Mapping[str, Tensor], prefix: str,
 
 def encode(tokens: Tensor, pos: Tensor, params: Mapping[str, Tensor],
            cfg: RunConfig) -> Tensor:
-    """Run the encoder stack over a token sequence of any length."""
+    """Run the encoder stack over token sequences of any length."""
     if tokens.values.shape != pos.values.shape:
         raise InvalidArgument(
             f"tokens {tokens.values.shape} and positions {pos.values.shape} must match")
@@ -85,11 +88,11 @@ def decode(visible: Tensor, pos_visible: Tensor, pos_masked: Tensor,
     the same ordering, so row i of the masked output corresponds to row i of
     ``pos_masked`` (masked patches in their original token order).
     """
-    g_vis = visible.values.shape[0]
-    g_mask = pos_masked.values.shape[0]
-    if pos_visible.values.shape[0] != g_vis:
+    g_vis = visible.values.shape[-2]
+    g_mask = pos_masked.values.shape[-2]
+    if pos_visible.values.shape[-2] != g_vis:
         raise InvalidArgument(
-            f"{g_vis} visible tokens but {pos_visible.values.shape[0]} visible positions")
+            f"{g_vis} visible tokens but {pos_visible.values.shape[-2]} visible positions")
     if g_mask < 1:
         raise InvalidArgument("decode requires at least one masked patch")
     x = ad.concat_rows([visible, ad.repeat_rows(params["dec.mask_token"], g_mask)])
@@ -102,21 +105,21 @@ def decode(visible: Tensor, pos_visible: Tensor, pos_masked: Tensor,
 def recon_head(decoded_masked: Tensor, params: Mapping[str, Tensor],
                cfg: RunConfig) -> Tensor:
     """Linear map from decoded mask tokens to k centre-relative points each."""
-    rows = decoded_masked.values.shape[0]
     flat = ad.linear(decoded_masked, params["recon.w"], params["recon.b"])
-    return ad.reshape(flat, (rows, cfg.knn_k, 3))
+    return ad.reshape(flat, flat.values.shape[:-1] + (cfg.knn_k, 3))
 
 
 def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
     """Masked-patch reconstruction loss.
 
-    Mean over masked patches of the chamfer distance between the predicted
-    and true centre-relative patches.
+    Mean over masked patches (and over clouds, for a (B, G_mask, k, 3)
+    batch) of the chamfer distance between the predicted and true
+    centre-relative patches.
     """
     tgt = np.asarray(target_local, dtype=np.float64)
-    if pred.values.ndim != 3 or pred.values.shape[0] == 0:
-        raise InvalidArgument("l_3d expects a nonempty (G_mask, k, 3) prediction")
-    if tgt.shape[0] != pred.values.shape[0]:
+    if pred.values.ndim < 3 or pred.values.shape[-3] == 0:
+        raise InvalidArgument("l_3d expects a nonempty (..., G_mask, k, 3) prediction")
+    if tgt.shape[:-2] != pred.values.shape[:-2]:
         raise InvalidArgument(
-            f"prediction has {pred.values.shape[0]} patches, target has {tgt.shape[0]}")
+            f"prediction patches {pred.values.shape[:-2]} do not match target {tgt.shape[:-2]}")
     return ad.chamfer_batch(pred, tgt)

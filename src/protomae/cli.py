@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error (including a
-failed verification suite).
+Exit codes: 0 success, 2 configuration or input error (a bad config, cloud
+file or argument value), 3 numeric error (including a failed verification
+suite).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import geometry, pipeline, shapes, verification
 from .config import RunConfig, preset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, InvalidArgument, NumericError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidArgument as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -6,6 +6,9 @@ and a shared mini-PointNet maps each patch to a C-dimensional token.  Because
 the network only ever sees local coordinates, tokens are translation
 invariant; all absolute position information travels separately through
 ``pos_embed`` (a single affine map of the centre coordinates).
+
+A batch of clouds is one (B, N, 3) array and yields (B, G, C) tokens from one
+pass; a single (N, 3) cloud yields (G, C) tokens from the same code.
 """
 
 from __future__ import annotations
@@ -24,17 +27,20 @@ from .errors import InvalidArgument
 
 @dataclass
 class TokenBatch:
-    """Tokens plus the patch geometry they were built from."""
+    """Tokens plus the patch geometry they were built from.
 
-    center_indices: np.ndarray      # (G,) into the source cloud
-    centers: np.ndarray             # (G, 3)
-    member_indices: np.ndarray      # (G, k)
-    local_coords: np.ndarray        # (G, k, 3) member minus centre
-    tokens: Tensor                  # (G, C)
+    Every field carries the leading batch axes of the input cloud array.
+    """
+
+    center_indices: np.ndarray      # (..., G) into the source cloud
+    centers: np.ndarray             # (..., G, 3)
+    member_indices: np.ndarray      # (..., G, k)
+    local_coords: np.ndarray        # (..., G, k, 3) member minus centre
+    tokens: Tensor                  # (..., G, C)
 
     @property
     def g(self) -> int:
-        return self.centers.shape[0]
+        return self.centers.shape[-2]
 
 
 def init_embedding_params(store: ad.ParamStore, cfg: RunConfig) -> None:
@@ -52,41 +58,38 @@ def init_embedding_params(store: ad.ParamStore, cfg: RunConfig) -> None:
 
 
 def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
-             start: int = 0) -> TokenBatch:
-    """Embed a cloud into G tokens of width C.
+             start=0) -> TokenBatch:
+    """Embed a cloud, or a (B, N, 3) batch of clouds, into G tokens of width C each.
 
     The mini-PointNet is the usual two-stage construction: a shared per-point
     MLP, max-pool over the patch, the pooled vector concatenated back onto
     every point feature, a second shared MLP, and a final max-pool.  Patch
     order follows the farthest-point pick order; ``start`` selects the first
-    pick (fixed for evaluation, drawn from the training RNG during training).
+    pick (fixed for evaluation, drawn from the training RNG during training),
+    one int for every cloud or one per cloud.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
+    n = pts.shape[-2] if pts.ndim >= 2 else 0
     if n < cfg.n_patches or n < cfg.knn_k:
         raise InvalidArgument(
             f"cloud of {n} points cannot supply {cfg.n_patches} patches of {cfg.knn_k} members")
-    g, k = cfg.n_patches, cfg.knn_k
-    center_idx = geo.fps(pts, g, start=start)
-    neighborhoods = geo.knn(pts, center_idx, k)
-    members = np.stack([nb.member_indices for nb in neighborhoods])
-    local = np.stack([nb.local_coords for nb in neighborhoods])
+    center_idx = geo.fps(pts, cfg.n_patches, start=start)
+    patches = geo.knn(pts, center_idx, cfg.knn_k)
 
-    x = Tensor(local.reshape(g * k, 3))
+    x = Tensor(patches.local_coords)
     h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
     h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
-    h = ad.reshape(h, (g, k, h.values.shape[-1]))
     pooled = ad.max_over_rows(h)
-    h = ad.concat_last_dim([h, ad.repeat_middle(pooled, k)])
+    h = ad.concat_last_dim([h, ad.repeat_middle(pooled, cfg.knn_k)])
     h = ad.relu(ad.linear(h, params["embed.mlp2.w0"], params["embed.mlp2.b0"]))
     h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
     tokens = ad.max_over_rows(h)
 
     return TokenBatch(
         center_indices=center_idx,
-        centers=pts[center_idx],
-        member_indices=members,
-        local_coords=local,
+        centers=np.take_along_axis(pts, center_idx[..., None], axis=-2),
+        member_indices=patches.member_indices,
+        local_coords=patches.local_coords,
         tokens=tokens,
     )
 
@@ -94,6 +97,6 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
 def pos_embed(centers: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
     """Affine map of absolute centre coordinates to token width."""
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != 3:
-        raise InvalidArgument(f"pos_embed expects (G, 3) centres, got {centers.shape}")
+    if centers.ndim < 2 or centers.shape[-1] != 3:
+        raise InvalidArgument(f"pos_embed expects (..., G, 3) centres, got {centers.shape}")
     return ad.linear(Tensor(centers), params["embed.pos.w"], params["embed.pos.b"])

@@ -2,13 +2,16 @@
 
 Everything here is plain float64 numpy with deterministic tie-breaking
 (lowest index wins), so the same inputs always produce the same outputs
-bit for bit.  Differentiable variants of the chamfer distance live in
-``autodiff``; this module is the ground-truth arithmetic.
+bit for bit.  The sampling and neighbourhood kernels take any leading batch
+axes and treat each leading entry as an independent cloud.  Differentiable
+variants of the chamfer distance live in ``autodiff``; this module is the
+ground-truth arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +54,40 @@ class Neighborhood:
     local_coords: np.ndarray                # (k, 3) member minus centre
 
 
+@dataclass
+class Neighborhoods:
+    """G local patches as arrays, with the leading batch axes of the cloud."""
+
+    center_indices: np.ndarray              # (..., G) int64
+    member_indices: np.ndarray              # (..., G, k) int64, sorted by (distance, index)
+    local_coords: np.ndarray                # (..., G, k, 3) member minus centre
+
+    def __getitem__(self, i: int) -> Neighborhood:
+        """Patch ``i`` of an unbatched call."""
+        return Neighborhood(int(self.center_indices[i]), self.member_indices[i],
+                            self.local_coords[i])
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between two broadcastable (..., 3) point arrays.
+
+    Summed coordinate by coordinate, left to right: bit for bit what
+    ``((a - b) ** 2).sum(axis=-1)`` gives for 3-d points, without
+    materialising the (..., 3) difference array.
+    """
+    d = np.subtract(a[..., 0], b[..., 0])
+    d *= d
+    t = np.empty_like(d)
+    for axis in range(1, a.shape[-1]):
+        np.subtract(a[..., axis], b[..., axis], out=t)
+        t *= t
+        d += t
+    return d
 
 
 def normalize(points: np.ndarray) -> np.ndarray:
@@ -68,58 +102,70 @@ def normalize(points: np.ndarray) -> np.ndarray:
     return centred / radius
 
 
-def fps(points: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+def _clouds(points: np.ndarray, op: str) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim < 2 or pts.shape[-1] != 3:
+        raise InvalidArgument(f"{op} expects (..., N, 3) points, got {pts.shape}")
+    return pts
+
+
+def fps(points: np.ndarray, count: int, start=0) -> np.ndarray:
     """Farthest point sampling.
 
     Greedy: begin at ``start``, then repeatedly pick the point whose minimum
     distance to the picked set is largest.  Distance ties break to the lowest
     index (numpy argmax returns the first maximum).  Returns ``count`` point
-    indices in pick order.
+    indices in pick order.  ``points`` is (..., N, 3); every leading entry is
+    sampled independently, in one pass over all of them, from its own
+    ``start`` (an int, or one per leading entry).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidArgument(f"fps expects (N, 3), got {pts.shape}")
+    pts = _clouds(points, "fps")
+    lead, n = pts.shape[:-2], pts.shape[-2]
     if not 1 <= count <= n:
         raise InvalidArgument(f"fps count {count} out of range for {n} points")
-    if not 0 <= start < n:
+    starts = np.asarray(start, dtype=np.int64)
+    if starts.size and (starts.min() < 0 or starts.max() >= n):
         raise InvalidArgument(f"fps start index {start} out of range for {n} points")
-    picks = np.empty(count, dtype=np.int64)
-    picks[0] = start
+    flat = pts.reshape(-1, n, 3)
+    rows = np.arange(flat.shape[0])
+    picks = np.empty((flat.shape[0], count), dtype=np.int64)
+    picks[:, 0] = np.broadcast_to(starts, lead).reshape(-1)
     # squared distances preserve the argmax and every tie
-    mind = ((pts - pts[start]) ** 2).sum(axis=1)
+    mind = sq_dists(flat, flat[rows, picks[:, 0]][:, None, :])
     for i in range(1, count):
-        nxt = int(np.argmax(mind))
-        picks[i] = nxt
-        np.minimum(mind, ((pts - pts[nxt]) ** 2).sum(axis=1), out=mind)
-    return picks
+        nxt = np.argmax(mind, axis=1)
+        picks[:, i] = nxt
+        np.minimum(mind, sq_dists(flat, flat[rows, nxt][:, None, :]), out=mind)
+    return picks.reshape(lead + (count,))
 
 
-def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> list[Neighborhood]:
+def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods:
     """k nearest neighbours of each centre, self included.
 
-    Members are ordered by (Euclidean distance, index); ``local_coords`` are
-    member coordinates minus the centre coordinate, computed by exact
-    subtraction.
+    ``points`` is (..., N, 3) and ``center_indices`` (..., G), or (G,) for
+    the same centres in every leading entry.  One (G, N) distance matrix per
+    entry is sorted per row with a stable argsort, so members are ordered by
+    (Euclidean distance, index); ``local_coords`` are member coordinates
+    minus the centre coordinate, computed by exact subtraction.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    centers = np.asarray(center_indices, dtype=np.int64)
-    n = pts.shape[0]
+    pts = _clouds(points, "knn")
+    lead, n = pts.shape[:-2], pts.shape[-2]
     if not 1 <= k <= n:
         raise InvalidArgument(f"knn k={k} out of range for {n} points")
+    centers = np.asarray(center_indices, dtype=np.int64)
     if centers.size and (centers.min() < 0 or centers.max() >= n):
         raise InvalidArgument("knn centre index out of range")
-    order_index = np.arange(n)
-    out = []
-    for c in centers:
-        d = ((pts - pts[c]) ** 2).sum(axis=1)
-        members = np.lexsort((order_index, d))[:k].astype(np.int64)
-        out.append(Neighborhood(
-            center_index=int(c),
-            member_indices=members,
-            local_coords=pts[members] - pts[c],
-        ))
-    return out
+    centers = np.broadcast_to(centers, lead + centers.shape[-1:])
+    g = centers.shape[-1]
+    flat = pts.reshape(-1, n, 3)
+    rows = np.arange(flat.shape[0])[:, None]
+    origin = flat[rows, centers.reshape(-1, g)]                        # (L, G, 3)
+    d = sq_dists(flat[:, None, :, :], origin[:, :, None, :])
+    members = np.argsort(d, axis=-1, kind="stable")[..., :k]          # (L, G, k)
+    local = flat[rows[..., None], members] - origin[:, :, None, :]
+    return Neighborhoods(center_indices=centers,
+                         member_indices=members.reshape(lead + (g, k)),
+                         local_coords=local.reshape(lead + (g, k, 3)))
 
 
 def chamfer(a: np.ndarray, b: np.ndarray) -> float:
@@ -136,7 +182,7 @@ def chamfer(a: np.ndarray, b: np.ndarray) -> float:
         raise InvalidArgument("chamfer of an empty point set")
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
         raise InvalidArgument("chamfer of non-finite coordinates")
-    d = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    d = sq_dists(pa[:, None, :], pb[None, :, :])
     return float(d.min(axis=1).mean() + d.min(axis=0).mean())
 
 
@@ -173,6 +219,8 @@ def load_cloud(path: str | Path) -> PointCloud:
             xyz = [float(v) for v in parts[:3]]
         except ValueError as exc:
             raise InvalidArgument(f"{path}:{lineno}: bad coordinate: {exc}") from None
+        if not all(math.isfinite(v) for v in xyz):
+            raise InvalidArgument(f"{path}:{lineno}: non-finite coordinate")
         has_label = len(parts) == 4
         if saw_label is None:
             saw_label = has_label

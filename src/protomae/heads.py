@@ -5,11 +5,12 @@ sequence with the pretrained encoder.  The prompted variant additionally feeds
 the refreshed prototypes in as extra sequence rows between the class token and
 the patch tokens; prototypes are not spatial, so those rows carry a zero
 position embedding while the class token gets a learnable one.
+
+A single (N, 3) cloud gives (1, n_classes) logits; a (B, N, 3) batch gives
+(B, 1, n_classes) from one pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,20 +40,6 @@ def init_head_params(store: ad.ParamStore, cfg: RunConfig, n_classes: int,
     store.create("cls.head.b1", (n_classes,), init="zeros")
 
 
-@dataclass
-class ClassFeatures:
-    """Pooled per-cloud features, concatenated in a fixed order."""
-
-    t_cls: Tensor           # (1, C) encoded class token
-    f_g: Tensor             # (1, C) max-pool over encoded patch tokens
-    p_g: Tensor | None      # (1, C) max-pool over encoded prototype rows
-
-    def concat(self) -> Tensor:
-        parts = [self.t_cls, self.f_g] if self.p_g is None \
-            else [self.t_cls, self.p_g, self.f_g]
-        return ad.concat_last_dim(parts)
-
-
 def head_logits(features: Tensor, store: ad.ParamStore) -> Tensor:
     w0 = store["cls.head.w0"]
     if features.values.shape[-1] != w0.values.shape[0]:
@@ -63,28 +50,29 @@ def head_logits(features: Tensor, store: ad.ParamStore) -> Tensor:
     return ad.linear(h, store["cls.head.w1"], store["cls.head.b1"])
 
 
-def _pool_row(rows: Tensor, c: int) -> Tensor:
-    return ad.reshape(ad.max_over_rows(rows), (1, c))
+def _pool_row(rows: Tensor) -> Tensor:
+    """Max-pool (..., n, C) rows into one (..., 1, C) row."""
+    pooled = ad.max_over_rows(rows)
+    return ad.reshape(pooled, pooled.values.shape[:-1] + (1, pooled.values.shape[-1]))
 
 
 def classify_baseline(points: np.ndarray, store: ad.ParamStore,
                       cfg: RunConfig) -> Tensor:
-    """Logits for one cloud from [class token || patch tokens]."""
+    """Logits from [class token || patch tokens] features: t_cls || f_g."""
     tb = embedding.tokenize(points, store, cfg)
     pos = embedding.pos_embed(tb.centers, store)
     seq = ad.concat_rows([store["cls.token"], tb.tokens])
     pos_seq = ad.concat_rows([store["cls.pos"], pos])
     enc = backbone.encode(seq, pos_seq, store, cfg)
-    g = tb.tokens.values.shape[0]
-    feats = ClassFeatures(t_cls=ad.slice_rows(enc, 0, 1),
-                          f_g=_pool_row(ad.slice_rows(enc, 1, 1 + g), cfg.dim),
-                          p_g=None)
-    return head_logits(feats.concat(), store)
+    g = tb.g
+    features = ad.concat_last_dim([ad.slice_rows(enc, 0, 1),
+                                   _pool_row(ad.slice_rows(enc, 1, 1 + g))])
+    return head_logits(features, store)
 
 
 def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
                   prompt_rows: np.ndarray | None = None) -> Tensor:
-    """Logits for one cloud with refreshed prototypes as prompt rows.
+    """Logits with refreshed prototypes as prompt rows: t_cls || p_g || f_g.
 
     The encoder sees [class token || Q prototype rows || patch tokens]; the
     prototype rows get a zero position embedding.  The pooled encoded
@@ -113,12 +101,12 @@ def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
         p_hat = Tensor(np.asarray(prompt_rows, dtype=np.float64))
         if p_hat.values.shape[-1] != c:
             raise InvalidArgument(f"prompt rows must be width {c}")
-    q = p_hat.values.shape[0]
-    g = tb.tokens.values.shape[0]
+    q = p_hat.values.shape[-2]
+    g = tb.g
     seq = ad.concat_rows([store["cls.token"], p_hat, tb.tokens])
     pos_seq = ad.concat_rows([store["cls.pos"], Tensor(np.zeros((q, c))), pos])
     enc = backbone.encode(seq, pos_seq, store, cfg)
-    feats = ClassFeatures(t_cls=ad.slice_rows(enc, 0, 1),
-                          p_g=_pool_row(ad.slice_rows(enc, 1, 1 + q), c),
-                          f_g=_pool_row(ad.slice_rows(enc, 1 + q, 1 + q + g), c))
-    return head_logits(feats.concat(), store)
+    features = ad.concat_last_dim([ad.slice_rows(enc, 0, 1),
+                                   _pool_row(ad.slice_rows(enc, 1, 1 + q)),
+                                   _pool_row(ad.slice_rows(enc, 1 + q, 1 + q + g))])
+    return head_logits(features, store)

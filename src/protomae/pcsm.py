@@ -11,6 +11,10 @@ contrastive loss that pushes refreshed prototypes apart in cosine similarity.
 The encoder pass feeding this module always runs under stop-gradient, so
 these losses touch only the prototype bank, the enhancement cross-attention,
 and the reconstruction head.
+
+Every function takes a single cloud's (G, C) tokens or a (B, G, C) batch.
+The shared bank is refreshed against each cloud's own tokens, and the
+batched losses are means over clouds of the per-cloud losses.
 """
 
 from __future__ import annotations
@@ -59,21 +63,21 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
     unchanged.
 
     Parameter free and applied only to stop-gradient features, so it is plain
-    numpy.
+    numpy.  ``tokens`` is (..., G, C) and ``centers`` (..., G, 3).
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    g = tokens.shape[0]
-    if centers.shape[0] != g:
-        raise InvalidArgument(f"{g} tokens but {centers.shape[0]} centres")
+    g, c = tokens.shape[-2:]
+    if centers.shape[:-1] != tokens.shape[:-1]:
+        raise InvalidArgument(f"tokens {tokens.shape} and centres {centers.shape} differ")
     if not 1 <= k <= g:
         raise InvalidArgument(f"knorm k={k} out of range for {g} tokens")
-    neighborhoods = geo.knn(centers, np.arange(g), k)
-    members = np.stack([nb.member_indices for nb in neighborhoods])   # (G, k)
-    gathered = tokens[members]                                        # (G, k, C)
-    mu = gathered.mean(axis=1)
-    sd = gathered.std(axis=1)
-    return tokens + (tokens - mu) / (sd + eps)
+    members = geo.knn(centers, np.arange(g), k).member_indices.reshape(-1, g, k)
+    flat = tokens.reshape(-1, g, c)
+    gathered = flat[np.arange(flat.shape[0])[:, None, None], members]   # (L, G, k, C)
+    mu = gathered.mean(axis=-2)
+    sd = gathered.std(axis=-2)
+    return tokens + ((flat - mu) / (sd + eps)).reshape(tokens.shape)
 
 
 def update_prototypes(prototypes: Tensor, tokens: Tensor) -> Tensor:
@@ -111,7 +115,7 @@ def similarity(tokens_hat: Tensor, prototypes_hat: Tensor) -> tuple[Tensor, np.n
     c = tokens_hat.values.shape[-1]
     logits = ad.scale(ad.matmul(tokens_hat, ad.transpose(prototypes_hat)), 1.0 / math.sqrt(c))
     s = ad.softmax_rows(logits)
-    return s, np.argmax(s.values, axis=1).astype(np.int64)
+    return s, np.argmax(s.values, axis=-1).astype(np.int64)
 
 
 def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
@@ -121,24 +125,24 @@ def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
 
     Token i contributes the row [p_hat[assignment[i]] || pos[i]]; rows stay in
     original token order.  A two-layer head maps each row to k' points and the
-    loss is the global chamfer distance to the cloud, scaled by 1/G.  Empty
-    components are legal; they simply contribute no rows.
+    loss is the global chamfer distance to the cloud, scaled by 1/G (averaged
+    over clouds for a batch).  Empty components are legal; they simply
+    contribute no rows.
     """
-    g = pos.values.shape[0]
+    lead, g = pos.values.shape[:-2], pos.values.shape[-2]
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (g,):
-        raise InvalidArgument(f"assignment must be ({g},), got {assignment.shape}")
+    if assignment.shape != lead + (g,):
+        raise InvalidArgument(f"assignment must be {lead + (g,)}, got {assignment.shape}")
     if assignment.size and (assignment.min() < 0
-                            or assignment.max() >= prototypes_hat.values.shape[0]):
+                            or assignment.max() >= prototypes_hat.values.shape[-2]):
         raise InvalidArgument("assignment indexes a missing prototype")
     kp = cfg.recon_points
     f = ad.concat_last_dim([ad.gather_rows(prototypes_hat, assignment), pos])
     h = ad.gelu(ad.linear(f, params["pcsm.ppr.w0"], params["pcsm.ppr.b0"]))
     out = ad.linear(h, params["pcsm.ppr.w1"], params["pcsm.ppr.b1"])
-    pred = ad.reshape(out, (g * kp, 3))
-    loss = ad.scale(ad.chamfer(pred, Tensor(np.asarray(cloud_points, dtype=np.float64))),
-                    1.0 / g)
-    return pred.values.reshape(g, kp, 3), loss
+    pred = ad.reshape(out, lead + (g * kp, 3))
+    loss = ad.scale(ad.chamfer_batch(pred, cloud_points), 1.0 / g)
+    return pred.values.reshape(lead + (g, kp, 3)), loss
 
 
 def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
@@ -149,27 +153,33 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     sum_i [logsumexp_j D_ij - D_ii].  Since D_ii = 1 identically, the
     diagonal contributes the constant Q/temperature; the loss is therefore
     invariant to prototype order and strictly decreases as off-diagonal
-    similarity falls.
+    similarity falls.  For a (B, Q, C) batch of banks the loss is the mean
+    over the B banks.
     """
     if temperature <= 0.0:
         raise InvalidArgument(f"temperature must be positive, got {temperature}")
-    q = prototypes_hat.values.shape[0]
+    q = prototypes_hat.values.shape[-2]
+    banks = prototypes_hat.values.size // (q * prototypes_hat.values.shape[-1])
     pn = ad.l2_normalize_rows(prototypes_hat)
     d = ad.scale(ad.matmul(pn, ad.transpose(pn)), 1.0 / temperature)
     lse = ad.logsumexp_rows(d)
-    return ad.add(ad.sum_all(lse), Tensor(np.float64(-q / temperature)))
+    return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), Tensor(np.float64(-q / temperature)))
 
 
 @dataclass
 class PCSMOutput:
-    """Everything the component-grouping branch produces for one cloud."""
+    """Everything the component-grouping branch produces for one cloud or a batch.
 
-    tokens_encoded: np.ndarray      # (G, C) stop-gradient encoder output (post k-norm)
-    prototypes_hat: Tensor          # (Q, C)
-    tokens_hat: Tensor              # (G, C) enhanced tokens
-    similarity: np.ndarray          # (G, Q) row-stochastic
-    assignment: np.ndarray          # (G,) int64
-    reconstruction: np.ndarray      # (G, k', 3)
+    Arrays carry the leading batch axes of the input; the losses are means
+    over clouds.
+    """
+
+    tokens_encoded: np.ndarray      # (..., G, C) stop-gradient encoder output (post k-norm)
+    prototypes_hat: Tensor          # (..., Q, C)
+    tokens_hat: Tensor              # (..., G, C) enhanced tokens
+    similarity: np.ndarray          # (..., G, Q) row-stochastic
+    assignment: np.ndarray          # (..., G) int64
+    reconstruction: np.ndarray      # (..., G, k', 3)
     loss_proto: Tensor
     loss_cont: Tensor
 
@@ -177,9 +187,9 @@ class PCSMOutput:
 def pcsm_forward(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
                  cloud_points: np.ndarray, store: ad.ParamStore,
                  cfg: RunConfig) -> PCSMOutput:
-    """Full component-grouping pass on a complete cloud.
+    """Full component-grouping pass on a complete cloud, or a batch of them.
 
-    ``token_values``/``pos_values`` are raw arrays (the stop-gradient boundary:
+    ``token_values``/``pos_values`` are raw (..., G, C) arrays (the stop-gradient boundary:
     the encoder runs here on constants through frozen weights, so no gradient
     reaches it).  Trainable inputs are the prototype bank, the enhancement
     cross-attention, and the reconstruction head.

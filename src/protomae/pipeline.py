@@ -8,6 +8,12 @@ the masking stream use separate generators spawned from the run seed, so
 swapping the masking strategy cannot perturb which clouds are seen in which
 order - the ablation harness checks exactly that.
 
+Each step stacks its clouds into one (B, N, 3) array and runs one batched
+forward and backward over (B, G, C) tokens.  Every mask plan hides the same
+number of tokens, so the visible and masked sets stack too.  Mask plans,
+their log rows and the metric draws still go cloud by cloud, in batch order,
+so every random stream is consumed exactly as a per-cloud loop would.
+
 Ground-truth component labels exist only in the synthetic dataset and are
 consumed exclusively by metrics; the loss builders receive bare point arrays.
 """
@@ -29,7 +35,7 @@ from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
 from .config import RunConfig
 from .errors import ConfigError, InvariantViolation, NumericError
-from .geometry import PointCloud
+from .geometry import PointCloud, sq_dists
 
 LOGGER = logging.getLogger("protomae.pipeline")
 
@@ -63,11 +69,15 @@ def build_dataset(cfg: RunConfig) -> Dataset:
 
 
 def token_truth(cloud: PointCloud, member_indices: np.ndarray) -> np.ndarray:
-    """Majority component label of each patch (ties to the lowest label)."""
+    """Majority component label of each (G, k) patch (ties to the lowest label)."""
     if cloud.labels is None:
         raise ConfigError("cloud has no component labels")
-    return np.array([int(np.bincount(cloud.labels[m]).argmax())
-                     for m in member_indices], dtype=np.int64)
+    member_labels = cloud.labels[member_indices]                      # (G, k)
+    width = int(cloud.labels.max()) + 1
+    rows = np.arange(member_labels.shape[0])[:, None] * width
+    counts = np.bincount((rows + member_labels).reshape(-1),
+                         minlength=member_labels.shape[0] * width)
+    return counts.reshape(-1, width).argmax(axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +126,6 @@ def _make_plan(cfg: RunConfig, assignment: np.ndarray, centers: np.ndarray,
                              cfg.mask_ratio, mask_rng)
 
 
-def _mean_term(terms: list[ad.Tensor]) -> ad.Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.scale(acc, 1.0 / len(terms))
-
-
 @dataclass
 class PretrainResult:
     store: ad.ParamStore
@@ -169,41 +172,25 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
         for step in range(steps):
             batch = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             starts = [int(data_rng.integers(cfg.n_points)) for _ in batch]
+            clouds = [ds.clouds[i] for i in batch]
             if epoch == 0 and step == 0:
-                data_hash = _batch_hash([ds.clouds[i] for i in batch], starts)
-            terms = {"l_3d": [], "l_proto": [], "l_cont": []}
+                data_hash = _batch_hash(clouds, starts)
+            points = np.stack([cloud.points for cloud in clouds])
             try:
-                for ci, start in zip(batch, starts):
-                    cloud = ds.clouds[ci]
-                    tb = embedding.tokenize(cloud.points, store, cfg, start=start)
-                    pos = embedding.pos_embed(tb.centers, store)
-                    out = pcsm.pcsm_forward(tb.tokens.values, tb.centers,
-                                            pos.values, cloud.points, store, cfg)
-                    plan = _make_plan(cfg, out.assignment, tb.centers, mask_rng)
-                    vis, msk = plan.visible_indices(), plan.masked_indices()
-                    enc = backbone.encode(ad.gather_rows(tb.tokens, vis),
-                                          ad.gather_rows(pos, vis), store, cfg)
-                    _, dm = backbone.decode(enc, ad.gather_rows(pos, vis),
-                                            ad.gather_rows(pos, msk), store, cfg)
-                    l3d = backbone.l_3d(backbone.recon_head(dm, store, cfg),
-                                        tb.local_coords[msk])
-                    terms["l_3d"].append(l3d)
-                    terms["l_proto"].append(out.loss_proto)
-                    terms["l_cont"].append(out.loss_cont)
-                    entropy_sum += metrics.group_entropy(out.assignment,
-                                                         cfg.n_prototypes)
-                    purity_sum += metrics.purity(out.assignment,
-                                                 token_truth(cloud, tb.member_indices))
-                    cov_sel, cov_max = masking.component_coverage(plan, out.assignment)
-                    mask_log.append({
-                        "epoch": epoch + 1, "step": step + 1, "cloud": int(ci),
-                        "strategy": cfg.mask_strategy,
-                        "bits": plan.bitstring(),
-                        "selected": [int(c) for c in plan.fully_masked_components],
-                        "coverage_selected": cov_sel,
-                        "coverage_max": cov_max,
-                    })
-                means = {name: _mean_term(ts) for name, ts in terms.items()}
+                tb = embedding.tokenize(points, store, cfg, start=np.array(starts))
+                pos = embedding.pos_embed(tb.centers, store)
+                out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values,
+                                        points, store, cfg)
+                plans = [_make_plan(cfg, out.assignment[j], tb.centers[j], mask_rng)
+                         for j in range(len(batch))]
+                vis = np.stack([plan.visible_indices() for plan in plans])
+                msk = np.stack([plan.masked_indices() for plan in plans])
+                pos_vis = ad.gather_rows(pos, vis)
+                enc = backbone.encode(ad.gather_rows(tb.tokens, vis), pos_vis, store, cfg)
+                _, dm = backbone.decode(enc, pos_vis, ad.gather_rows(pos, msk), store, cfg)
+                target = np.take_along_axis(tb.local_coords, msk[:, :, None, None], axis=1)
+                means = {"l_3d": backbone.l_3d(backbone.recon_head(dm, store, cfg), target),
+                         "l_proto": out.loss_proto, "l_cont": out.loss_cont}
                 total = ad.add(means["l_3d"],
                                ad.add(ad.scale(means["l_proto"], cfg.lambda_proto),
                                       ad.scale(means["l_cont"], cfg.lambda_cont)))
@@ -212,6 +199,20 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1} step {step + 1}: {exc}") from None
+            for j, (ci, cloud, plan) in enumerate(zip(batch, clouds, plans)):
+                assignment = out.assignment[j]
+                entropy_sum += metrics.group_entropy(assignment, cfg.n_prototypes)
+                purity_sum += metrics.purity(assignment,
+                                             token_truth(cloud, tb.member_indices[j]))
+                cov_sel, cov_max = masking.component_coverage(plan, assignment)
+                mask_log.append({
+                    "epoch": epoch + 1, "step": step + 1, "cloud": int(ci),
+                    "strategy": cfg.mask_strategy,
+                    "bits": plan.bitstring(),
+                    "selected": [int(c) for c in plan.fully_masked_components],
+                    "coverage_selected": cov_sel,
+                    "coverage_max": cov_max,
+                })
             for name, t in means.items():
                 sums[name] += float(t.values)
             sums["total"] += float(total.values)
@@ -265,6 +266,15 @@ def split_dataset(ds: Dataset, val_fraction: float,
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(val), dtype=np.int64)
 
 
+def _stack_points(ds: Dataset, batch: np.ndarray) -> np.ndarray:
+    return np.stack([ds.clouds[i].points for i in batch])
+
+
+def _predicted(logits: ad.Tensor) -> np.ndarray:
+    """Predicted class of each cloud from (B, 1, n_classes) logits."""
+    return np.argmax(logits.values, axis=-1).reshape(-1)
+
+
 @dataclass
 class FinetuneResult:
     store: ad.ParamStore
@@ -306,24 +316,22 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
         ce_sum = 0.0
         for lo in range(0, order.size, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
+            labels = ds.kind_ids[batch]
             try:
-                losses = []
-                for ci in batch:
-                    logits = classify(ds.clouds[ci].points, store, cfg)
-                    label = int(ds.kind_ids[ci])
-                    losses.append(ad.cross_entropy(logits, label))
-                    correct += int(np.argmax(logits.values) == label)
-                batch_ce = _mean_term(losses)
+                logits = classify(_stack_points(ds, batch), store, cfg)
+                batch_ce = ad.cross_entropy(logits, labels)
+                correct += int(np.sum(_predicted(logits) == labels))
                 ce_sum += float(batch_ce.values) * batch.size
                 batch_ce.backward()
                 opt.step()
             except NumericError as exc:
                 raise NumericError(f"fine-tune epoch {epoch + 1}: {exc}") from None
         train_acc = correct / order.size
-        val_correct = sum(
-            int(np.argmax(classify(ds.clouds[ci].points, store, cfg).values)
-                == int(ds.kind_ids[ci]))
-            for ci in val_idx)
+        val_correct = 0
+        for lo in range(0, val_idx.size, cfg.batch_size):
+            batch = val_idx[lo:lo + cfg.batch_size]
+            logits = classify(_stack_points(ds, batch), store, cfg)
+            val_correct += int(np.sum(_predicted(logits) == ds.kind_ids[batch]))
         val_acc = val_correct / val_idx.size
         rows.append({"epoch": epoch + 1, "ce": ce_sum / order.size,
                      "train_accuracy": train_acc, "val_accuracy": val_acc})
@@ -428,17 +436,18 @@ def cloud_assignment(store: ad.ParamStore, points: np.ndarray,
                      cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(per-point component ids, per-token assignment, member_indices).
 
-    Each point inherits the assignment of the token whose patch centre is
-    nearest (ties to the lowest token index).
+    ``points`` is one (N, 3) cloud or a (B, N, 3) batch; every output carries
+    the same leading axes.  Each point inherits the assignment of the token
+    whose patch centre is nearest (ties to the lowest token index).
     """
+    points = np.asarray(points, dtype=np.float64)
     tb = embedding.tokenize(points, store, cfg, start=0)
     pos = embedding.pos_embed(tb.centers, store)
     out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values, points,
                             store, cfg)
-    d2 = ((np.asarray(points, dtype=np.float64)[:, None, :]
-           - tb.centers[None, :, :]) ** 2).sum(axis=-1)
-    nearest = d2.argmin(axis=1)
-    return out.assignment[nearest], out.assignment, tb.member_indices
+    nearest = sq_dists(points[..., :, None, :], tb.centers[..., None, :, :]).argmin(axis=-1)
+    return (np.take_along_axis(out.assignment, nearest, axis=-1), out.assignment,
+            tb.member_indices)
 
 
 def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
@@ -446,19 +455,23 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
                       seed_base: int = HELD_OUT_SEED_BASE) -> dict:
     """Token-level grouping NMI on held-out clouds vs a random baseline.
 
-    The held-out clouds use seeds far outside the training range.  The random
-    baseline is the mean NMI of ``draws`` uniform Q-way assignments against
-    the same ground truth, freshly drawn in-run.
+    The held-out clouds use seeds far outside the training range and are
+    grouped ``cfg.batch_size`` at a time.  The random baseline is the mean
+    NMI of ``draws`` uniform Q-way assignments against the same ground
+    truth, freshly drawn in-run, cloud by cloud.
     """
     rng = np.random.default_rng([cfg.seed, 101])
     scores, baselines = [], []
-    for s in range(n_clouds):
-        cloud = shapes.make_shape(kind, cfg.n_points, seed=seed_base + s)
-        _, assignment, member_indices = cloud_assignment(store, cloud.points, cfg)
-        truth = token_truth(cloud, member_indices)
-        scores.append(metrics.nmi(assignment, truth))
-        baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
-                                                     draws, rng))
+    for lo in range(0, n_clouds, cfg.batch_size):
+        clouds = [shapes.make_shape(kind, cfg.n_points, seed=seed_base + s)
+                  for s in range(lo, min(lo + cfg.batch_size, n_clouds))]
+        _, assignment, member_indices = cloud_assignment(
+            store, np.stack([cloud.points for cloud in clouds]), cfg)
+        for cloud, tokens, members in zip(clouds, assignment, member_indices):
+            truth = token_truth(cloud, members)
+            scores.append(metrics.nmi(tokens, truth))
+            baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
+                                                         draws, rng))
     return {"kind": kind, "n_clouds": n_clouds,
             "nmi_mean": float(np.mean(scores)),
             "nmi_per_cloud": [float(x) for x in scores],

@@ -467,3 +467,148 @@ def test_adamw_overrides_consulted_live():
         w.grad[...] = 1.0
         opt.step()
     np.testing.assert_array_equal(w.values, run(False))
+
+
+# ---------------------------------------------------------------------------
+# leading batch axes
+# ---------------------------------------------------------------------------
+
+
+def fd_check(build, arrays, which, tol=1e-4):
+    """FD check of scalar build(*tensors) w.r.t. arrays[which], at 1e-4 relative."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=(i == which)) for i, a in enumerate(arrays)]
+    build(*tensors).backward()
+
+    def value(arr):
+        parts = [ad.Tensor(arr if i == which else a) for i, a in enumerate(arrays)]
+        return float(build(*parts).values)
+
+    numeric = fd_grad(value, arrays[which].copy(), 1e-5)
+    err = np.abs(tensors[which].grad - numeric) / np.maximum(1.0, np.abs(numeric))
+    assert err.max() <= tol
+
+
+def test_matmul_batched_operands_grads():
+    a = RNG.normal(size=(3, 2, 4))
+    b = RNG.normal(size=(3, 4, 5))
+    probe = RNG.normal(size=(3, 2, 5))
+    build = lambda x, y: ad.sum_all(ad.mul_const(ad.matmul(x, y), probe))  # noqa: E731
+    fd_check(build, [a, b], 0)
+    fd_check(build, [a, b], 1)
+
+
+def test_matmul_shared_left_operand_broadcasts_over_batch():
+    # a (Q, C) bank against a (B, C, G) batch: the bank's gradient sums over B
+    a = RNG.normal(size=(2, 4))
+    b = RNG.normal(size=(3, 4, 5))
+    probe = RNG.normal(size=(3, 2, 5))
+    out = ad.matmul(ad.Tensor(a), ad.Tensor(b))
+    np.testing.assert_allclose(out.values, np.stack([a @ b[i] for i in range(3)]), atol=1e-14)
+    build = lambda x, y: ad.sum_all(ad.mul_const(ad.matmul(x, y), probe))  # noqa: E731
+    fd_check(build, [a, b], 0)
+    fd_check(build, [a, b], 1)
+
+
+def test_matmul_4d_by_weight_grads():
+    x = RNG.normal(size=(2, 3, 2, 4))
+    w = RNG.normal(size=(4, 3))
+    probe = RNG.normal(size=(2, 3, 2, 3))
+    build = lambda a, b: ad.sum_all(ad.mul_const(ad.matmul(a, b), probe))  # noqa: E731
+    fd_check(build, [x, w], 0)
+    fd_check(build, [x, w], 1)
+
+
+def test_matmul_rejects_mismatched_batch_axes():
+    with pytest.raises(InvalidArgument, match="batch"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((3, 4, 5))))
+
+
+def test_gather_rows_per_entry_index_grads():
+    a = RNG.normal(size=(3, 5, 4))
+    idx = np.array([[4, 0, 4], [1, 1, 2], [3, 2, 0]])
+    out = ad.gather_rows(ad.Tensor(a), idx)
+    np.testing.assert_array_equal(out.values, np.stack([a[i][idx[i]] for i in range(3)]))
+    probe = RNG.normal(size=(3, 3, 4))
+    fd_check(lambda t: ad.sum_all(ad.mul_const(ad.gather_rows(t, idx), probe)), [a], 0)
+
+
+def test_gather_rows_shared_index_over_batch():
+    a = RNG.normal(size=(2, 5, 3))
+    out = ad.gather_rows(ad.Tensor(a), [3, 1])
+    np.testing.assert_array_equal(out.values, a[:, [3, 1]])
+    with pytest.raises(InvalidArgument):
+        ad.gather_rows(ad.Tensor(a), np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(InvalidArgument):
+        ad.gather_rows(ad.Tensor(a), [5])
+
+
+def test_chamfer_batch_3d_and_4d_grads():
+    pred = RNG.normal(size=(3, 5, 3))
+    gt = RNG.normal(size=(3, 7, 3))
+    fd_check(lambda t: ad.chamfer_batch(t, gt), [pred], 0)
+    pred4 = RNG.normal(size=(2, 3, 4, 3))
+    gt4 = RNG.normal(size=(2, 3, 6, 3))
+    singles = [float(ad.chamfer(ad.Tensor(pred4[i, j]), ad.Tensor(gt4[i, j])).values)
+               for i in range(2) for j in range(3)]
+    assert float(ad.chamfer_batch(ad.Tensor(pred4), gt4).values) == \
+        pytest.approx(float(np.mean(singles)), abs=1e-14)
+    fd_check(lambda t: ad.chamfer_batch(t, gt4), [pred4], 0)
+
+
+def test_transpose_axes_and_concat_rows_broadcast_grads():
+    probe = RNG.normal(size=(4, 2, 3))
+    check_op(lambda t: ad.sum_all(ad.mul_const(ad.transpose(t, (2, 0, 1)), probe)), (2, 3, 4))
+    row = RNG.normal(size=(1, 3))
+    batch = RNG.normal(size=(2, 4, 3))
+    probe2 = RNG.normal(size=(2, 5, 3))
+    build = lambda r, b: ad.sum_all(ad.mul_const(ad.concat_rows([r, b]), probe2))  # noqa: E731
+    fd_check(build, [row, batch], 0)
+    fd_check(build, [row, batch], 1)
+
+
+def test_attention_batch_equals_per_entry():
+    q = RNG.normal(size=(3, 4, 6))
+    k = RNG.normal(size=(3, 5, 6))
+    v = RNG.normal(size=(3, 5, 6))
+    out = ad.multi_head_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads=3).values
+    for i in range(3):
+        single = ad.multi_head_attention(ad.Tensor(q[i]), ad.Tensor(k[i]), ad.Tensor(v[i]),
+                                         heads=3).values
+        np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-12)
+    probe = RNG.normal(size=(3, 4, 6))
+    build = lambda a, b, c: ad.sum_all(ad.mul_const(  # noqa: E731
+        ad.multi_head_attention(a, b, c, heads=3), probe))
+    for which in range(3):
+        fd_check(build, [q, k, v], which)
+
+
+def test_cross_entropy_rows_average():
+    logits = RNG.normal(size=(3, 1, 4))
+    targets = np.array([0, 3, 1])
+    got = float(ad.cross_entropy(ad.Tensor(logits), targets).values)
+    singles = [float(ad.cross_entropy(ad.Tensor(logits[i]), int(targets[i])).values)
+               for i in range(3)]
+    assert got == pytest.approx(float(np.mean(singles)), abs=1e-14)
+    with pytest.raises(InvalidArgument):
+        ad.cross_entropy(ad.Tensor(logits), np.array([0, 1]))
+
+
+def test_tape_is_freed_without_cyclic_gc():
+    # a node stores its backward function, not a closure over itself, so a
+    # dropped tape is freed by reference counting alone
+    import gc
+
+    store = ad.ParamStore(seed=2)
+    w = store.create("w", (4, 4))
+    x = RNG.normal(size=(2, 3, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        h = ad.gelu(ad.linear(ad.Tensor(x), w))
+        att = ad.multi_head_attention(h, h, h, heads=2)
+        loss = ad.mean_all(ad.layer_norm(att, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))))
+        loss.backward()
+        del h, att, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

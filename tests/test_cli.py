@@ -103,6 +103,24 @@ def test_export_groups_reads_cloud_file(toy_config_file, tmp_path):
     assert (tmp_path / "groups.txt").exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0 0 0\n1 1 1\n", "cannot supply"),
+    ("0 0 0\nnan 1 1\n", "cloud.txt:2: non-finite"),
+])
+def test_export_groups_bad_cloud_file_exits_two(tmp_path, capsys, rows, message):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ckpt = tmp_path / "pre.bin"
+    checkpoint.save(ckpt, pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text(rows)
+    assert cli.main(["--out", str(tmp_path), "export-groups",
+                     "--checkpoint", str(ckpt), "--cloud", str(cloud)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err and "Traceback" not in err
+
+
 def test_ablate_single_strategy(toy_config_file, tmp_path, capsys):
     cfg = dataclasses.replace(preset("toy"), epochs=1, finetune_epochs=1)
     path = tmp_path / "fast.cfg"

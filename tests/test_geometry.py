@@ -325,3 +325,31 @@ def test_cloud_load_errors(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(InvalidArgument):
         geo.load_cloud(path)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels and non-finite input
+# ---------------------------------------------------------------------------
+
+
+def test_fps_and_knn_batch_equal_per_cloud():
+    rng = np.random.default_rng(77)
+    pts = rng.normal(size=(3, 30, 3))
+    starts = np.array([0, 17, 29])
+    picks = geo.fps(pts, 8, start=starts)
+    patches = geo.knn(pts, picks, 5)
+    assert picks.shape == (3, 8) and patches.member_indices.shape == (3, 8, 5)
+    for i in range(3):
+        single = geo.fps(pts[i], 8, start=int(starts[i]))
+        np.testing.assert_array_equal(picks[i], single)
+        for j, nb in enumerate(geo.knn(pts[i], single, 5)):
+            np.testing.assert_array_equal(patches.member_indices[i, j], nb.member_indices)
+            np.testing.assert_array_equal(patches.local_coords[i, j], nb.local_coords)
+
+
+def test_cloud_load_rejects_non_finite_coordinates(tmp_path):
+    path = tmp_path / "nan.txt"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"1 2 3\n4 {bad} 6\n")
+        with pytest.raises(InvalidArgument, match=r"nan\.txt:2: non-finite"):
+            geo.load_cloud(path)

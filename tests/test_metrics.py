@@ -122,3 +122,18 @@ def test_random_baseline_far_below_true_grouping():
     labels = np.repeat(np.arange(4), 32)
     base = metrics.random_nmi_baseline(labels, 4, draws=100, rng=np.random.default_rng(0))
     assert base < metrics.nmi(labels, labels)
+
+
+def test_random_baseline_equals_mean_of_per_draw_nmi():
+    # the vectorised baseline consumes the generator exactly as a per-draw
+    # loop would, and scores every draw like metrics.nmi
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(2, 90))) + 2
+        groups = int(rng.integers(2, 9))
+        draws = int(rng.integers(1, 40))
+        got = metrics.random_nmi_baseline(labels, groups, draws, np.random.default_rng(seed + 50))
+        loop = np.random.default_rng(seed + 50)
+        expected = np.mean([metrics.nmi(loop.integers(0, groups, labels.size), labels)
+                            for _ in range(draws)])
+        assert abs(got - expected) <= 1e-12, seed
