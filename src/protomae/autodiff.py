@@ -10,7 +10,11 @@ propagate silently into a training run.
 Only the primitives the point-cloud networks actually need are provided.
 Sequence ops work on the last two axes, (rows, channels), and accept any
 leading batch axes, so one tape covers a whole batch of clouds and an
-unbatched (G, C) input is simply a batch with no leading axes.  A node stores
+unbatched (G, C) input is simply a batch with no leading axes.  There is one
+op per job: ``concat`` joins along an axis counted from the end (-2 rows,
+-1 channels) and broadcasts the axes before it, ``broadcast`` tiles under
+numpy rules, and ``chamfer_batch`` treats every leading entry as one point
+set pair, so a 2-d input is a single pair.  A node stores
 its backward function rather than a closure over itself, so a tape holds no
 reference cycles and is freed by reference counting as soon as the last
 reference to its output is dropped.
@@ -265,50 +269,36 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node("reshape", a.values.reshape(shape), (a,), backward)
 
 
-def concat_last_dim(parts: Iterable[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise InvalidArgument("concat_last_dim of zero tensors")
-    widths = [p.values.shape[-1] for p in parts]
-    values = np.concatenate([p.values for p in parts], axis=-1)
+def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
+    """Concatenate along ``axis``, counted from the end (-1 channels, -2 rows).
 
-    def backward(out: Tensor) -> None:
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accum(p, out.grad[..., offset:offset + w])
-            offset += w
-
-    return _node("concat_last_dim", values, parts, backward)
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Concatenate along the row axis (-2) (token-sequence assembly).
-
-    Leading batch axes broadcast, so a shared (n, C) row block such as a
-    class token joins every sequence of a (B, m, C) batch.
+    The axes before ``axis`` broadcast, so a shared (n, C) row block such
+    as a class token joins every sequence of a (B, m, C) batch, and a
+    (..., G, 1, C) pooled row joins every member of a (..., G, k, C) patch.
     """
     parts = [_as_tensor(p) for p in parts]
     if not parts:
-        raise InvalidArgument("concat_rows of zero tensors")
-    if any(p.values.ndim < 2 for p in parts):
-        raise InvalidArgument("concat_rows needs (..., rows, C) tensors")
+        raise InvalidArgument("concat of zero tensors")
+    if not -min(p.values.ndim for p in parts) <= axis <= -1:
+        raise InvalidArgument(f"concat axis {axis} must count from the end of every part")
     try:
-        lead = np.broadcast_shapes(*(p.values.shape[:-2] for p in parts))
+        lead = np.broadcast_shapes(*(p.values.shape[:axis] for p in parts))
     except ValueError:
-        raise InvalidArgument("concat_rows batch axes differ") from None
-    counts = [p.values.shape[-2] for p in parts]
-    values = np.concatenate([np.broadcast_to(p.values, lead + p.values.shape[-2:])
-                             for p in parts], axis=-2)
+        raise InvalidArgument(f"concat leading axes differ for axis {axis}") from None
+    counts = [p.values.shape[axis] for p in parts]
+    values = np.concatenate([np.broadcast_to(p.values, lead + p.values.shape[axis:])
+                             for p in parts], axis=axis)
+    trailing = (slice(None),) * (-axis - 1)
 
     def backward(out: Tensor) -> None:
         offset = 0
         for p, n in zip(parts, counts):
             if p.requires_grad:
-                _accum(p, _sum_to_shape(out.grad[..., offset:offset + n, :], p.values.shape))
+                g = out.grad[(Ellipsis, slice(offset, offset + n)) + trailing]
+                _accum(p, _sum_to_shape(g, p.values.shape))
             offset += n
 
-    return _node("concat_rows", values, parts, backward)
+    return _node("concat", values, parts, backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -327,21 +317,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
             _accum(a, g)
 
     return _node("slice_rows", a.values[..., start:stop, :].copy(), (a,), backward)
-
-
-def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    n = a.values.shape[-1]
-    if not (0 <= start <= stop <= n):
-        raise InvalidArgument(f"slice_last_dim[{start}:{stop}] out of range for width {n}")
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            g = np.zeros_like(a.values)
-            g[..., start:stop] = out.grad
-            _accum(a, g)
-
-    return _node("slice_last_dim", a.values[..., start:stop].copy(), (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -375,33 +350,19 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _node("gather_rows", values, (a,), backward)
 
 
-def repeat_rows(a: Tensor, count: int) -> Tensor:
-    """Tile a single row (1, C) or (C,) into (count, C)."""
+def broadcast(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Broadcast to ``shape`` under numpy rules (a mask token tiled into rows)."""
     a = _as_tensor(a)
-    row = a.values.reshape(1, -1)
-    if a.values.ndim > 2 or (a.values.ndim == 2 and a.values.shape[0] != 1):
-        raise InvalidArgument(f"repeat_rows expects one row, got shape {a.values.shape}")
-    values = np.repeat(row, count, axis=0)
+    try:
+        values = np.broadcast_to(a.values, shape)
+    except ValueError:
+        raise InvalidArgument(f"cannot broadcast {a.values.shape} to {shape}") from None
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad.sum(axis=0).reshape(a.values.shape))
+            _accum(a, _sum_to_shape(out.grad, a.values.shape))
 
-    return _node("repeat_rows", values, (a,), backward)
-
-
-def repeat_middle(a: Tensor, count: int) -> Tensor:
-    """Tile (..., G, C) into (..., G, count, C); the per-patch pooled-feature broadcast."""
-    a = _as_tensor(a)
-    if a.values.ndim < 2:
-        raise InvalidArgument("repeat_middle expects a (..., G, C) tensor")
-    values = np.repeat(a.values[..., None, :], count, axis=-2)
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, out.grad.sum(axis=-2))
-
-    return _node("repeat_middle", values, (a,), backward)
+    return _node("broadcast", values, (a,), backward)
 
 
 def max_over_rows(a: Tensor) -> Tensor:
@@ -419,17 +380,6 @@ def max_over_rows(a: Tensor) -> Tensor:
             _accum(a, g)
 
     return _node("max_over_rows", values, (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.values.size
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, np.full_like(a.values, out.grad / n))
-
-    return _node("mean_all", np.mean(a.values), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -581,31 +531,6 @@ def _chamfer_grad(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) 
     pulled = (2.0 / b.shape[1]) * (a[rows, ib] - b)
     np.add.at(ga.reshape(-1, dim), (rows * m + ib).reshape(-1), pulled.reshape(-1, dim))
     return ga
-
-
-def chamfer(a: Tensor, b: Tensor) -> Tensor:
-    """Symmetric squared-L2 chamfer distance between two point sets.
-
-    Each direction is averaged over its own set; the two directions are
-    summed.  Differentiable with respect to both sets wherever the nearest
-    neighbours are unique.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    pa, pb = a.values, b.values
-    if pa.ndim != 2 or pb.ndim != 2 or pa.shape[1] != pb.shape[1]:
-        raise InvalidArgument(f"chamfer expects (M,D) and (L,D), got {pa.shape} and {pb.shape}")
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise InvalidArgument("chamfer of an empty point set")
-    value, ia, ib = _nearest(pa[None], pb[None])
-
-    def backward(out: Tensor) -> None:
-        g = float(out.grad)
-        if a.requires_grad:
-            _accum(a, g * _chamfer_grad(pa[None], pb[None], ia, ib)[0])
-        if b.requires_grad:
-            _accum(b, g * _chamfer_grad(pb[None], pa[None], ib, ia)[0])
-
-    return _node("chamfer", value[0], (a, b), backward)
 
 
 def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -789,20 +714,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad[...] = 0.0
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            if name not in self._params:
-                raise InvalidArgument(f"cannot load unknown parameter '{name}'")
-            t = self._params[name]
-            if t.values.shape != arr.shape:
-                raise InvalidArgument(
-                    f"tensor '{name}': stored shape {arr.shape} != expected {t.values.shape}")
-            t.values[...] = arr
-
-    def drop_prefix(self, prefix: str) -> None:
-        for name in [n for n in self._params if n.startswith(prefix)]:
-            del self._params[name]
 
 
 class AdamW:

@@ -95,8 +95,10 @@ def decode(visible: Tensor, pos_visible: Tensor, pos_masked: Tensor,
             f"{g_vis} visible tokens but {pos_visible.values.shape[-2]} visible positions")
     if g_mask < 1:
         raise InvalidArgument("decode requires at least one masked patch")
-    x = ad.concat_rows([visible, ad.repeat_rows(params["dec.mask_token"], g_mask)])
-    pos = ad.concat_rows([pos_visible, pos_masked])
+    mask_token = params["dec.mask_token"]
+    x = ad.concat([visible, ad.broadcast(mask_token, (g_mask, mask_token.values.shape[-1]))],
+                  axis=-2)
+    pos = ad.concat([pos_visible, pos_masked], axis=-2)
     for i in range(cfg.decoder_blocks):
         x = _block(x, pos, params, f"dec.block{i:02d}", cfg)
     return ad.slice_rows(x, 0, g_vis), ad.slice_rows(x, g_vis, g_vis + g_mask)

@@ -19,6 +19,7 @@ Writes go to a temp file in the target directory and are renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -109,6 +110,13 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{self.path}: corrupt {what} (not UTF-8)") from None
+
 
 def load(path: str | Path) -> Checkpoint:
     path = Path(path)
@@ -122,18 +130,21 @@ def load(path: str | Path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    config_text = r.take(r.u64()).decode("utf-8")
+    config_text = r.text(r.u64(), "config text")
     try:
         rng_state = json.loads(r.take(r.u64()).decode("utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupt RNG state: {exc}") from None
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u64()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text(r.u32(), "tensor name")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape).copy()
+        payload = r.take(math.prod(shape) * 8)
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: tensor '{name}' has a bad shape: {exc}") from None
         if name in tensors:
             raise ConfigError(f"{path}: duplicate tensor '{name}'")
         tensors[name] = arr

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import geometry, pipeline, shapes, verification
-from .config import RunConfig, preset
+from .config import STRATEGIES, RunConfig, preset
 from .errors import ConfigError, InvalidArgument, NumericError
 
 
@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prototype-prompted head instead of the plain one")
 
     p = sub.add_parser("ablate", help="masking-strategy comparison")
-    p.add_argument("--strategies", default="randm,randbm,csem",
-                   help="comma list from {randm, randbm, csem}")
+    p.add_argument("--strategies", default=",".join(STRATEGIES),
+                   help=f"comma list from {{{', '.join(STRATEGIES)}}}")
 
     p = sub.add_parser("export-groups",
                        help="write per-point component ids for one cloud")

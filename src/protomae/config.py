@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .shapes import SHAPE_KINDS
 
-_STRATEGIES = ("randm", "randbm", "csem")
+STRATEGIES = ("randm", "randbm", "csem")
 
 
 @dataclass
@@ -81,10 +82,12 @@ class RunConfig:
         return max(1, round(self.n_points / self.n_patches))
 
     def kinds(self) -> list[str]:
-        return [k for k in self.shape_kinds.split(",") if k]
+        """The comma-separated ``shape_kinds``, stripped, empty entries dropped."""
+        return [k.strip() for k in self.shape_kinds.split(",") if k.strip()]
 
     def validate(self) -> "RunConfig":
         c = self
+        unknown = [k for k in c.kinds() if k not in SHAPE_KINDS]
         checks = [
             (c.n_points >= 64, "n_points must be >= 64"),
             (1 <= c.n_patches <= c.n_points, "n_patches must be in [1, n_points]"),
@@ -98,8 +101,8 @@ class RunConfig:
             (c.cont_temperature > 0, "cont_temperature must be positive"),
             (1 <= c.knorm_k <= c.n_patches, "knorm_k must be in [1, n_patches]"),
             (0.0 < c.mask_ratio < 1.0, "mask_ratio must be in (0, 1)"),
-            (c.mask_strategy in _STRATEGIES,
-             f"mask_strategy must be one of {', '.join(_STRATEGIES)}"),
+            (c.mask_strategy in STRATEGIES,
+             f"mask_strategy must be one of {', '.join(STRATEGIES)}"),
             (c.full_mask_components >= 0, "full_mask_components must be >= 0"),
             (c.learning_rate > 0, "learning_rate must be positive"),
             (c.proto_learning_rate > 0, "proto_learning_rate must be positive"),
@@ -109,7 +112,9 @@ class RunConfig:
             (c.weight_decay >= 0, "weight_decay must be >= 0"),
             (c.epochs >= 1 and c.finetune_epochs >= 1, "epoch counts must be >= 1"),
             (c.batch_size >= 1, "batch_size must be >= 1"),
-            (len(c.kinds()) >= 1, "shape_kinds must name at least one kind"),
+            (len(set(c.kinds())) >= 2, f"need at least two shape kinds, got '{c.shape_kinds}'"),
+            (len(set(c.kinds())) == len(c.kinds()), f"repeated shape kind in '{c.shape_kinds}'"),
+            (not unknown, f"unknown shape kinds {unknown} (have {', '.join(SHAPE_KINDS)})"),
             (c.clouds_per_kind >= 2, "clouds_per_kind must be >= 2"),
             (0.0 < c.val_fraction < 1.0, "val_fraction must be in (0, 1)"),
         ]

@@ -79,8 +79,7 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     x = Tensor(patches.local_coords)
     h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
     h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
-    pooled = ad.max_over_rows(h)
-    h = ad.concat_last_dim([h, ad.repeat_middle(pooled, cfg.knn_k)])
+    h = ad.concat([h, pool_row(h)], axis=-1)
     h = ad.relu(ad.linear(h, params["embed.mlp2.w0"], params["embed.mlp2.b0"]))
     h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
     tokens = ad.max_over_rows(h)
@@ -92,6 +91,12 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
         local_coords=patches.local_coords,
         tokens=tokens,
     )
+
+
+def pool_row(rows: Tensor) -> Tensor:
+    """Max-pool (..., n, C) rows into one (..., 1, C) row."""
+    pooled = ad.max_over_rows(rows)
+    return ad.reshape(pooled, pooled.values.shape[:-1] + (1, pooled.values.shape[-1]))
 
 
 def pos_embed(centers: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:

@@ -3,8 +3,8 @@
 Everything here is plain float64 numpy with deterministic tie-breaking
 (lowest index wins), so the same inputs always produce the same outputs
 bit for bit.  The sampling and neighbourhood kernels take any leading batch
-axes and treat each leading entry as an independent cloud.  Differentiable
-variants of the chamfer distance live in ``autodiff``; this module is the
+axes and treat each leading entry as an independent cloud.  The
+differentiable chamfer distance lives in ``autodiff``; this module is the
 ground-truth arithmetic.
 """
 
@@ -46,26 +46,11 @@ class PointCloud:
 
 
 @dataclass
-class Neighborhood:
-    """One local patch: a centre point and its k nearest members."""
-
-    center_index: int
-    member_indices: np.ndarray              # (k,) int64, sorted by (distance, index)
-    local_coords: np.ndarray                # (k, 3) member minus centre
-
-
-@dataclass
 class Neighborhoods:
     """G local patches as arrays, with the leading batch axes of the cloud."""
 
-    center_indices: np.ndarray              # (..., G) int64
     member_indices: np.ndarray              # (..., G, k) int64, sorted by (distance, index)
     local_coords: np.ndarray                # (..., G, k, 3) member minus centre
-
-    def __getitem__(self, i: int) -> Neighborhood:
-        """Patch ``i`` of an unbatched call."""
-        return Neighborhood(int(self.center_indices[i]), self.member_indices[i],
-                            self.local_coords[i])
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +148,7 @@ def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods
     d = sq_dists(flat[:, None, :, :], origin[:, :, None, :])
     members = np.argsort(d, axis=-1, kind="stable")[..., :k]          # (L, G, k)
     local = flat[rows[..., None], members] - origin[:, :, None, :]
-    return Neighborhoods(center_indices=centers,
-                         member_indices=members.reshape(lead + (g, k)),
+    return Neighborhoods(member_indices=members.reshape(lead + (g, k)),
                          local_coords=local.reshape(lead + (g, k, 3)))
 
 

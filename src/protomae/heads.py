@@ -50,23 +50,17 @@ def head_logits(features: Tensor, store: ad.ParamStore) -> Tensor:
     return ad.linear(h, store["cls.head.w1"], store["cls.head.b1"])
 
 
-def _pool_row(rows: Tensor) -> Tensor:
-    """Max-pool (..., n, C) rows into one (..., 1, C) row."""
-    pooled = ad.max_over_rows(rows)
-    return ad.reshape(pooled, pooled.values.shape[:-1] + (1, pooled.values.shape[-1]))
-
-
 def classify_baseline(points: np.ndarray, store: ad.ParamStore,
                       cfg: RunConfig) -> Tensor:
     """Logits from [class token || patch tokens] features: t_cls || f_g."""
     tb = embedding.tokenize(points, store, cfg)
     pos = embedding.pos_embed(tb.centers, store)
-    seq = ad.concat_rows([store["cls.token"], tb.tokens])
-    pos_seq = ad.concat_rows([store["cls.pos"], pos])
+    seq = ad.concat([store["cls.token"], tb.tokens], axis=-2)
+    pos_seq = ad.concat([store["cls.pos"], pos], axis=-2)
     enc = backbone.encode(seq, pos_seq, store, cfg)
     g = tb.g
-    features = ad.concat_last_dim([ad.slice_rows(enc, 0, 1),
-                                   _pool_row(ad.slice_rows(enc, 1, 1 + g))])
+    features = ad.concat([ad.slice_rows(enc, 0, 1),
+                          embedding.pool_row(ad.slice_rows(enc, 1, 1 + g))], axis=-1)
     return head_logits(features, store)
 
 
@@ -91,22 +85,18 @@ def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
     tb = embedding.tokenize(points, store, cfg)
     pos = embedding.pos_embed(tb.centers, store)
     if prompt_rows is None:
-        te = backbone.encode(Tensor(tb.tokens.values), Tensor(pos.values),
-                             store.frozen(), cfg)
-        te_np = te.values
-        if cfg.knorm_enabled:
-            te_np = pcsm.knorm_enhance(te_np, tb.centers, cfg.knorm_k)
-        p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], Tensor(te_np))
+        _, p_hat = pcsm.refresh(tb.tokens.values, tb.centers, pos.values, store.frozen(),
+                                store["pcsm.prototypes"], cfg)
     else:
         p_hat = Tensor(np.asarray(prompt_rows, dtype=np.float64))
         if p_hat.values.shape[-1] != c:
             raise InvalidArgument(f"prompt rows must be width {c}")
     q = p_hat.values.shape[-2]
     g = tb.g
-    seq = ad.concat_rows([store["cls.token"], p_hat, tb.tokens])
-    pos_seq = ad.concat_rows([store["cls.pos"], Tensor(np.zeros((q, c))), pos])
+    seq = ad.concat([store["cls.token"], p_hat, tb.tokens], axis=-2)
+    pos_seq = ad.concat([store["cls.pos"], Tensor(np.zeros((q, c))), pos], axis=-2)
     enc = backbone.encode(seq, pos_seq, store, cfg)
-    features = ad.concat_last_dim([ad.slice_rows(enc, 0, 1),
-                                   _pool_row(ad.slice_rows(enc, 1, 1 + q)),
-                                   _pool_row(ad.slice_rows(enc, 1 + q, 1 + q + g))])
+    features = ad.concat([ad.slice_rows(enc, 0, 1),
+                          embedding.pool_row(ad.slice_rows(enc, 1, 1 + q)),
+                          embedding.pool_row(ad.slice_rows(enc, 1 + q, 1 + q + g))], axis=-1)
     return head_logits(features, store)

@@ -9,8 +9,9 @@ Two losses train this branch: a reconstruction loss that decodes each token's
 (prototype, position-embedding) pair back to a piece of the cloud, and a
 contrastive loss that pushes refreshed prototypes apart in cosine similarity.
 The encoder pass feeding this module always runs under stop-gradient, so
-these losses touch only the prototype bank, the enhancement cross-attention,
-and the reconstruction head.
+these losses train only the prototype bank and the reconstruction head.  The
+enhancement cross-attention feeds only the hard argmax, which no loss
+differentiates through, so it runs on frozen weights.
 
 Every function takes a single cloud's (G, C) tokens or a (B, G, C) batch.
 The shared bank is refreshed against each cloud's own tokens, and the
@@ -137,7 +138,7 @@ def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
                             or assignment.max() >= prototypes_hat.values.shape[-2]):
         raise InvalidArgument("assignment indexes a missing prototype")
     kp = cfg.recon_points
-    f = ad.concat_last_dim([ad.gather_rows(prototypes_hat, assignment), pos])
+    f = ad.concat([ad.gather_rows(prototypes_hat, assignment), pos], axis=-1)
     h = ad.gelu(ad.linear(f, params["pcsm.ppr.w0"], params["pcsm.ppr.b0"]))
     out = ad.linear(h, params["pcsm.ppr.w1"], params["pcsm.ppr.b1"])
     pred = ad.reshape(out, lead + (g * kp, 3))
@@ -166,19 +167,58 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), Tensor(np.float64(-q / temperature)))
 
 
-@dataclass
-class PCSMOutput:
-    """Everything the component-grouping branch produces for one cloud or a batch.
+def refresh(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
+            frozen: Mapping[str, Tensor], prototypes: Tensor,
+            cfg: RunConfig) -> tuple[np.ndarray, Tensor]:
+    """Frozen encode, k-norm, prototype refresh: (tokens_encoded, prototypes_hat).
 
-    Arrays carry the leading batch axes of the input; the losses are means
-    over clouds.
+    ``token_values``/``pos_values`` are raw (..., G, C) arrays, encoded as
+    constants through the ``frozen`` weights, so no gradient reaches the
+    encoder (the stop-gradient boundary).  ``prototypes`` is the bank to
+    refresh against each cloud's own k-normed tokens: the trainable
+    parameter, or a frozen copy when only the assignment is wanted.
     """
+    te = backbone.encode(Tensor(np.asarray(token_values, dtype=np.float64)),
+                         Tensor(np.asarray(pos_values, dtype=np.float64)), frozen, cfg).values
+    if cfg.knorm_enabled:
+        te = knorm_enhance(te, centers, cfg.knorm_k)
+    return te, update_prototypes(prototypes, Tensor(te))
+
+
+@dataclass
+class Grouping:
+    """The grouping pass over a cloud or a batch; arrays keep its leading axes."""
 
     tokens_encoded: np.ndarray      # (..., G, C) stop-gradient encoder output (post k-norm)
     prototypes_hat: Tensor          # (..., Q, C)
     tokens_hat: Tensor              # (..., G, C) enhanced tokens
     similarity: np.ndarray          # (..., G, Q) row-stochastic
     assignment: np.ndarray          # (..., G) int64
+
+
+def group(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
+          frozen: Mapping[str, Tensor], prototypes: Tensor, cfg: RunConfig) -> Grouping:
+    """``refresh``, then enhancement, similarity and the hard assignment.
+
+    The enhancement reads the ``frozen`` weights: its output feeds only the
+    argmax, so no loss could differentiate through it.  With a frozen bank
+    too, the pass records no gradient tape.
+    """
+    te, p_hat = refresh(token_values, centers, pos_values, frozen, prototypes, cfg)
+    bank = p_hat.detach()
+    t_hat = enhance_tokens(Tensor(te), bank, frozen, cfg)
+    s, assignment = similarity(t_hat, bank)
+    return Grouping(tokens_encoded=te, prototypes_hat=p_hat, tokens_hat=t_hat,
+                    similarity=s.values, assignment=assignment)
+
+
+@dataclass
+class PCSMOutput(Grouping):
+    """The grouping pass plus the branch's reconstruction and both losses.
+
+    The losses are means over clouds.
+    """
+
     reconstruction: np.ndarray      # (..., G, k', 3)
     loss_proto: Tensor
     loss_cont: Tensor
@@ -189,31 +229,14 @@ def pcsm_forward(token_values: np.ndarray, centers: np.ndarray, pos_values: np.n
                  cfg: RunConfig) -> PCSMOutput:
     """Full component-grouping pass on a complete cloud, or a batch of them.
 
-    ``token_values``/``pos_values`` are raw (..., G, C) arrays (the stop-gradient boundary:
-    the encoder runs here on constants through frozen weights, so no gradient
-    reaches it).  Trainable inputs are the prototype bank, the enhancement
-    cross-attention, and the reconstruction head.
+    The grouping runs as in ``group`` against the trainable prototype bank;
+    trainable inputs of the two losses are that bank and the reconstruction
+    head.
     """
-    frozen = store.frozen()
-    te = backbone.encode(Tensor(np.asarray(token_values, dtype=np.float64)),
-                         Tensor(np.asarray(pos_values, dtype=np.float64)), frozen, cfg)
-    te_np = te.values
-    if cfg.knorm_enabled:
-        te_np = knorm_enhance(te_np, centers, cfg.knorm_k)
-    te_const = Tensor(te_np)
-    p_hat = update_prototypes(store["pcsm.prototypes"], te_const)
-    t_hat = enhance_tokens(te_const, p_hat, store, cfg)
-    s, assignment = similarity(t_hat, p_hat)
-    recon, loss_proto = ppr_reconstruct(p_hat, Tensor(pos_values), assignment,
+    grouping = group(token_values, centers, pos_values, store.frozen(),
+                     store["pcsm.prototypes"], cfg)
+    p_hat = grouping.prototypes_hat
+    recon, loss_proto = ppr_reconstruct(p_hat, Tensor(pos_values), grouping.assignment,
                                         cloud_points, store, cfg)
-    loss_cont = l_cont(p_hat, cfg.cont_temperature)
-    return PCSMOutput(
-        tokens_encoded=te_np,
-        prototypes_hat=p_hat,
-        tokens_hat=t_hat,
-        similarity=s.values,
-        assignment=assignment,
-        reconstruction=recon,
-        loss_proto=loss_proto,
-        loss_cont=loss_cont,
-    )
+    return PCSMOutput(**vars(grouping), reconstruction=recon, loss_proto=loss_proto,
+                      loss_cont=l_cont(p_hat, cfg.cont_temperature))

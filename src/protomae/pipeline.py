@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
-from .config import RunConfig
+from .config import STRATEGIES, RunConfig
 from .errors import ConfigError, InvariantViolation, NumericError
 from .geometry import PointCloud, sq_dists
 
@@ -55,9 +55,7 @@ class Dataset:
 
 def build_dataset(cfg: RunConfig) -> Dataset:
     """Generate the synthetic corpus: kinds cycle, cloud i uses seed i."""
-    kinds = [k.strip() for k in cfg.shape_kinds.split(",") if k.strip()]
-    if len(kinds) < 2:
-        raise ConfigError(f"need at least two shape kinds, got '{cfg.shape_kinds}'")
+    kinds = cfg.validate().kinds()
     n = len(kinds) * cfg.clouds_per_kind
     clouds, kind_ids = [], []
     for i in range(n):
@@ -383,16 +381,15 @@ def ablate(cfg: RunConfig, strategies: list[str],
     the recorded hashes ever differ, because then the comparison would be
     measuring more than the masking strategy.
     """
-    known = ("randm", "randbm", "csem")
-    bad = [s for s in strategies if s not in known]
+    bad = [s for s in strategies if s not in STRATEGIES]
     if bad:
-        raise ConfigError(f"unknown masking strategies {bad}; pick from {known}")
+        raise ConfigError(f"unknown masking strategies {bad}; pick from {STRATEGIES}")
     if not strategies:
         raise ConfigError("no masking strategies requested")
+    subs = [dataclasses.replace(cfg, mask_strategy=strat).validate() for strat in strategies]
     rows = []
     ref_init = ref_data = None
-    for strat in strategies:
-        sub = dataclasses.replace(cfg, mask_strategy=strat).validate()
+    for strat, sub in zip(strategies, subs):
         sdir = Path(out_dir) / strat if out_dir is not None else None
         res = pretrain(sub, sdir)
         if ref_init is None:
@@ -438,16 +435,17 @@ def cloud_assignment(store: ad.ParamStore, points: np.ndarray,
 
     ``points`` is one (N, 3) cloud or a (B, N, 3) batch; every output carries
     the same leading axes.  Each point inherits the assignment of the token
-    whose patch centre is nearest (ties to the lowest token index).
+    whose patch centre is nearest (ties to the lowest token index).  The pass
+    runs on frozen weights: it builds no losses and no gradient tape.
     """
     points = np.asarray(points, dtype=np.float64)
-    tb = embedding.tokenize(points, store, cfg, start=0)
-    pos = embedding.pos_embed(tb.centers, store)
-    out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values, points,
-                            store, cfg)
+    frozen = store.frozen()
+    tb = embedding.tokenize(points, frozen, cfg, start=0)
+    pos = embedding.pos_embed(tb.centers, frozen)
+    assignment = pcsm.group(tb.tokens.values, tb.centers, pos.values, frozen,
+                            frozen["pcsm.prototypes"], cfg).assignment
     nearest = sq_dists(points[..., :, None, :], tb.centers[..., None, :, :]).argmin(axis=-1)
-    return (np.take_along_axis(out.assignment, nearest, axis=-1), out.assignment,
-            tb.member_indices)
+    return np.take_along_axis(assignment, nearest, axis=-1), assignment, tb.member_indices
 
 
 def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",

@@ -95,7 +95,7 @@ def oracle_suite(instances: int = 200, seed: int = 0) -> list[OracleReport]:
         pts = rng.normal(size=(n, 3))
         k = int(rng.integers(1, n + 1))
         center = int(rng.integers(n))
-        got = geometry.knn(pts, np.array([center]), k)[0].member_indices
+        got = geometry.knn(pts, np.array([center]), k).member_indices[0]
         if not np.array_equal(got, _knn_oracle(pts, center, k)):
             mism += 1
     reports.append(OracleReport("knn", instances, mism, 0.0))
@@ -191,7 +191,7 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     """
     cfg = (cfg or preset("toy")).validate()
     rng = np.random.default_rng(seed)
-    kinds = [k.strip() for k in cfg.shape_kinds.split(",")]
+    kinds = cfg.kinds()
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True,
                                 n_classes=len(kinds), csep=False)
     points = shapes.make_shape(kinds[0], cfg.n_points, seed=3).points
@@ -251,8 +251,9 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     return reports
 
 
-def _pcsm_once(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig):
-    tb = embedding.tokenize(points, store, cfg)
-    pos = embedding.pos_embed(tb.centers, store)
-    return pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values, points,
-                             store, cfg)
+def _pcsm_once(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig) -> pcsm.Grouping:
+    frozen = store.frozen()
+    tb = embedding.tokenize(points, frozen, cfg)
+    pos = embedding.pos_embed(tb.centers, frozen)
+    return pcsm.group(tb.tokens.values, tb.centers, pos.values, frozen,
+                      frozen["pcsm.prototypes"], cfg)

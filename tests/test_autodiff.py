@@ -150,29 +150,30 @@ def test_gather_rows_duplicate_indices_accumulate():
     np.testing.assert_allclose(t.grad[1], 0.0)
 
 
-def test_repeat_rows_and_middle_grads():
+def test_broadcast_grads():
     probe = RNG.normal(size=(4, 3))
-    check_op(lambda t: ad.sum_all(ad.mul_const(ad.repeat_rows(t, 4), probe)), (1, 3))
+    check_op(lambda t: ad.sum_all(ad.mul_const(ad.broadcast(t, (4, 3)), probe)), (1, 3))
     probe3 = RNG.normal(size=(2, 3, 4))
-    check_op(lambda t: ad.sum_all(ad.mul_const(ad.repeat_middle(t, 3), probe3)), (2, 4))
+    check_op(lambda t: ad.sum_all(ad.mul_const(ad.broadcast(t, (2, 3, 4)), probe3)), (2, 1, 4))
+    with pytest.raises(InvalidArgument):
+        ad.broadcast(ad.Tensor(np.zeros((2, 3))), (4, 3))
 
 
 def test_slice_and_concat_grads():
     probe = RNG.normal(size=(2, 3))
     check_op(lambda t: ad.sum_all(ad.mul_const(ad.slice_rows(t, 1, 3), probe)), (5, 3))
-    check_op(lambda t: ad.sum_all(ad.mul_const(ad.slice_last_dim(t, 0, 3), probe.T @ probe)), (3, 5))
 
     a0 = RNG.normal(size=(2, 3))
     a = ad.Tensor(a0.copy(), requires_grad=True)
     b = ad.Tensor(RNG.normal(size=(2, 2)))
     probe2 = RNG.normal(size=(2, 5))
-    ad.sum_all(ad.mul_const(ad.concat_last_dim([a, b]), probe2)).backward()
+    ad.sum_all(ad.mul_const(ad.concat([a, b], axis=-1), probe2)).backward()
     np.testing.assert_allclose(a.grad, probe2[:, :3])
 
     c = ad.Tensor(a0.copy(), requires_grad=True)
     d = ad.Tensor(RNG.normal(size=(4, 3)))
     probe3 = RNG.normal(size=(6, 3))
-    ad.sum_all(ad.mul_const(ad.concat_rows([c, d]), probe3)).backward()
+    ad.sum_all(ad.mul_const(ad.concat([c, d], axis=-2), probe3)).backward()
     np.testing.assert_allclose(c.grad, probe3[:2])
 
 
@@ -189,7 +190,7 @@ def test_l2_normalize_rows_grad_and_floor():
 
 
 def test_mean_reshape_transpose_scale():
-    check_op(lambda t: ad.mean_all(t), (3, 4))
+    check_op(lambda t: ad.scale(ad.sum_all(t), 1.0 / 12), (3, 4))
     probe = RNG.normal(size=(12,))
     check_op(lambda t: ad.sum_all(ad.mul_const(ad.reshape(t, (12,)), probe)), (3, 4))
     probe2 = RNG.normal(size=(4, 3))
@@ -205,22 +206,25 @@ def test_mean_reshape_transpose_scale():
 def test_chamfer_hand_value():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[1.0, 0.0, 0.0]])
-    assert float(ad.chamfer(ad.Tensor(a), ad.Tensor(b)).values) == pytest.approx(2.0, abs=1e-15)
+    assert float(ad.chamfer_batch(ad.Tensor(a), b).values) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_chamfer_self_zero():
     pts = RNG.normal(size=(10, 3))
-    assert float(ad.chamfer(ad.Tensor(pts), ad.Tensor(pts.copy())).values) == 0.0
+    assert float(ad.chamfer_batch(ad.Tensor(pts), pts.copy()).values) == 0.0
 
 
 def test_chamfer_grad_both_sides():
     a0 = RNG.normal(size=(6, 3))
     b0 = RNG.normal(size=(9, 3))
+    # the tape differentiates the first set only; the distance is symmetric,
+    # so the second set's gradient is the first-set gradient with roles swapped
     ta = ad.Tensor(a0.copy(), requires_grad=True)
     tb = ad.Tensor(b0.copy(), requires_grad=True)
-    ad.chamfer(ta, tb).backward()
-    ga = fd_grad(lambda arr: float(ad.chamfer(ad.Tensor(arr), ad.Tensor(b0)).values), a0.copy(), 1e-5)
-    gb = fd_grad(lambda arr: float(ad.chamfer(ad.Tensor(a0), ad.Tensor(arr)).values), b0.copy(), 1e-5)
+    ad.chamfer_batch(ta, b0).backward()
+    ad.chamfer_batch(tb, a0).backward()
+    ga = fd_grad(lambda arr: float(ad.chamfer_batch(ad.Tensor(arr), b0).values), a0.copy(), 1e-5)
+    gb = fd_grad(lambda arr: float(ad.chamfer_batch(ad.Tensor(a0), arr).values), b0.copy(), 1e-5)
     np.testing.assert_allclose(ta.grad, ga, rtol=1e-4, atol=1e-7)
     np.testing.assert_allclose(tb.grad, gb, rtol=1e-4, atol=1e-7)
 
@@ -229,7 +233,7 @@ def test_chamfer_batch_matches_mean_of_singles():
     pred = RNG.normal(size=(4, 5, 3))
     gt = RNG.normal(size=(4, 7, 3))
     batched = float(ad.chamfer_batch(ad.Tensor(pred), gt).values)
-    singles = [float(ad.chamfer(ad.Tensor(pred[i]), ad.Tensor(gt[i])).values) for i in range(4)]
+    singles = [float(ad.chamfer_batch(ad.Tensor(pred[i]), gt[i]).values) for i in range(4)]
     assert batched == pytest.approx(float(np.mean(singles)), abs=1e-14)
 
     t = ad.Tensor(pred.copy(), requires_grad=True)
@@ -241,7 +245,7 @@ def test_chamfer_batch_matches_mean_of_singles():
 
 def test_chamfer_empty_set_rejected():
     with pytest.raises(InvalidArgument):
-        ad.chamfer(ad.Tensor(np.zeros((0, 3))), ad.Tensor(np.zeros((2, 3))))
+        ad.chamfer_batch(ad.Tensor(np.zeros((0, 3))), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +552,7 @@ def test_chamfer_batch_3d_and_4d_grads():
     fd_check(lambda t: ad.chamfer_batch(t, gt), [pred], 0)
     pred4 = RNG.normal(size=(2, 3, 4, 3))
     gt4 = RNG.normal(size=(2, 3, 6, 3))
-    singles = [float(ad.chamfer(ad.Tensor(pred4[i, j]), ad.Tensor(gt4[i, j])).values)
+    singles = [float(ad.chamfer_batch(ad.Tensor(pred4[i, j]), gt4[i, j]).values)
                for i in range(2) for j in range(3)]
     assert float(ad.chamfer_batch(ad.Tensor(pred4), gt4).values) == \
         pytest.approx(float(np.mean(singles)), abs=1e-14)
@@ -561,9 +565,20 @@ def test_transpose_axes_and_concat_rows_broadcast_grads():
     row = RNG.normal(size=(1, 3))
     batch = RNG.normal(size=(2, 4, 3))
     probe2 = RNG.normal(size=(2, 5, 3))
-    build = lambda r, b: ad.sum_all(ad.mul_const(ad.concat_rows([r, b]), probe2))  # noqa: E731
+    build = lambda r, b: ad.sum_all(ad.mul_const(ad.concat([r, b], axis=-2), probe2))  # noqa: E731
     fd_check(build, [row, batch], 0)
     fd_check(build, [row, batch], 1)
+    # a (..., G, 1, C) pooled row joins every member of a (..., G, k, C) patch
+    pooled = RNG.normal(size=(2, 1, 3))
+    patch = RNG.normal(size=(2, 4, 2))
+    probe3 = RNG.normal(size=(2, 4, 5))
+    build = lambda p, h: ad.sum_all(ad.mul_const(ad.concat([h, p], axis=-1), probe3))  # noqa: E731
+    fd_check(build, [pooled, patch], 0)
+    fd_check(build, [pooled, patch], 1)
+    with pytest.raises(InvalidArgument):
+        ad.concat([ad.Tensor(row), ad.Tensor(batch)], axis=-3)
+    with pytest.raises(InvalidArgument):
+        ad.concat([ad.Tensor(np.zeros((3, 4, 3))), ad.Tensor(batch)], axis=-1)
 
 
 def test_attention_batch_equals_per_entry():
@@ -606,7 +621,7 @@ def test_tape_is_freed_without_cyclic_gc():
     try:
         h = ad.gelu(ad.linear(ad.Tensor(x), w))
         att = ad.multi_head_attention(h, h, h, heads=2)
-        loss = ad.mean_all(ad.layer_norm(att, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))))
+        loss = ad.sum_all(ad.layer_norm(att, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))))
         loss.backward()
         del h, att, loss
         assert gc.collect() == 0

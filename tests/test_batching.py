@@ -115,3 +115,40 @@ def _nodes_per_step(monkeypatch, batch_size):
 def test_tape_size_per_step_does_not_grow_with_batch(monkeypatch):
     # a per-cloud loop inside the step would scale the node count with B
     assert _nodes_per_step(monkeypatch, 2) == _nodes_per_step(monkeypatch, 4)
+
+
+def test_cloud_assignment_is_pcsm_forward_assignment_without_a_tape(setup, monkeypatch):
+    cfg, store, points, _ = setup
+    store.zero_grads()
+    tracked = []
+    real_node = ad._node
+
+    def recording_node(*args, **kwargs):
+        out = real_node(*args, **kwargs)
+        tracked.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    _, assignment, _ = pipeline.cloud_assignment(store, points, cfg)
+    monkeypatch.undo()
+    assert tracked and not any(tracked)
+    for name, t in store.items():
+        assert not t.grad.any(), name
+    tb = embedding.tokenize(points, store, cfg, start=0)
+    pos = embedding.pos_embed(tb.centers, store).values
+    out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos, points, store, cfg)
+    assert assignment.shape == (B, cfg.n_patches)
+    np.testing.assert_array_equal(assignment, out.assignment)
+
+
+def test_classify_csep_prompts_are_the_refreshed_bank(setup):
+    # the prompt rows written out step by step: frozen encode, k-norm, refresh
+    cfg, store, points, _ = setup
+    tb = embedding.tokenize(points, store, cfg)
+    pos = embedding.pos_embed(tb.centers, store)
+    te = backbone.encode(Tensor(tb.tokens.values), Tensor(pos.values), store.frozen(), cfg)
+    te = pcsm.knorm_enhance(te.values, tb.centers, cfg.knorm_k)
+    p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], Tensor(te)).values
+    np.testing.assert_allclose(heads.classify_csep(points, store, cfg).values,
+                               heads.classify_csep(points, store, cfg, prompt_rows=p_hat).values,
+                               **TOL)

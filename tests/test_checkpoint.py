@@ -180,3 +180,58 @@ def test_corrupt_rng_state_is_reported(tmp_path):
     ckpt.rng_state = {"bit_generator": "PCG64"}  # missing state payload
     with pytest.raises(ConfigError, match="not restorable"):
         checkpoint.restore_rng(ckpt)
+
+
+def _toy_checkpoint_bytes(tmp_path):
+    """A small checkpoint whose config text is a large share of its bytes."""
+    rng = np.random.default_rng(0)
+    ckpt = checkpoint.Checkpoint(
+        version=checkpoint.VERSION, config_text=preset("toy").to_text(),
+        rng_state=rng.bit_generator.state,
+        tensors={"a": rng.normal(size=(2, 3)), "b.bias": rng.normal(size=(4,))})
+    path = tmp_path / "toy.bin"
+    checkpoint.write(path, ckpt)
+    return path, path.read_bytes()
+
+
+def test_undecodable_text_and_bad_shape_are_reported(tmp_path):
+    path, blob = _toy_checkpoint_bytes(tmp_path)
+    config_at = 4 + 4 + 8
+    path.write_bytes(blob[:config_at] + b"\xff" + blob[config_at + 1:])
+    with pytest.raises(ConfigError, match="corrupt config text"):
+        checkpoint.load(path)
+    name_at = blob.index(b"b.bias")
+    path.write_bytes(blob[:name_at] + b"\xfe" + blob[name_at + 1:])
+    with pytest.raises(ConfigError, match="corrupt tensor name"):
+        checkpoint.load(path)
+    # 65 unit axes hold one value but exceed numpy's dimension limit
+    ndim_at = blob.index(b"a", blob.index(b"}")) + 1
+    tail = struct.pack("<I", 65) + struct.pack("<Q", 1) * 65 + struct.pack("<d", 0.0)
+    path.write_bytes(blob[:ndim_at] + tail)
+    with pytest.raises(ConfigError, match="tensor 'a' has a bad shape"):
+        checkpoint.load(path)
+
+
+def test_corrupted_bytes_fuzz_raise_only_config_error(tmp_path):
+    path, blob = _toy_checkpoint_bytes(tmp_path)
+    rng = np.random.default_rng(1234)
+    loaded = 0
+    for case in range(300):
+        data = bytearray(blob)
+        if case % 3 != 2:
+            for _ in range(int(rng.integers(1, 4))):
+                data[int(rng.integers(len(data)))] = int(rng.integers(256))
+        if case % 3 != 0:
+            data = data[:int(rng.integers(len(data)))]
+        path.write_bytes(bytes(data))
+        try:
+            ckpt = checkpoint.load(path)
+        except ConfigError as exc:
+            assert str(path) in str(exc), exc
+            continue
+        loaded += 1
+        try:
+            ckpt.config()
+        except ConfigError:
+            pass
+    assert 0 < loaded < 300

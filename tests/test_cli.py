@@ -64,6 +64,20 @@ def test_missing_checkpoint_exits_two(toy_config_file, tmp_path):
                      "finetune", "--checkpoint", str(tmp_path / "no.bin")]) == 2
 
 
+def test_corrupt_checkpoint_exits_two(toy_config_file, tmp_path, capsys):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ckpt = tmp_path / "pre.bin"
+    checkpoint.save(ckpt, pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:16] + b"\xff" + blob[17:])  # first byte of the config text
+    assert cli.main(["--config", toy_config_file, "--out", str(tmp_path),
+                     "finetune", "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(ckpt) in err and "Traceback" not in err
+
+
 def test_pretrain_finetune_export_chain(toy_config_file, tmp_path, capsys):
     out = str(tmp_path / "runs")
     assert cli.main(["--config", toy_config_file, "--out", out,

@@ -1,0 +1,61 @@
+"""Run configuration: the text round-trip, line-numbered parse errors, and
+the shape-kind checks made when a config is validated."""
+
+import dataclasses
+
+import pytest
+
+from protomae.config import _PRESETS, RunConfig, preset
+from protomae.errors import ConfigError
+from protomae.shapes import SHAPE_KINDS
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_every_preset_round_trips_through_text(name):
+    cfg = preset(name)
+    again = RunConfig.from_text(cfg.to_text())
+    assert again == cfg
+    assert again.to_text() == cfg.to_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim = 16\nwarp_drive = 9\n", "line 2: unknown config key 'warp_drive'"),
+    ("dim = 16\n# comment\ndim = 32\n", "line 3: duplicate config key 'dim'"),
+    ("dim = 16\nepochs 3\n", "line 2: expected 'key = value'"),
+    ("knorm_enabled = maybe\n", "line 1: bad value for 'knorm_enabled'"),
+    ("\ndim = sixteen\n", "line 2: bad value for 'dim'"),
+    ("epochs = 3.5\n", "line 1: bad value for 'epochs'"),
+])
+def test_malformed_text_names_the_line(text, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_text(text)
+
+
+def with_kinds(kinds: str) -> RunConfig:
+    return dataclasses.replace(preset("toy"), shape_kinds=kinds)
+
+
+def test_kinds_are_stripped():
+    assert with_kinds(" chair, plane ,,").validate().kinds() == ["chair", "plane"]
+
+
+def test_unknown_kind_is_rejected_at_validation():
+    with pytest.raises(ConfigError, match=r"unknown shape kinds \['plain'\]") as exc:
+        with_kinds("chair,plain").validate()
+    assert all(kind in str(exc.value) for kind in SHAPE_KINDS)
+
+
+@pytest.mark.parametrize("kinds", ["chair", "", " , ", "chair, chair"])
+def test_fewer_than_two_kinds_are_rejected_at_validation(kinds):
+    with pytest.raises(ConfigError, match="two shape kinds"):
+        with_kinds(kinds).validate()
+
+
+def test_repeated_kind_is_rejected_at_validation():
+    with pytest.raises(ConfigError, match="repeated shape kind"):
+        with_kinds("chair,plane,chair").validate()
+
+
+def test_bad_kind_in_config_text_is_rejected():
+    with pytest.raises(ConfigError, match="unknown shape kinds"):
+        RunConfig.from_text("preset = toy\nshape_kinds = chair,plane,teapot\n")
