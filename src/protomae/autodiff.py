@@ -31,6 +31,7 @@ from .errors import InvalidArgument, InvariantViolation, NumericError
 from .geometry import sq_dists
 
 _MAX_NDIM = 4
+_CHUNK = 16384  # AdamW block: 128 KiB per float64 row, so a block's rows stay in L2
 
 # ---------------------------------------------------------------------------
 # Tensor and tape
@@ -115,9 +116,16 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, op={self._op}, grad={self.requires_grad})"
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    The first contribution is copied, since it may be a view of another
+    node's gradient (or the caller's seed); ``fresh`` marks an array the
+    backward function just allocated and owns nothing else, which ``t``
+    then takes over as its accumulator without a copy.
+    """
     if t.grad is None:
-        t.grad = g.astype(np.float64, copy=True)
+        t.grad = g if fresh else g.astype(np.float64, copy=True)
     else:
         t.grad += g
 
@@ -183,7 +191,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad * s)
+            _accum(a, out.grad * s, fresh=True)
 
     return _node("scale", a.values * s, (a,), backward)
 
@@ -197,7 +205,7 @@ def mul_const(a: Tensor, c) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad * c)
+            _accum(a, out.grad * c, fresh=True)
 
     return _node("mul_const", a.values * c, (a,), backward)
 
@@ -231,13 +239,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             ga = _flat_matmul(g, bv.T) if shared_b else g @ np.swapaxes(bv, -1, -2)
-            _accum(a, _sum_to_shape(ga, av.shape))
+            _accum(a, _sum_to_shape(ga, av.shape), fresh=True)
         if b.requires_grad:
             if shared_b:
                 gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = np.swapaxes(av, -1, -2) @ g
-            _accum(b, _sum_to_shape(gb, bv.shape))
+            _accum(b, _sum_to_shape(gb, bv.shape), fresh=True)
 
     return _node("matmul", values, (a, b), backward)
 
@@ -314,7 +322,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         if a.requires_grad:
             g = np.zeros_like(a.values)
             g[..., start:stop, :] = out.grad
-            _accum(a, g)
+            _accum(a, g, fresh=True)
 
     return _node("slice_rows", a.values[..., start:stop, :].copy(), (a,), backward)
 
@@ -345,7 +353,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
             g = np.zeros((entries * n, c))
             np.add.at(g, flat, out.grad.reshape(-1, c))
-            _accum(a, g.reshape(a.values.shape))
+            _accum(a, g.reshape(a.values.shape), fresh=True)
 
     return _node("gather_rows", values, (a,), backward)
 
@@ -377,7 +385,7 @@ def max_over_rows(a: Tensor) -> Tensor:
         if a.requires_grad:
             g = np.zeros_like(a.values)
             np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
-            _accum(a, g)
+            _accum(a, g, fresh=True)
 
     return _node("max_over_rows", values, (a,), backward)
 
@@ -387,7 +395,7 @@ def sum_all(a: Tensor) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, np.full_like(a.values, out.grad))
+            _accum(a, np.full_like(a.values, out.grad), fresh=True)
 
     return _node("sum_all", np.sum(a.values), (a,), backward)
 
@@ -403,7 +411,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         if a.requires_grad:
             y = out.values
             g = out.grad
-            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)), fresh=True)
 
     out = _node("softmax_rows", values, (a,), backward)
     return out
@@ -420,7 +428,7 @@ def logsumexp_rows(a: Tensor) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, soft * np.expand_dims(out.grad, -1))
+            _accum(a, soft * np.expand_dims(out.grad, -1), fresh=True)
 
     return _node("logsumexp_rows", values, (a,), backward)
 
@@ -431,7 +439,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad * mask)
+            _accum(a, out.grad * mask, fresh=True)
 
     return _node("relu", np.where(mask, a.values, 0.0), (a,), backward)
 
@@ -452,7 +460,7 @@ def gelu(a: Tensor) -> Tensor:
         if a.requires_grad:
             d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            _accum(a, out.grad * local)
+            _accum(a, out.grad * local, fresh=True)
 
     return _node("gelu", values, (a,), backward)
 
@@ -472,13 +480,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(out: Tensor) -> None:
         g = out.grad
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, c).sum(axis=0))
+            _accum(gain, (g * xhat).reshape(-1, c).sum(axis=0), fresh=True)
         if bias.requires_grad:
-            _accum(bias, g.reshape(-1, c).sum(axis=0))
+            _accum(bias, g.reshape(-1, c).sum(axis=0), fresh=True)
         if x.requires_grad:
             gx = g * gain.values
             term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, term * inv)
+            _accum(x, term * inv, fresh=True)
 
     return _node("layer_norm", values, (x, gain, bias), backward)
 
@@ -499,7 +507,7 @@ def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
             y = out.values
             proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
             clipped = g / floor
-            _accum(a, np.where(live, proj, clipped))
+            _accum(a, np.where(live, proj, clipped), fresh=True)
 
     return _node("l2_normalize_rows", values, (a,), backward)
 
@@ -557,7 +565,7 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
     def backward(out: Tensor) -> None:
         if pred.requires_grad:
             g = float(out.grad) / p3.shape[0]
-            _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape))
+            _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape), fresh=True)
 
     return _node("chamfer_batch", per_pair.mean(), (pred,), backward)
 
@@ -726,6 +734,14 @@ class AdamW:
     ``overrides`` maps a parameter name to its own (lr, weight_decay) pair;
     everything else uses the shared values.  The dict is consulted live on
     every step, so a schedule can mutate an entry between steps.
+
+    The step streams through memory once and allocates nothing: the moments
+    ``_m``/``_v`` are created once per parameter (kept by name), and each
+    parameter is walked in blocks of ``_CHUNK`` elements through scratch
+    rows allocated with the optimizer.  Within a block the ufuncs run in the
+    order of the whole-array update, so every value is bit-identical to it.
+    A non-finite gradient raises ``NumericError`` before its block is
+    written; blocks and parameters before it have already been stepped.
     """
 
     def __init__(self, store: ParamStore, lr: float, betas: tuple[float, float] = (0.9, 0.999),
@@ -740,26 +756,37 @@ class AdamW:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._scratch = (np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool))
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for name, p in self.store.items():
-            if p.grad is None:
-                raise InvariantViolation(f"parameter '{name}' has no gradient accumulator")
-            if p.grad.shape != p.values.shape:
-                raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = self._m.setdefault(name, np.zeros_like(p.values))
-            v = self._v.setdefault(name, np.zeros_like(p.values))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if g is None:
+                raise InvariantViolation(f"parameter '{name}' has no gradient accumulator")
+            if g.shape != p.values.shape:
+                raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
+            if not (g.flags.c_contiguous and p.values.flags.c_contiguous):
+                raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
+            if name not in self._m:
+                self._m[name] = np.zeros(p.values.shape)
+                self._v[name] = np.zeros(p.values.shape)
             lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
-            p.values -= lr * (update + wd * p.values)
-            g[...] = 0.0
+            flat = [x.reshape(-1) for x in (p.values, g, self._m[name], self._v[name])]
+            for lo in range(0, g.size, _CHUNK):
+                pc, gc, mc, vc = (x[lo:lo + _CHUNK] for x in flat)
+                a, b, ok = (s[:gc.size] for s in self._scratch)
+                if not np.isfinite(gc, out=ok).all():
+                    raise NumericError(f"non-finite gradient for parameter '{name}'")
+                mc *= b1                          # m = b1*m + (1-b1)*g
+                mc += np.multiply(gc, 1.0 - b1, out=a)
+                vc *= b2                          # v = b2*v + (1-b2)*g*g
+                vc += np.multiply(np.multiply(gc, 1.0 - b2, out=a), gc, out=a)
+                np.add(np.sqrt(np.divide(vc, bc2, out=b), out=b), eps, out=b)
+                np.divide(np.divide(mc, bc1, out=a), b, out=a)   # (m/bc1) / (sqrt(v/bc2)+eps)
+                a += np.multiply(pc, wd, out=b)   # p -= lr*(update + wd*p)
+                pc -= np.multiply(a, lr, out=a)
+                gc.fill(0.0)

@@ -14,6 +14,8 @@ Layout (all integers little-endian):
 Tensors are written sorted by name and the JSON is canonical (sorted keys, no
 whitespace), so save -> load -> save reproduces the file byte for byte.
 Writes go to a temp file in the target directory and are renamed into place.
+They stream: the header goes out first, then each tensor's bytes straight
+from its float64 array, so a save builds no copy of the model in memory.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class Checkpoint:
 
 def from_store(store: ad.ParamStore, cfg: RunConfig,
                rng: np.random.Generator) -> Checkpoint:
+    """An in-memory checkpoint holding copies of the store's values."""
     tensors = {name: t.values.copy() for name, t in store.items()}
     return Checkpoint(version=VERSION, config_text=cfg.to_text(),
                       rng_state=rng.bit_generator.state, tensors=tensors)
@@ -56,28 +59,23 @@ def from_store(store: ad.ParamStore, cfg: RunConfig,
 
 def write(path: str | Path, ckpt: Checkpoint) -> None:
     path = Path(path)
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", ckpt.version)
     config_bytes = ckpt.config_text.encode("utf-8")
-    blob += struct.pack("<Q", len(config_bytes)) + config_bytes
     rng_bytes = json.dumps(ckpt.rng_state, sort_keys=True,
                            separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<Q", len(rng_bytes)) + rng_bytes
     names = sorted(ckpt.tensors)
-    blob += struct.pack("<Q", len(names))
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_bytes)) + name_bytes
-        blob += struct.pack("<I", arr.ndim)
-        for d in arr.shape:
-            blob += struct.pack("<Q", d)
-        blob += arr.tobytes(order="C")
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(MAGIC + struct.pack("<I", ckpt.version)
+                     + struct.pack("<Q", len(config_bytes)) + config_bytes
+                     + struct.pack("<Q", len(rng_bytes)) + rng_bytes
+                     + struct.pack("<Q", len(names)))
+            for name in names:
+                arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_bytes)) + name_bytes
+                         + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+                fh.write(arr.reshape(-1).data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,7 +85,10 @@ def write(path: str | Path, ckpt: Checkpoint) -> None:
 
 def save(path: str | Path, store: ad.ParamStore, cfg: RunConfig,
          rng: np.random.Generator) -> None:
-    write(path, from_store(store, cfg, rng))
+    """Write the store's live values; no tensor is copied on the way."""
+    tensors = {name: t.values for name, t in store.items()}
+    write(path, Checkpoint(version=VERSION, config_text=cfg.to_text(),
+                           rng_state=rng.bit_generator.state, tensors=tensors))
 
 
 class _Reader:

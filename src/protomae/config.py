@@ -8,6 +8,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,6 +95,8 @@ class RunConfig:
             (1 <= c.knn_k <= c.n_points, "knn_k must be in [1, n_points]"),
             (c.dim >= 2, "dim must be >= 2"),
             (c.heads >= 1 and c.dim % c.heads == 0, "heads must divide dim"),
+            (math.isfinite(c.mlp_ratio) and round(c.mlp_ratio * c.dim) >= 1,
+             "mlp_ratio must be finite with round(mlp_ratio * dim) >= 1"),
             (c.encoder_blocks >= 1, "encoder_blocks must be >= 1"),
             (c.decoder_blocks >= 1, "decoder_blocks must be >= 1"),
             (c.embed_hidden1 >= 1 and c.embed_hidden2 >= 1, "embed widths must be positive"),
@@ -104,6 +107,10 @@ class RunConfig:
             (c.mask_strategy in STRATEGIES,
              f"mask_strategy must be one of {', '.join(STRATEGIES)}"),
             (c.full_mask_components >= 0, "full_mask_components must be >= 0"),
+            (math.isfinite(c.lambda_proto) and c.lambda_proto >= 0,
+             "lambda_proto must be finite and >= 0"),
+            (math.isfinite(c.lambda_cont) and c.lambda_cont >= 0,
+             "lambda_cont must be finite and >= 0"),
             (c.learning_rate > 0, "learning_rate must be positive"),
             (c.proto_learning_rate > 0, "proto_learning_rate must be positive"),
             (0 < c.proto_lr_decay <= 1.0, "proto_lr_decay must be in (0, 1]"),

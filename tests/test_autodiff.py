@@ -2,6 +2,7 @@
 finite differences, plus the hand-checkable optimizer and attention cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,57 @@ def test_reused_tensor_accumulates_gradient():
     np.testing.assert_allclose(x.grad, [[2.0, 2.0]])
 
 
+def test_interior_node_used_twice_by_add_gets_gradient_two():
+    x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    h = ad.scale(x, 1.0)
+    ad.sum_all(ad.add(h, h)).backward()
+    np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+
+
+@pytest.mark.parametrize("view_first", [True, False])
+def test_two_consumers_passing_a_view_and_a_fresh_array(view_first):
+    x = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    h = ad.scale(x, 2.0)
+    probe = RNG.normal(size=(4, 3))
+    via_view = ad.sum_all(ad.mul_const(ad.reshape(h, (4, 3)), probe))  # reshape passes a view
+    via_fresh = ad.sum_all(ad.scale(h, 3.0))                           # scale allocates
+    parts = (via_view, via_fresh) if view_first else (via_fresh, via_view)
+    ad.add(*parts).backward()
+    np.testing.assert_allclose(h.grad, probe.reshape(3, 4) + 3.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(x.grad, 2.0 * (probe.reshape(3, 4) + 3.0), rtol=0, atol=1e-15)
+
+
+def test_no_two_gradients_share_memory_after_backward():
+    store = ad.ParamStore(seed=1)
+    w, ln_g, ln_b = store.create("w", (4, 4)), store.create("g", (4,), "ones"), store.create("b", (4,))
+    x = ad.Tensor(RNG.normal(size=(2, 5, 4)), requires_grad=True)
+    h = ad.gelu(ad.linear(x, w, ln_b))
+    h = ad.layer_norm(ad.add(h, ad.relu(h)), ln_g, ln_b)
+    att = ad.multi_head_attention(h, h, h, heads=2, out_proj=w)
+    cls = ad.broadcast(ad.slice_rows(att, 0, 1), (2, 1, 4))
+    seq = ad.concat([cls, ad.gather_rows(att, np.array([1, 1, 3])), h], axis=-2)
+    pooled = ad.max_over_rows(ad.l2_normalize_rows(seq))
+    rows = ad.reshape(ad.transpose(seq, (1, 0, 2)), (-1, 4))
+    loss = ad.add(ad.add(ad.cross_entropy(pooled, [0, 2]),
+                         ad.sum_all(ad.logsumexp_rows(ad.softmax_rows(rows)))),
+                  ad.chamfer_batch(ad.mul_const(seq, np.full(seq.shape, 0.5)),
+                                   RNG.normal(size=(2, 3, 4))))
+    loss.backward()
+
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    grads = [n.grad for n in nodes.values() if n.grad is not None]
+    assert len(grads) > 30
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_non_finite_forward_raises_with_op_name():
     big = ad.Tensor(np.array([[1e308]]))
     with np.errstate(over="ignore"):
@@ -471,6 +523,102 @@ def test_adamw_overrides_consulted_live():
         w.grad[...] = 1.0
         opt.step()
     np.testing.assert_array_equal(w.values, run(False))
+
+
+class ReferenceAdamW(ad.AdamW):
+    """The whole-array AdamW step the blocked one must reproduce bit for bit."""
+
+    def step(self) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.store.items():
+            g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
+            m = self._m.setdefault(name, np.zeros_like(p.values))
+            v = self._v.setdefault(name, np.zeros_like(p.values))
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
+            p.values -= lr * (update + wd * p.values)
+            g[...] = 0.0
+
+
+def assert_same_bits(a, b):
+    # compares bit patterns, so -0.0 and 0.0 differ
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_adamw_blocks_match_whole_array_reference():
+    n = 3 * ad._CHUNK + 5
+
+    def build(cls):
+        store = ad.ParamStore(seed=4)
+        store.create("w", (n,))
+        b = store.create("b", (7,), init="zeros")
+        b.values[:3] = [-0.0, 1e-300, -2.5]
+        return store, cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05,
+                          overrides={"b": (0.1, 0.0)})
+
+    (store, opt), (ref_store, ref) = build(ad.AdamW), build(ReferenceAdamW)
+    rng = np.random.default_rng(5)
+    for t in range(5):
+        for o in (opt, ref):  # a live schedule, as pretrain sets the prototype lr
+            o.overrides["b"] = (0.1 / (t + 1), 0.0 if t == 0 else 0.01 * t)
+        for name, p in store.items():
+            g = rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-160, 4, p.values.shape)
+            g[::11] = 0.0
+            p.grad[...] = g
+            ref_store[name].grad[...] = g
+        opt.step()
+        ref.step()
+        for name, p in store.items():
+            assert_same_bits(p.values, ref_store[name].values)
+            assert_same_bits(opt._m[name], ref._m[name])
+            assert_same_bits(opt._v[name], ref._v[name])
+            assert_same_bits(p.grad, np.zeros(p.values.shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adamw_non_finite_gradient_names_the_parameter(bad):
+    store = ad.ParamStore(seed=0)
+    p = store.create("enc.w", (2 * ad._CHUNK + 3,))
+    before = p.values.copy()
+    opt = ad.AdamW(store, lr=0.1)
+    p.grad[...] = 1.0
+    p.grad[ad._CHUNK + 1] = bad
+    with pytest.raises(NumericError, match="non-finite gradient for parameter 'enc.w'"):
+        opt.step()
+    # the block holding the bad entry, and every block after it, is untouched
+    np.testing.assert_array_equal(p.values[ad._CHUNK:], before[ad._CHUNK:])
+
+
+def test_adamw_non_contiguous_gradient_is_invariant_violation():
+    store = ad.ParamStore(seed=0)
+    p = store.create("p", (2, 3))
+    p.grad = np.zeros((3, 2)).T
+    with pytest.raises(InvariantViolation, match="'p' is not C-contiguous"):
+        ad.AdamW(store, lr=0.1).step()
+
+
+def test_adamw_warm_step_allocates_nothing():
+    store = ad.ParamStore(seed=0)
+    p = store.create("w", (1000, 1000), init="zeros")
+    opt = ad.AdamW(store, lr=1e-3, weight_decay=0.01)
+    p.grad[...] = 1.0
+    opt.step()  # the first step creates the moments
+    p.grad[...] = 1.0
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ and every malformed input fails with a message naming the offending
 tensor or byte range rather than an index error from struct.
 """
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from protomae import autodiff as ad
 from protomae import checkpoint, pipeline
 from protomae.config import preset
 from protomae.errors import ConfigError
@@ -74,6 +77,39 @@ def test_save_overwrites_existing_file(tmp_path):
     checkpoint.save(path, store, cfg, np.random.default_rng(0))
     assert path.read_bytes() != first
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_file_format_matches_golden_digest(tmp_path):
+    # recorded from the whole-file writer this streaming one replaced
+    ckpt = checkpoint.Checkpoint(
+        version=1, config_text="preset = toy\ndim = 16\n",
+        rng_state=np.random.default_rng(3).bit_generator.state,
+        tensors={"enc.w": (np.arange(12.0) / 7.0 - 0.5).reshape(3, 4),
+                 "b": np.array([-0.0, 1e-300, -2.5, 3.0e10, np.pi]),
+                 "a.one": np.array([0.125])})
+    path = tmp_path / "golden.bin"
+    checkpoint.write(path, ckpt)
+    blob = path.read_bytes()
+    assert len(blob) == 422
+    assert hashlib.sha256(blob).hexdigest() == \
+        "3f17a1bec1d2022f0d451b2189db61895345297e7e00ca64fe8c6f2bc7f154b3"
+
+
+def test_save_streams_without_copying_the_store(tmp_path):
+    store = ad.ParamStore(seed=0)
+    store.create("w", (1024, 1024))  # 8 MiB of float64
+    store.create("b", (1024,))
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        checkpoint.save(path, store, preset("toy"), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    loaded = checkpoint.load(path).tensors
+    for name, t in store.items():
+        np.testing.assert_array_equal(loaded[name], t.values)
 
 
 # ---------------------------------------------------- strict load_into

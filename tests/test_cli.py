@@ -59,6 +59,13 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert cli.main(["--config", str(path), "pretrain"]) == 2
 
 
+def test_non_finite_loss_weight_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("preset = toy\nlambda_proto = nan\n")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "pretrain"]) == 2
+    assert "lambda_proto" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_two(toy_config_file, tmp_path):
     assert cli.main(["--config", toy_config_file, "--out", str(tmp_path),
                      "finetune", "--checkpoint", str(tmp_path / "no.bin")]) == 2

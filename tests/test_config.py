@@ -59,3 +59,20 @@ def test_repeated_kind_is_rejected_at_validation():
 def test_bad_kind_in_config_text_is_rejected():
     with pytest.raises(ConfigError, match="unknown shape kinds"):
         RunConfig.from_text("preset = toy\nshape_kinds = chair,plane,teapot\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda_proto", "nan"), ("lambda_proto", "inf"), ("lambda_proto", "-1"),
+    ("lambda_cont", "-inf"), ("lambda_cont", "nan"), ("lambda_cont", "-0.5"),
+    ("mlp_ratio", "nan"), ("mlp_ratio", "inf"), ("mlp_ratio", "-2"),
+    ("mlp_ratio", "0.03"),  # round(0.03 * 16) == 0 hidden units at toy width
+])
+def test_bad_loss_weight_or_mlp_ratio_is_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_text(f"preset = toy\n{key} = {value}\n")
+
+
+def test_zero_loss_weights_and_a_one_unit_mlp_are_accepted():
+    cfg = RunConfig.from_text("preset = toy\nlambda_proto = 0\nlambda_cont = 0\n"
+                              "mlp_ratio = 0.0625\n")
+    assert (cfg.lambda_proto, cfg.lambda_cont, round(cfg.mlp_ratio * cfg.dim)) == (0.0, 0.0, 1)
