@@ -602,16 +602,14 @@ def _merge_heads(x: Tensor) -> Tensor:
     return reshape(x, shape[:-3] + (shape[-2], shape[-3] * shape[-1]))
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         out_proj: Tensor | None = None) -> Tensor:
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Scaled dot-product attention with ``heads`` parallel heads.
 
     ``q`` is (..., a, C) and ``k``/``v`` are (..., b, C); leading batch axes
     broadcast, and C must divide evenly by ``heads``.  Per head h:
     Softmax(Q_h K_h^T / sqrt(C/heads)) V_h, with all heads (and all batch
-    entries) in one batched matmul.  Heads are concatenated and, if
-    ``out_proj`` is given, projected by it.  With a single head and no
-    projection this is exactly the prototype-update attention form.
+    entries) in one batched matmul, and the heads are concatenated.  With a
+    single head this is exactly the prototype-update attention form.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     c = q.values.shape[-1]
@@ -627,8 +625,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     merged = matmul(attn, _split_heads(v, heads))
     if heads > 1:
         merged = _merge_heads(merged)
-    if out_proj is not None:
-        merged = matmul(merged, out_proj)
     return merged
 
 

@@ -81,11 +81,11 @@ def encode(tokens: Tensor, pos: Tensor, params: Mapping[str, Tensor],
 
 
 def decode(visible: Tensor, pos_visible: Tensor, pos_masked: Tensor,
-           params: Mapping[str, Tensor], cfg: RunConfig) -> tuple[Tensor, Tensor]:
-    """Decode visible tokens plus mask tokens; returns (visible, masked) rows.
+           params: Mapping[str, Tensor], cfg: RunConfig) -> Tensor:
+    """Decode visible tokens plus mask tokens; returns the masked rows.
 
     The sequence is [visible tokens, repeated mask token]; positions follow
-    the same ordering, so row i of the masked output corresponds to row i of
+    the same ordering, so row i of the output corresponds to row i of
     ``pos_masked`` (masked patches in their original token order).
     """
     g_vis = visible.values.shape[-2]
@@ -101,7 +101,7 @@ def decode(visible: Tensor, pos_visible: Tensor, pos_masked: Tensor,
     pos = ad.concat([pos_visible, pos_masked], axis=-2)
     for i in range(cfg.decoder_blocks):
         x = _block(x, pos, params, f"dec.block{i:02d}", cfg)
-    return ad.slice_rows(x, 0, g_vis), ad.slice_rows(x, g_vis, g_vis + g_mask)
+    return ad.slice_rows(x, g_vis, g_vis + g_mask)
 
 
 def recon_head(decoded_masked: Tensor, params: Mapping[str, Tensor],
@@ -125,3 +125,18 @@ def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
         raise InvalidArgument(
             f"prediction patches {pred.values.shape[:-2]} do not match target {tgt.shape[:-2]}")
     return ad.chamfer_batch(pred, tgt)
+
+
+def reconstruction_loss(tokens: Tensor, pos: Tensor, local_coords: np.ndarray,
+                        visible: np.ndarray, masked: np.ndarray,
+                        params: Mapping[str, Tensor], cfg: RunConfig) -> Tensor:
+    """The masked-autoencoding branch of a pre-training step: its ``l_3d``.
+
+    Encodes the ``visible`` tokens, decodes the ``masked`` ones (both (..., n)
+    token indices) and scores them against their ``local_coords``.
+    """
+    pos_vis = ad.gather_rows(pos, visible)
+    enc = encode(ad.gather_rows(tokens, visible), pos_vis, params, cfg)
+    dm = decode(enc, pos_vis, ad.gather_rows(pos, masked), params, cfg)
+    target = np.take_along_axis(local_coords, masked[..., None, None], axis=-3)
+    return l_3d(recon_head(dm, params, cfg), target)

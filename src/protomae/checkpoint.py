@@ -16,6 +16,9 @@ whitespace), so save -> load -> save reproduces the file byte for byte.
 Writes go to a temp file in the target directory and are renamed into place.
 They stream: the header goes out first, then each tensor's bytes straight
 from its float64 array, so a save builds no copy of the model in memory.
+Loading (``load_into``) needs every tensor of the receiving store, shape
+included, and ignores the rest, so each run builds a store of exactly what it
+reads and creates anything fresh (a classification head) after loading.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class Checkpoint:
 
 def from_store(store: ad.ParamStore, cfg: RunConfig,
                rng: np.random.Generator) -> Checkpoint:
-    """An in-memory checkpoint holding copies of the store's values."""
-    tensors = {name: t.values.copy() for name, t in store.items()}
+    """An in-memory checkpoint holding the store's live arrays, not copies."""
+    tensors = {name: t.values for name, t in store.items()}
     return Checkpoint(version=VERSION, config_text=cfg.to_text(),
                       rng_state=rng.bit_generator.state, tensors=tensors)
 
@@ -71,7 +74,7 @@ def write(path: str | Path, ckpt: Checkpoint) -> None:
                      + struct.pack("<Q", len(rng_bytes)) + rng_bytes
                      + struct.pack("<Q", len(names)))
             for name in names:
-                arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
+                arr = np.asarray(ckpt.tensors[name], dtype="<f8", order="C")
                 name_bytes = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(name_bytes)) + name_bytes
                          + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
@@ -86,9 +89,7 @@ def write(path: str | Path, ckpt: Checkpoint) -> None:
 def save(path: str | Path, store: ad.ParamStore, cfg: RunConfig,
          rng: np.random.Generator) -> None:
     """Write the store's live values; no tensor is copied on the way."""
-    tensors = {name: t.values for name, t in store.items()}
-    write(path, Checkpoint(version=VERSION, config_text=cfg.to_text(),
-                           rng_state=rng.bit_generator.state, tensors=tensors))
+    write(path, from_store(store, cfg, rng))
 
 
 class _Reader:
@@ -155,31 +156,26 @@ def load(path: str | Path) -> Checkpoint:
                       rng_state=rng_state, tensors=tensors)
 
 
-def load_into(store: ad.ParamStore, ckpt: Checkpoint, strict: bool = True) -> None:
-    """Copy checkpoint tensors into an initialised store.
+def load_into(store: ad.ParamStore, ckpt: Checkpoint) -> None:
+    """Copy the checkpoint's tensors into every tensor of an initialised store.
 
-    Names are visited in lexicographic order, so the first offending tensor
-    reported is deterministic.  ``strict`` requires the name sets to match
-    exactly; otherwise tensors missing on either side are skipped (loading a
-    pre-training checkpoint into a classification store, which has no decoder
-    but fresh head parameters).  A shape mismatch on a shared name is always
-    an error.
+    Every tensor the store holds must be in the checkpoint with the same
+    shape; otherwise a ``ConfigError`` names every missing tensor, or else
+    the first mis-shaped one in lexicographic order.  Checkpoint tensors the
+    store does not hold are ignored, such as the decoder and the PPR head
+    when a classifier loads a pre-training checkpoint.
     """
+    missing = [name for name in store.names() if name not in ckpt.tensors]
+    if missing:
+        raise ConfigError("checkpoint has no tensor "
+                          + ", ".join(f"'{name}'" for name in missing))
     for name in store.names():
-        if name not in ckpt.tensors:
-            if strict:
-                raise ConfigError(f"checkpoint has no tensor '{name}'")
-            continue
         arr = ckpt.tensors[name]
         expected = store[name].values.shape
         if arr.shape != expected:
             raise ConfigError(f"tensor '{name}': checkpoint shape "
                               f"{arr.shape} != expected {expected}")
         store[name].values[...] = arr
-    if strict:
-        extra = sorted(set(ckpt.tensors) - set(store.names()))
-        if extra:
-            raise ConfigError(f"checkpoint has unexpected tensor '{extra[0]}'")
 
 
 def restore_rng(ckpt: Checkpoint) -> np.random.Generator:

@@ -117,8 +117,8 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
 
     ck = ckpt_mod.load(args.checkpoint)
     cfg = ck.config() if not (args.config or args.preset) else _load_config(args)
-    store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)
-    ckpt_mod.load_into(store, ck, strict=False)
+    store = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
+    ckpt_mod.load_into(store, ck)
     if args.cloud:
         points = geometry.load_cloud(args.cloud).points
     else:

@@ -101,22 +101,13 @@ class RunConfig:
             (c.decoder_blocks >= 1, "decoder_blocks must be >= 1"),
             (c.embed_hidden1 >= 1 and c.embed_hidden2 >= 1, "embed widths must be positive"),
             (c.n_prototypes >= 2, "n_prototypes must be >= 2"),
-            (c.cont_temperature > 0, "cont_temperature must be positive"),
             (1 <= c.knorm_k <= c.n_patches, "knorm_k must be in [1, n_patches]"),
             (0.0 < c.mask_ratio < 1.0, "mask_ratio must be in (0, 1)"),
             (c.mask_strategy in STRATEGIES,
              f"mask_strategy must be one of {', '.join(STRATEGIES)}"),
             (c.full_mask_components >= 0, "full_mask_components must be >= 0"),
-            (math.isfinite(c.lambda_proto) and c.lambda_proto >= 0,
-             "lambda_proto must be finite and >= 0"),
-            (math.isfinite(c.lambda_cont) and c.lambda_cont >= 0,
-             "lambda_cont must be finite and >= 0"),
-            (c.learning_rate > 0, "learning_rate must be positive"),
-            (c.proto_learning_rate > 0, "proto_learning_rate must be positive"),
             (0 < c.proto_lr_decay <= 1.0, "proto_lr_decay must be in (0, 1]"),
-            (c.proto_weight_decay >= 0, "proto_weight_decay must be >= 0"),
             (0 <= c.beta1 < 1 and 0 <= c.beta2 < 1, "betas must be in [0, 1)"),
-            (c.weight_decay >= 0, "weight_decay must be >= 0"),
             (c.epochs >= 1 and c.finetune_epochs >= 1, "epoch counts must be >= 1"),
             (c.batch_size >= 1, "batch_size must be >= 1"),
             (len(set(c.kinds())) >= 2, f"need at least two shape kinds, got '{c.shape_kinds}'"),
@@ -124,6 +115,12 @@ class RunConfig:
             (not unknown, f"unknown shape kinds {unknown} (have {', '.join(SHAPE_KINDS)})"),
             (c.clouds_per_kind >= 2, "clouds_per_kind must be >= 2"),
             (0.0 < c.val_fraction < 1.0, "val_fraction must be in (0, 1)"),
+            (math.isfinite(c.stop_train_accuracy), "stop_train_accuracy must be finite"),
+            *((math.isfinite(getattr(c, k)) and getattr(c, k) > 0, f"{k} must be finite and > 0")
+              for k in ("cont_temperature", "learning_rate", "proto_learning_rate",
+                        "finetune_learning_rate")),
+            *((math.isfinite(getattr(c, k)) and getattr(c, k) >= 0, f"{k} must be finite and >= 0")
+              for k in ("lambda_proto", "lambda_cont", "weight_decay", "proto_weight_decay")),
         ]
         for ok, message in checks:
             if not ok:

@@ -183,11 +183,8 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                          for j in range(len(batch))]
                 vis = np.stack([plan.visible_indices() for plan in plans])
                 msk = np.stack([plan.masked_indices() for plan in plans])
-                pos_vis = ad.gather_rows(pos, vis)
-                enc = backbone.encode(ad.gather_rows(tb.tokens, vis), pos_vis, store, cfg)
-                _, dm = backbone.decode(enc, pos_vis, ad.gather_rows(pos, msk), store, cfg)
-                target = np.take_along_axis(tb.local_coords, msk[:, :, None, None], axis=1)
-                means = {"l_3d": backbone.l_3d(backbone.recon_head(dm, store, cfg), target),
+                means = {"l_3d": backbone.reconstruction_loss(
+                             tb.tokens, pos, tb.local_coords, vis, msk, store, cfg),
                          "l_proto": out.loss_proto, "l_cont": out.loss_cont}
                 total = ad.add(means["l_3d"],
                                ad.add(ad.scale(means["l_proto"], cfg.lambda_proto),
@@ -286,20 +283,18 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
              csep: bool, out_dir: str | Path | None = None) -> FinetuneResult:
     """Train a classification head on top of a pre-training checkpoint.
 
-    The decoder is dropped; encoder, embeddings, class token, head, and (for
-    the prompted variant) the prototype bank and its branch layers are all
-    trainable.  Stops early once the train accuracy reaches
-    ``cfg.stop_train_accuracy``.
+    The embeddings and encoder (and, for the prompted variant, the prototype
+    bank and its branch layers) come from the checkpoint, which must hold
+    them all; its decoder is dropped.  The class token and head are always
+    created fresh, after loading.  Everything is trainable.  Stops early once
+    the train accuracy reaches ``cfg.stop_train_accuracy``.
     """
     cfg.validate()
     ck = ckpt if isinstance(ckpt, checkpoint.Checkpoint) else checkpoint.load(ckpt)
     ds = build_dataset(cfg)
-    n_classes = len(ds.kinds)
-    store = init_model(cfg, decoder=False, pcsm_branch=csep,
-                       n_classes=n_classes, csep=csep)
-    checkpoint.load_into(store, ck, strict=False)
-    if csep and "pcsm.prototypes" not in ck.tensors:
-        raise ConfigError("prompted fine-tuning needs prototypes in the checkpoint")
+    store = init_model(cfg, decoder=False, pcsm_branch=csep)
+    checkpoint.load_into(store, ck)
+    heads.init_head_params(store, cfg, len(ds.kinds), csep=csep)
     classify = heads.classify_csep if csep else heads.classify_baseline
     opt = ad.AdamW(store, lr=cfg.finetune_learning_rate,
                    betas=(cfg.beta1, cfg.beta2), weight_decay=cfg.weight_decay)

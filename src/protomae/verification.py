@@ -202,16 +202,12 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
                      np.random.default_rng(5))
     vis, msk = plan.visible_indices(), plan.masked_indices()
     tb0 = embedding.tokenize(points, store, cfg)
-    target_local = tb0.local_coords[msk]
 
     def l3d_fn():
         tb = embedding.tokenize(points, store, cfg)
         pos = embedding.pos_embed(tb.centers, store)
-        enc = backbone.encode(ad.gather_rows(tb.tokens, vis),
-                              ad.gather_rows(pos, vis), store, cfg)
-        _, dm = backbone.decode(enc, ad.gather_rows(pos, vis),
-                                ad.gather_rows(pos, msk), store, cfg)
-        return backbone.l_3d(backbone.recon_head(dm, store, cfg), target_local)
+        return backbone.reconstruction_loss(tb.tokens, pos, tb.local_coords,
+                                            vis, msk, store, cfg)
 
     # frozen token features and assignment for the grouping-branch losses
     te_np = out0.tokens_encoded

@@ -273,8 +273,8 @@ def test_attention_single_key_returns_value_row():
     out = ad.multi_head_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads=3).values
     np.testing.assert_allclose(out, np.repeat(v, 5, axis=0), atol=1e-15)
     proj = RNG.normal(size=(6, 6))
-    out2 = ad.multi_head_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads=3,
-                                   out_proj=ad.Tensor(proj)).values
+    out2 = ad.matmul(ad.multi_head_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
+                                             heads=3), ad.Tensor(proj)).values
     np.testing.assert_allclose(out2, np.repeat(v @ proj, 5, axis=0), atol=1e-14)
 
 
@@ -354,7 +354,7 @@ def test_no_two_gradients_share_memory_after_backward():
     x = ad.Tensor(RNG.normal(size=(2, 5, 4)), requires_grad=True)
     h = ad.gelu(ad.linear(x, w, ln_b))
     h = ad.layer_norm(ad.add(h, ad.relu(h)), ln_g, ln_b)
-    att = ad.multi_head_attention(h, h, h, heads=2, out_proj=w)
+    att = ad.matmul(ad.multi_head_attention(h, h, h, heads=2), w)
     cls = ad.broadcast(ad.slice_rows(att, 0, 1), (2, 1, 4))
     seq = ad.concat([cls, ad.gather_rows(att, np.array([1, 1, 3])), h], axis=-2)
     pooled = ad.max_over_rows(ad.l2_normalize_rows(seq))

@@ -78,9 +78,9 @@ def test_decode_row_order_matches_position_order():
     vis = rng.normal(size=(6, cfg.dim))
     pv = rng.normal(size=(6, cfg.dim))
     pm = rng.normal(size=(3, cfg.dim))
-    _, masked_a = bb.decode(Tensor(vis), Tensor(pv), Tensor(pm), store, cfg)
+    masked_a = bb.decode(Tensor(vis), Tensor(pv), Tensor(pm), store, cfg)
     perm = np.array([4, 0, 5, 2, 1, 3])
-    _, masked_b = bb.decode(Tensor(vis[perm]), Tensor(pv[perm]), Tensor(pm), store, cfg)
+    masked_b = bb.decode(Tensor(vis[perm]), Tensor(pv[perm]), Tensor(pm), store, cfg)
     assert np.allclose(masked_a.values, masked_b.values, atol=1e-9)
 
 
@@ -92,7 +92,7 @@ def test_decode_mask_rows_differ_only_through_positions():
     vis = Tensor(rng.normal(size=(5, cfg.dim)))
     pv = Tensor(rng.normal(size=(5, cfg.dim)))
     pm = np.tile(rng.normal(size=(1, cfg.dim)), (2, 1))
-    _, masked = bb.decode(vis, pv, Tensor(pm), store, cfg)
+    masked = bb.decode(vis, pv, Tensor(pm), store, cfg)
     assert np.allclose(masked.values[0], masked.values[1], atol=0)
 
 
@@ -142,7 +142,7 @@ def test_masked_path_gradients_reach_every_parameter_family():
     pv = Tensor(rng.normal(size=(6, cfg.dim)))
     pm = Tensor(rng.normal(size=(2, cfg.dim)))
     tgt = rng.normal(size=(2, cfg.knn_k, 3))
-    _, masked = bb.decode(vis, pv, pm, store, cfg)
+    masked = bb.decode(vis, pv, pm, store, cfg)
     loss = bb.l_3d(bb.recon_head(masked, store, cfg), tgt)
     loss.backward()
     for name in ("dec.mask_token", "recon.w", "dec.block00.attn.wq", "dec.block00.mlp.w0"):

@@ -85,6 +85,47 @@ def test_corrupt_checkpoint_exits_two(toy_config_file, tmp_path, capsys):
     assert "config error" in err and str(ckpt) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("learning_rate", "inf"),
+                                        ("finetune_learning_rate", "-1")])
+def test_bad_rate_exits_two(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"preset = toy\n{key} = {value}\n")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "pretrain"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_finetune_from_checkpoint_missing_encoder_tensors_exits_two(
+        toy_config_file, tmp_path, capsys):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ck = checkpoint.from_store(pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    del ck.tensors["enc.block00.attn.wq"], ck.tensors["embed.pos.w"]
+    path = tmp_path / "pre.bin"
+    checkpoint.write(path, ck)
+    assert cli.main(["--config", toy_config_file, "--out", str(tmp_path),
+                     "finetune", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert "'embed.pos.w', 'enc.block00.attn.wq'" in err
+
+
+def test_export_groups_from_baseline_finetune_checkpoint_exits_two(tmp_path, capsys):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    # the tensors a plain-head fine-tune saves: no prototype branch
+    store = pipeline.init_model(cfg, decoder=False, pcsm_branch=False,
+                                n_classes=len(cfg.kinds()))
+    path = tmp_path / "finetune-baseline.bin"
+    checkpoint.save(path, store, cfg, np.random.default_rng(0))
+    assert cli.main(["--out", str(tmp_path), "export-groups",
+                     "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'pcsm.prototypes'" in err
+    assert not (tmp_path / "groups.txt").exists()
+
+
 def test_pretrain_finetune_export_chain(toy_config_file, tmp_path, capsys):
     out = str(tmp_path / "runs")
     assert cli.main(["--config", toy_config_file, "--out", out,

@@ -76,3 +76,21 @@ def test_zero_loss_weights_and_a_one_unit_mlp_are_accepted():
     cfg = RunConfig.from_text("preset = toy\nlambda_proto = 0\nlambda_cont = 0\n"
                               "mlp_ratio = 0.0625\n")
     assert (cfg.lambda_proto, cfg.lambda_cont, round(cfg.mlp_ratio * cfg.dim)) == (0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", "inf"), ("proto_learning_rate", "inf"),
+    ("weight_decay", "inf"), ("proto_weight_decay", "inf"),
+    ("cont_temperature", "inf"), ("stop_train_accuracy", "nan"),
+    ("finetune_learning_rate", "-1"), ("finetune_learning_rate", "nan"),
+    ("finetune_learning_rate", "0"), ("finetune_learning_rate", "inf"),
+])
+def test_non_finite_or_out_of_range_rate_is_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_text(f"preset = toy\n{key} = {value}\n")
+
+
+def test_zero_weight_decays_and_a_disabled_early_stop_are_accepted():
+    cfg = RunConfig.from_text("preset = toy\nweight_decay = 0\nproto_weight_decay = 0\n"
+                              "stop_train_accuracy = 1.01\n")
+    assert (cfg.weight_decay, cfg.proto_weight_decay, cfg.stop_train_accuracy) == (0.0, 0.0, 1.01)

@@ -207,6 +207,24 @@ def test_csep_finetune_requires_prototypes():
     assert pipeline.finetune(cfg, bare, csep=False).metrics
 
 
+@pytest.mark.parametrize("csep", [False, True])
+def test_finetune_ignores_extra_tensors_and_starts_a_fresh_head(csep):
+    cfg = tiny_cfg(finetune_epochs=1)
+    clean = in_memory_ckpt(cfg)
+    polluted = in_memory_ckpt(cfg)
+    # an old plain head with other values: same shapes as the plain head,
+    # different ones from the prompted head
+    old = pipeline.init_model(tiny_cfg(seed=9), decoder=False, pcsm_branch=False,
+                              n_classes=len(cfg.kinds()))
+    polluted.tensors.update((name, t.values) for name, t in old.items()
+                            if name.startswith("cls."))
+    polluted.tensors["zzz.extra"] = np.zeros(3)
+    a = pipeline.finetune(cfg, clean, csep=csep)
+    b = pipeline.finetune(cfg, polluted, csep=csep)
+    assert a.metrics == b.metrics
+    assert pipeline.params_hash(a.store) == pipeline.params_hash(b.store)
+
+
 def test_finetune_early_stop():
     cfg = tiny_cfg(stop_train_accuracy=0.0)
     res = pipeline.finetune(cfg, in_memory_ckpt(cfg), csep=False)
