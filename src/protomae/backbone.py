@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
+from .embedding import TokenBatch
 from .errors import InvalidArgument
 
 
@@ -127,16 +128,15 @@ def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
     return ad.chamfer_batch(pred, tgt)
 
 
-def reconstruction_loss(tokens: Tensor, pos: Tensor, local_coords: np.ndarray,
-                        visible: np.ndarray, masked: np.ndarray,
+def reconstruction_loss(tb: TokenBatch, visible: np.ndarray, masked: np.ndarray,
                         params: Mapping[str, Tensor], cfg: RunConfig) -> Tensor:
     """The masked-autoencoding branch of a pre-training step: its ``l_3d``.
 
     Encodes the ``visible`` tokens, decodes the ``masked`` ones (both (..., n)
-    token indices) and scores them against their ``local_coords``.
+    token indices) and scores them against their patches' local coordinates.
     """
-    pos_vis = ad.gather_rows(pos, visible)
-    enc = encode(ad.gather_rows(tokens, visible), pos_vis, params, cfg)
-    dm = decode(enc, pos_vis, ad.gather_rows(pos, masked), params, cfg)
-    target = np.take_along_axis(local_coords, masked[..., None, None], axis=-3)
+    pos_vis = ad.gather_rows(tb.pos, visible)
+    enc = encode(ad.gather_rows(tb.tokens, visible), pos_vis, params, cfg)
+    dm = decode(enc, pos_vis, ad.gather_rows(tb.pos, masked), params, cfg)
+    target = np.take_along_axis(tb.local_coords, masked[..., None, None], axis=-3)
     return l_3d(recon_head(dm, params, cfg), target)

@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import geometry, pipeline, shapes, verification
+from . import checkpoint, geometry, pipeline, shapes, verification
 from .config import STRATEGIES, RunConfig, preset
 from .errors import ConfigError, InvalidArgument, NumericError
 
@@ -64,13 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace,
+                 ck: checkpoint.Checkpoint | None = None) -> RunConfig:
+    """--config or --preset when given, else the config embedded in the
+    checkpoint ``ck`` the command reads, else test-small; then --seed."""
     if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
     if args.config:
         cfg = RunConfig.from_file(args.config)
-    else:
+    elif args.preset or ck is None:
         cfg = preset(args.preset or "test-small")
+    else:
+        cfg = ck.config()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg.validate()
@@ -90,9 +95,10 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def _cmd_finetune(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    ck = checkpoint.load(args.checkpoint)
+    cfg = _load_config(args, ck)
     out = Path(args.out) / "finetune"
-    res = pipeline.finetune(cfg, args.checkpoint, csep=args.csep, out_dir=out)
+    res = pipeline.finetune(cfg, ck, csep=args.csep, out_dir=out)
     print(f"finetune done after {len(res.metrics)} epochs: "
           f"train {res.train_accuracy:.3f} val {res.val_accuracy:.3f}")
     print(f"checkpoint: {res.checkpoint_path}")
@@ -113,12 +119,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_groups(args: argparse.Namespace) -> int:
-    from . import checkpoint as ckpt_mod
-
-    ck = ckpt_mod.load(args.checkpoint)
-    cfg = ck.config() if not (args.config or args.preset) else _load_config(args)
+    ck = checkpoint.load(args.checkpoint)
+    cfg = _load_config(args, ck)
     store = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
-    ckpt_mod.load_into(store, ck)
+    checkpoint.load_into(store, ck)
     if args.cloud:
         points = geometry.load_cloud(args.cloud).points
     else:

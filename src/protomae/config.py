@@ -165,7 +165,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         return cls.from_text(text)
 

@@ -4,8 +4,9 @@ A cloud becomes G tokens in three steps: farthest-point sampling picks patch
 centres, k-nearest-neighbour gathering builds centre-relative local patches,
 and a shared mini-PointNet maps each patch to a C-dimensional token.  Because
 the network only ever sees local coordinates, tokens are translation
-invariant; all absolute position information travels separately through
-``pos_embed`` (a single affine map of the centre coordinates).
+invariant; all absolute position information travels separately, as the
+batch's ``pos`` field (``pos_embed``, a single affine map of the centre
+coordinates).
 
 A batch of clouds is one (B, N, 3) array and yields (B, G, C) tokens from one
 pass; a single (N, 3) cloud yields (G, C) tokens from the same code.
@@ -27,7 +28,8 @@ from .errors import InvalidArgument
 
 @dataclass
 class TokenBatch:
-    """Tokens plus the patch geometry they were built from.
+    """Tokens and their position embeddings, plus the patch geometry they
+    were built from.
 
     Every field carries the leading batch axes of the input cloud array.
     """
@@ -37,10 +39,7 @@ class TokenBatch:
     member_indices: np.ndarray      # (..., G, k)
     local_coords: np.ndarray        # (..., G, k, 3) member minus centre
     tokens: Tensor                  # (..., G, C)
-
-    @property
-    def g(self) -> int:
-        return self.centers.shape[-2]
+    pos: Tensor                     # (..., G, C) ``pos_embed`` of the centres
 
 
 def init_embedding_params(store: ad.ParamStore, cfg: RunConfig) -> None:
@@ -66,7 +65,8 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     every point feature, a second shared MLP, and a final max-pool.  Patch
     order follows the farthest-point pick order; ``start`` selects the first
     pick (fixed for evaluation, drawn from the training RNG during training),
-    one int for every cloud or one per cloud.
+    one int for every cloud or one per cloud.  The position embeddings come
+    from the same ``params``.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[-2] if pts.ndim >= 2 else 0
@@ -84,12 +84,14 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
     tokens = ad.max_over_rows(h)
 
+    centers = np.take_along_axis(pts, center_idx[..., None], axis=-2)
     return TokenBatch(
         center_indices=center_idx,
-        centers=np.take_along_axis(pts, center_idx[..., None], axis=-2),
+        centers=centers,
         member_indices=patches.member_indices,
         local_coords=patches.local_coords,
         tokens=tokens,
+        pos=pos_embed(centers, params),
     )
 
 

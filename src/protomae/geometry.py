@@ -192,7 +192,11 @@ def load_cloud(path: str | Path) -> PointCloud:
     points: list[list[float]] = []
     labels: list[int] = []
     saw_label = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read cloud file {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

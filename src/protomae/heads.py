@@ -50,18 +50,28 @@ def head_logits(features: Tensor, store: ad.ParamStore) -> Tensor:
     return ad.linear(h, store["cls.head.w1"], store["cls.head.b1"])
 
 
+def _readout(blocks: list[tuple[Tensor, Tensor]], store: ad.ParamStore,
+             cfg: RunConfig) -> Tensor:
+    """Logits of [class token || blocks]: the class row and each block max-pooled.
+
+    Each block is a (rows, positions) pair of (..., n, C) tensors.
+    """
+    enc = backbone.encode(ad.concat([store["cls.token"]] + [rows for rows, _ in blocks], axis=-2),
+                          ad.concat([store["cls.pos"]] + [pos for _, pos in blocks], axis=-2),
+                          store, cfg)
+    features, lo = [ad.slice_rows(enc, 0, 1)], 1
+    for rows, _ in blocks:
+        n = rows.values.shape[-2]
+        features.append(embedding.pool_row(ad.slice_rows(enc, lo, lo + n)))
+        lo += n
+    return head_logits(ad.concat(features, axis=-1), store)
+
+
 def classify_baseline(points: np.ndarray, store: ad.ParamStore,
                       cfg: RunConfig) -> Tensor:
     """Logits from [class token || patch tokens] features: t_cls || f_g."""
     tb = embedding.tokenize(points, store, cfg)
-    pos = embedding.pos_embed(tb.centers, store)
-    seq = ad.concat([store["cls.token"], tb.tokens], axis=-2)
-    pos_seq = ad.concat([store["cls.pos"], pos], axis=-2)
-    enc = backbone.encode(seq, pos_seq, store, cfg)
-    g = tb.g
-    features = ad.concat([ad.slice_rows(enc, 0, 1),
-                          embedding.pool_row(ad.slice_rows(enc, 1, 1 + g))], axis=-1)
-    return head_logits(features, store)
+    return _readout([(tb.tokens, tb.pos)], store, cfg)
 
 
 def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
@@ -83,20 +93,11 @@ def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
                           "load a pre-training checkpoint first")
     c = cfg.dim
     tb = embedding.tokenize(points, store, cfg)
-    pos = embedding.pos_embed(tb.centers, store)
     if prompt_rows is None:
-        _, p_hat = pcsm.refresh(tb.tokens.values, tb.centers, pos.values, store.frozen(),
-                                store["pcsm.prototypes"], cfg)
+        p_hat = pcsm.prompts(tb, store, cfg)
     else:
         p_hat = Tensor(np.asarray(prompt_rows, dtype=np.float64))
         if p_hat.values.shape[-1] != c:
             raise InvalidArgument(f"prompt rows must be width {c}")
-    q = p_hat.values.shape[-2]
-    g = tb.g
-    seq = ad.concat([store["cls.token"], p_hat, tb.tokens], axis=-2)
-    pos_seq = ad.concat([store["cls.pos"], Tensor(np.zeros((q, c))), pos], axis=-2)
-    enc = backbone.encode(seq, pos_seq, store, cfg)
-    features = ad.concat([ad.slice_rows(enc, 0, 1),
-                          embedding.pool_row(ad.slice_rows(enc, 1, 1 + q)),
-                          embedding.pool_row(ad.slice_rows(enc, 1 + q, 1 + q + g))], axis=-1)
-    return head_logits(features, store)
+    zeros = Tensor(np.zeros((p_hat.values.shape[-2], c)))
+    return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], store, cfg)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
+from .shapes import apportion
 
 log = logging.getLogger(__name__)
 
@@ -27,11 +28,11 @@ def round_half_up(x: float) -> int:
 
 @dataclass
 class MaskPlan:
-    """Which tokens are hidden, plus provenance for component-aware plans."""
+    """Which tokens are hidden, plus the components a component-aware plan
+    masked whole."""
 
     masked: np.ndarray                                   # (G,) bool
     fully_masked_components: tuple[int, ...] = ()
-    per_component_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.masked = np.asarray(self.masked, dtype=bool)
@@ -126,9 +127,7 @@ def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
         if full_components >= 1:
             log.warning("all %d tokens share component %d; falling back to random masking",
                         g, int(ids[0]))
-        plan = random_mask(g, ratio, rng)
-        plan.per_component_counts = {int(ids[0]): (plan.n_masked, g)}
-        return plan
+        return random_mask(g, ratio, rng)
     if full_components >= q_ne:
         raise InvalidArgument(
             f"cannot fully mask {full_components} of {q_ne} nonempty components")
@@ -155,25 +154,12 @@ def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
     deficit = target - int(masked.sum())
 
     remaining = [int(c) for c in ids if int(c) not in selected]
-    counts = {comp: 0 for comp in remaining}
-    if deficit > 0:
-        pool = sum(size_of[c] for c in remaining)
-        quotas = {c: deficit * size_of[c] / pool for c in remaining}
-        base = {c: int(math.floor(quotas[c])) for c in remaining}
-        short = deficit - sum(base.values())
-        for c in sorted(remaining, key=lambda c: (-(quotas[c] - base[c]), c))[:short]:
-            base[c] += 1
-        for comp in remaining:  # ascending id: deterministic RNG consumption
-            take = base[comp]
-            counts[comp] = take
-            if take:
-                tokens = np.flatnonzero(assignment == comp)
-                masked[rng.choice(tokens, size=take, replace=False)] = True
-
-    per_component = {int(c): (size_of[int(c)] if int(c) in selected else counts[int(c)],
-                              size_of[int(c)]) for c in ids}
-    return MaskPlan(masked=masked, fully_masked_components=tuple(selected),
-                    per_component_counts=per_component)
+    takes = apportion(deficit, [size_of[c] for c in remaining])
+    for comp, take in zip(remaining, takes):  # ascending id: deterministic RNG consumption
+        if take:
+            tokens = np.flatnonzero(assignment == comp)
+            masked[rng.choice(tokens, size=take, replace=False)] = True
+    return MaskPlan(masked=masked, fully_masked_components=tuple(selected))
 
 
 def component_coverage(plan: MaskPlan, assignment: np.ndarray) -> tuple[float | None, float]:

@@ -11,7 +11,10 @@ contrastive loss that pushes refreshed prototypes apart in cosine similarity.
 The encoder pass feeding this module always runs under stop-gradient, so
 these losses train only the prototype bank and the reconstruction head.  The
 enhancement cross-attention feeds only the hard argmax, which no loss
-differentiates through, so it runs on frozen weights.
+differentiates through, so it runs on frozen weights.  This module owns that
+boundary: it alone takes the frozen view of a parameter store, for the
+training pass (``pcsm_forward``), the classifier's prompt rows (``prompts``)
+and the tape-free assignment of evaluation and export (``cloud_assignment``).
 
 Every function takes a single cloud's (G, C) tokens or a (B, G, C) batch.
 The shared bank is refreshed against each cloud's own tokens, and the
@@ -27,10 +30,11 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from . import backbone
+from . import backbone, embedding
 from . import geometry as geo
 from .autodiff import Tensor
 from .config import RunConfig
+from .embedding import TokenBatch
 from .errors import InvalidArgument
 
 
@@ -121,12 +125,12 @@ def similarity(tokens_hat: Tensor, prototypes_hat: Tensor) -> tuple[Tensor, np.n
 
 def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
                     cloud_points: np.ndarray, params: Mapping[str, Tensor],
-                    cfg: RunConfig) -> tuple[np.ndarray, Tensor]:
-    """Reconstruct the whole cloud from (assigned prototype, position) pairs.
+                    cfg: RunConfig) -> Tensor:
+    """Loss of reconstructing the whole cloud from (assigned prototype, position) pairs.
 
-    Token i contributes the row [p_hat[assignment[i]] || pos[i]]; rows stay in
-    original token order.  A two-layer head maps each row to k' points and the
-    loss is the global chamfer distance to the cloud, scaled by 1/G (averaged
+    Token i contributes the row [p_hat[assignment[i]] || pos[i]].  A two-layer
+    head maps each row to k' points and the loss is the global chamfer
+    distance from all G * k' points to the cloud, scaled by 1/G (averaged
     over clouds for a batch).  Empty components are legal; they simply
     contribute no rows.
     """
@@ -142,8 +146,7 @@ def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
     h = ad.gelu(ad.linear(f, params["pcsm.ppr.w0"], params["pcsm.ppr.b0"]))
     out = ad.linear(h, params["pcsm.ppr.w1"], params["pcsm.ppr.b1"])
     pred = ad.reshape(out, lead + (g * kp, 3))
-    loss = ad.scale(ad.chamfer_batch(pred, cloud_points), 1.0 / g)
-    return pred.values.reshape(lead + (g, kp, 3)), loss
+    return ad.scale(ad.chamfer_batch(pred, cloud_points), 1.0 / g)
 
 
 def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
@@ -167,22 +170,25 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), Tensor(np.float64(-q / temperature)))
 
 
-def refresh(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
-            frozen: Mapping[str, Tensor], prototypes: Tensor,
+def refresh(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,
             cfg: RunConfig) -> tuple[np.ndarray, Tensor]:
     """Frozen encode, k-norm, prototype refresh: (tokens_encoded, prototypes_hat).
 
-    ``token_values``/``pos_values`` are raw (..., G, C) arrays, encoded as
-    constants through the ``frozen`` weights, so no gradient reaches the
-    encoder (the stop-gradient boundary).  ``prototypes`` is the bank to
-    refresh against each cloud's own k-normed tokens: the trainable
-    parameter, or a frozen copy when only the assignment is wanted.
+    The batch's tokens and positions enter as constants and are encoded
+    through the ``frozen`` weights, so no gradient reaches the embedding or
+    the encoder (the stop-gradient boundary).  ``bank`` is refreshed against
+    each cloud's own k-normed tokens: the trainable parameter, or a frozen
+    copy when only the assignment is wanted.
     """
-    te = backbone.encode(Tensor(np.asarray(token_values, dtype=np.float64)),
-                         Tensor(np.asarray(pos_values, dtype=np.float64)), frozen, cfg).values
+    te = backbone.encode(tb.tokens.detach(), tb.pos.detach(), frozen, cfg).values
     if cfg.knorm_enabled:
-        te = knorm_enhance(te, centers, cfg.knorm_k)
-    return te, update_prototypes(prototypes, Tensor(te))
+        te = knorm_enhance(te, tb.centers, cfg.knorm_k)
+    return te, update_prototypes(bank, Tensor(te))
+
+
+def prompts(tb: TokenBatch, store: ad.ParamStore, cfg: RunConfig) -> Tensor:
+    """The trainable bank refreshed against the batch's frozen-encoded tokens."""
+    return refresh(tb, store.frozen(), store["pcsm.prototypes"], cfg)[1]
 
 
 @dataclass
@@ -191,41 +197,44 @@ class Grouping:
 
     tokens_encoded: np.ndarray      # (..., G, C) stop-gradient encoder output (post k-norm)
     prototypes_hat: Tensor          # (..., Q, C)
-    tokens_hat: Tensor              # (..., G, C) enhanced tokens
-    similarity: np.ndarray          # (..., G, Q) row-stochastic
     assignment: np.ndarray          # (..., G) int64
 
 
-def group(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
-          frozen: Mapping[str, Tensor], prototypes: Tensor, cfg: RunConfig) -> Grouping:
+def group(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,
+          cfg: RunConfig) -> Grouping:
     """``refresh``, then enhancement, similarity and the hard assignment.
 
     The enhancement reads the ``frozen`` weights: its output feeds only the
     argmax, so no loss could differentiate through it.  With a frozen bank
     too, the pass records no gradient tape.
     """
-    te, p_hat = refresh(token_values, centers, pos_values, frozen, prototypes, cfg)
-    bank = p_hat.detach()
-    t_hat = enhance_tokens(Tensor(te), bank, frozen, cfg)
-    s, assignment = similarity(t_hat, bank)
-    return Grouping(tokens_encoded=te, prototypes_hat=p_hat, tokens_hat=t_hat,
-                    similarity=s.values, assignment=assignment)
+    te, p_hat = refresh(tb, frozen, bank, cfg)
+    detached = p_hat.detach()
+    _, assignment = similarity(enhance_tokens(Tensor(te), detached, frozen, cfg), detached)
+    return Grouping(tokens_encoded=te, prototypes_hat=p_hat, assignment=assignment)
+
+
+def cloud_assignment(points: np.ndarray, store: ad.ParamStore,
+                     cfg: RunConfig) -> tuple[TokenBatch, Grouping]:
+    """The frozen assignment pass: tokenize and ``group`` on constant weights.
+
+    ``points`` is one (N, 3) cloud or a (B, N, 3) batch, tokenized from its
+    first point.  The pass builds no losses and no gradient tape.
+    """
+    frozen = store.frozen()
+    tb = embedding.tokenize(points, frozen, cfg, start=0)
+    return tb, group(tb, frozen, frozen["pcsm.prototypes"], cfg)
 
 
 @dataclass
 class PCSMOutput(Grouping):
-    """The grouping pass plus the branch's reconstruction and both losses.
+    """The grouping pass plus the branch's two losses, means over clouds."""
 
-    The losses are means over clouds.
-    """
-
-    reconstruction: np.ndarray      # (..., G, k', 3)
     loss_proto: Tensor
     loss_cont: Tensor
 
 
-def pcsm_forward(token_values: np.ndarray, centers: np.ndarray, pos_values: np.ndarray,
-                 cloud_points: np.ndarray, store: ad.ParamStore,
+def pcsm_forward(tb: TokenBatch, cloud_points: np.ndarray, store: ad.ParamStore,
                  cfg: RunConfig) -> PCSMOutput:
     """Full component-grouping pass on a complete cloud, or a batch of them.
 
@@ -233,10 +242,9 @@ def pcsm_forward(token_values: np.ndarray, centers: np.ndarray, pos_values: np.n
     trainable inputs of the two losses are that bank and the reconstruction
     head.
     """
-    grouping = group(token_values, centers, pos_values, store.frozen(),
-                     store["pcsm.prototypes"], cfg)
+    grouping = group(tb, store.frozen(), store["pcsm.prototypes"], cfg)
     p_hat = grouping.prototypes_hat
-    recon, loss_proto = ppr_reconstruct(p_hat, Tensor(pos_values), grouping.assignment,
-                                        cloud_points, store, cfg)
-    return PCSMOutput(**vars(grouping), reconstruction=recon, loss_proto=loss_proto,
+    loss_proto = ppr_reconstruct(p_hat, tb.pos.detach(), grouping.assignment,
+                                 cloud_points, store, cfg)
+    return PCSMOutput(**vars(grouping), loss_proto=loss_proto,
                       loss_cont=l_cont(p_hat, cfg.cont_temperature))

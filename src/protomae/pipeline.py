@@ -82,15 +82,13 @@ def token_truth(cloud: PointCloud, member_indices: np.ndarray) -> np.ndarray:
 # model assembly and hashing
 # ---------------------------------------------------------------------------
 
-def init_model(cfg: RunConfig, decoder: bool = True, pcsm_branch: bool = True,
-               n_classes: int | None = None, csep: bool = False) -> ad.ParamStore:
+def init_model(cfg: RunConfig, decoder: bool = True,
+               pcsm_branch: bool = True) -> ad.ParamStore:
     store = ad.ParamStore(cfg.seed)
     embedding.init_embedding_params(store, cfg)
     backbone.init_backbone_params(store, cfg, with_decoder=decoder)
     if pcsm_branch:
         pcsm.init_pcsm_params(store, cfg)
-    if n_classes is not None:
-        heads.init_head_params(store, cfg, n_classes, csep=csep)
     return store
 
 
@@ -176,15 +174,12 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
             points = np.stack([cloud.points for cloud in clouds])
             try:
                 tb = embedding.tokenize(points, store, cfg, start=np.array(starts))
-                pos = embedding.pos_embed(tb.centers, store)
-                out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values,
-                                        points, store, cfg)
+                out = pcsm.pcsm_forward(tb, points, store, cfg)
                 plans = [_make_plan(cfg, out.assignment[j], tb.centers[j], mask_rng)
                          for j in range(len(batch))]
                 vis = np.stack([plan.visible_indices() for plan in plans])
                 msk = np.stack([plan.masked_indices() for plan in plans])
-                means = {"l_3d": backbone.reconstruction_loss(
-                             tb.tokens, pos, tb.local_coords, vis, msk, store, cfg),
+                means = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
                          "l_proto": out.loss_proto, "l_cont": out.loss_cont}
                 total = ad.add(means["l_3d"],
                                ad.add(ad.scale(means["l_proto"], cfg.lambda_proto),
@@ -424,25 +419,6 @@ def ablate(cfg: RunConfig, strategies: list[str],
 # grouping evaluation and export
 # ---------------------------------------------------------------------------
 
-def cloud_assignment(store: ad.ParamStore, points: np.ndarray,
-                     cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(per-point component ids, per-token assignment, member_indices).
-
-    ``points`` is one (N, 3) cloud or a (B, N, 3) batch; every output carries
-    the same leading axes.  Each point inherits the assignment of the token
-    whose patch centre is nearest (ties to the lowest token index).  The pass
-    runs on frozen weights: it builds no losses and no gradient tape.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    frozen = store.frozen()
-    tb = embedding.tokenize(points, frozen, cfg, start=0)
-    pos = embedding.pos_embed(tb.centers, frozen)
-    assignment = pcsm.group(tb.tokens.values, tb.centers, pos.values, frozen,
-                            frozen["pcsm.prototypes"], cfg).assignment
-    nearest = sq_dists(points[..., :, None, :], tb.centers[..., None, :, :]).argmin(axis=-1)
-    return np.take_along_axis(assignment, nearest, axis=-1), assignment, tb.member_indices
-
-
 def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
                       n_clouds: int = 16, draws: int = 100,
                       seed_base: int = HELD_OUT_SEED_BASE) -> dict:
@@ -458,9 +434,9 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
     for lo in range(0, n_clouds, cfg.batch_size):
         clouds = [shapes.make_shape(kind, cfg.n_points, seed=seed_base + s)
                   for s in range(lo, min(lo + cfg.batch_size, n_clouds))]
-        _, assignment, member_indices = cloud_assignment(
-            store, np.stack([cloud.points for cloud in clouds]), cfg)
-        for cloud, tokens, members in zip(clouds, assignment, member_indices):
+        tb, grouping = pcsm.cloud_assignment(
+            np.stack([cloud.points for cloud in clouds]), store, cfg)
+        for cloud, tokens, members in zip(clouds, grouping.assignment, tb.member_indices):
             truth = token_truth(cloud, members)
             scores.append(metrics.nmi(tokens, truth))
             baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
@@ -473,9 +449,15 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
 
 def export_groups(store: ad.ParamStore, points: np.ndarray, cfg: RunConfig,
                   out_path: str | Path) -> np.ndarray:
-    """Write one ``x y z component`` line per point; returns the labels."""
-    point_labels, _, _ = cloud_assignment(store, points, cfg)
+    """Write one ``x y z component`` line per point of one cloud; returns the labels.
+
+    Each point inherits the assignment of the token whose patch centre is
+    nearest (ties to the lowest token index).
+    """
     points = np.asarray(points, dtype=np.float64)
+    tb, grouping = pcsm.cloud_assignment(points, store, cfg)
+    point_labels = grouping.assignment[sq_dists(points[:, None, :],
+                                                tb.centers[None, :, :]).argmin(axis=-1)]
     lines = [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {int(label)}"
              for p, label in zip(points, point_labels)]
     Path(out_path).write_text("\n".join(lines) + "\n")

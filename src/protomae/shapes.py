@@ -158,7 +158,7 @@ SHAPE_KINDS = tuple(sorted(_BUILDERS))
 SHAPE_COMPONENTS = {kind: [name for name, _, _ in build()] for kind, build in _BUILDERS.items()}
 
 
-def _apportion(total: int, weights: list[float]) -> list[int]:
+def apportion(total: int, weights: list[float]) -> list[int]:
     """Split ``total`` into integer counts proportional to ``weights``.
 
     Largest-remainder rounding; remainder ties go to the earliest entry.
@@ -186,11 +186,11 @@ def make_shape(kind: str, n: int, seed: int) -> PointCloud:
         raise InvalidArgument(f"make_shape needs n >= 64, got {n}")
     rng = np.random.default_rng(seed)
     components = _BUILDERS[kind]()
-    counts = _apportion(n, [share for _, share, _ in components])
+    counts = apportion(n, [share for _, share, _ in components])
     chunks = []
     labels = []
     for label, ((name, _, prims), count) in enumerate(zip(components, counts)):
-        sub = _apportion(count, [w for w, _ in prims])
+        sub = apportion(count, [w for w, _ in prims])
         for (w, sampler), c in zip(prims, sub):
             if c:
                 chunks.append(sampler(rng, c))

@@ -192,36 +192,29 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     cfg = (cfg or preset("toy")).validate()
     rng = np.random.default_rng(seed)
     kinds = cfg.kinds()
-    store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True,
-                                n_classes=len(kinds), csep=False)
+    store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)
+    heads.init_head_params(store, cfg, len(kinds), csep=False)
     points = shapes.make_shape(kinds[0], cfg.n_points, seed=3).points
 
-    # fixed masking plan from the initial assignment
-    out0 = _pcsm_once(points, store, cfg)
+    # fixed masking plan, token features and assignment from the initial
+    # weights, by the frozen pass
+    tb0, out0 = pcsm.cloud_assignment(points, store, cfg)
     plan = csem_mask(out0.assignment, cfg.full_mask_components, cfg.mask_ratio,
                      np.random.default_rng(5))
     vis, msk = plan.visible_indices(), plan.masked_indices()
-    tb0 = embedding.tokenize(points, store, cfg)
 
     def l3d_fn():
-        tb = embedding.tokenize(points, store, cfg)
-        pos = embedding.pos_embed(tb.centers, store)
-        return backbone.reconstruction_loss(tb.tokens, pos, tb.local_coords,
+        return backbone.reconstruction_loss(embedding.tokenize(points, store, cfg),
                                             vis, msk, store, cfg)
 
-    # frozen token features and assignment for the grouping-branch losses
-    te_np = out0.tokens_encoded
-    pos_np = embedding.pos_embed(tb0.centers, store).values
-    assignment = out0.assignment
+    te = Tensor(out0.tokens_encoded)
 
     def proto_fn():
-        p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], Tensor(te_np))
-        _, loss = pcsm.ppr_reconstruct(p_hat, Tensor(pos_np), assignment,
-                                       points, store, cfg)
-        return loss
+        p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], te)
+        return pcsm.ppr_reconstruct(p_hat, tb0.pos, out0.assignment, points, store, cfg)
 
     def cont_fn():
-        p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], Tensor(te_np))
+        p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], te)
         return pcsm.l_cont(p_hat, cfg.cont_temperature)
 
     def ce_fn():
@@ -245,11 +238,3 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
                                   max_rel_err=worst,
                                   worst_parameter=worst_param))
     return reports
-
-
-def _pcsm_once(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig) -> pcsm.Grouping:
-    frozen = store.frozen()
-    tb = embedding.tokenize(points, frozen, cfg)
-    pos = embedding.pos_embed(tb.centers, frozen)
-    return pcsm.group(tb.tokens.values, tb.centers, pos.values, frozen,
-                      frozen["pcsm.prototypes"], cfg)

@@ -80,7 +80,7 @@ def test_criterion_3_masking_invariants():
         for c, s in size_of.items():
             if c in plan.fully_masked_components:
                 continue
-            assert abs(plan.per_component_counts[c][0]
+            assert abs(plan.masked[assignment == c].sum()
                        - deficit * s / pool) < 1.0
         checked += 1
     print("PASS criterion 3: 1000 instances (count, full components, "
@@ -132,10 +132,10 @@ def _readout_block_equality_gap():
     # readout given a zero block on the pooled-prototype slice: feeding zero
     # prompt rows must then reproduce the plain classifier's logits
     cfg = preset("toy")
-    plain = pipeline.init_model(cfg, decoder=False, pcsm_branch=False,
-                                n_classes=4, csep=False)
-    prompted = pipeline.init_model(cfg, decoder=False, pcsm_branch=True,
-                                   n_classes=4, csep=True)
+    plain = pipeline.init_model(cfg, decoder=False, pcsm_branch=False)
+    heads.init_head_params(plain, cfg, 4, csep=False)
+    prompted = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
+    heads.init_head_params(prompted, cfg, 4, csep=True)
     for name in plain.names():
         if name.startswith(("embed.", "enc.")) or name in ("cls.token", "cls.pos"):
             prompted[name].values[...] = plain[name].values
@@ -160,10 +160,10 @@ def _readout_block_equality_gap():
 
 def test_criterion_7_classification_contract(reference_pretrain):
     cfg, res = reference_pretrain
-    plain = pipeline.init_model(cfg, decoder=False, pcsm_branch=False,
-                                n_classes=4, csep=False)
-    prompted = pipeline.init_model(cfg, decoder=False, pcsm_branch=True,
-                                   n_classes=4, csep=True)
+    plain = pipeline.init_model(cfg, decoder=False, pcsm_branch=False)
+    heads.init_head_params(plain, cfg, 4, csep=False)
+    prompted = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
+    heads.init_head_params(prompted, cfg, 4, csep=True)
     assert plain["cls.head.w0"].values.shape == (2 * cfg.dim, cfg.head_hidden)
     assert prompted["cls.head.w0"].values.shape == (3 * cfg.dim, cfg.head_hidden)
 

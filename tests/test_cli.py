@@ -111,12 +111,12 @@ def test_finetune_from_checkpoint_missing_encoder_tensors_exits_two(
 
 
 def test_export_groups_from_baseline_finetune_checkpoint_exits_two(tmp_path, capsys):
-    from protomae import checkpoint, pipeline
+    from protomae import checkpoint, heads, pipeline
 
     cfg = preset("toy")
     # the tensors a plain-head fine-tune saves: no prototype branch
-    store = pipeline.init_model(cfg, decoder=False, pcsm_branch=False,
-                                n_classes=len(cfg.kinds()))
+    store = pipeline.init_model(cfg, decoder=False, pcsm_branch=False)
+    heads.init_head_params(store, cfg, len(cfg.kinds()), csep=False)
     path = tmp_path / "finetune-baseline.bin"
     checkpoint.save(path, store, cfg, np.random.default_rng(0))
     assert cli.main(["--out", str(tmp_path), "export-groups",
@@ -181,6 +181,40 @@ def test_export_groups_bad_cloud_file_exits_two(tmp_path, capsys, rows, message)
                      "--checkpoint", str(ckpt), "--cloud", str(cloud)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "config-not-utf8"])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, case):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ckpt = tmp_path / "pre.bin"
+    checkpoint.save(ckpt, pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    path = tmp_path / "input.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_bytes(b"0 0 0\n\xff\xfe 1 1\n")
+    if case == "config-not-utf8":
+        argv = ["--config", str(path), "--out", str(tmp_path), "pretrain"]
+    else:
+        argv = ["--out", str(tmp_path), "export-groups", "--checkpoint", str(ckpt),
+                "--cloud", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert ("config error" if case.startswith("config") else "input error") in err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_finetune_falls_back_to_the_checkpoint_config(tmp_path):
+    from protomae import checkpoint
+
+    out = str(tmp_path / "runs")
+    assert cli.main(["--preset", "toy", "--out", out, "pretrain"]) == 0
+    ckpt = tmp_path / "runs" / "pretrain" / "checkpoint.bin"
+    assert cli.main(["--seed", "5", "--out", out, "finetune", "--checkpoint", str(ckpt)]) == 0
+    saved = checkpoint.load(tmp_path / "runs" / "finetune" / "finetune-baseline.bin").config()
+    assert saved == dataclasses.replace(preset("toy"), seed=5)
 
 
 def test_ablate_single_strategy(toy_config_file, tmp_path, capsys):

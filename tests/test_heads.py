@@ -205,13 +205,23 @@ def _fd_smooth_grad_check(store, loss_fn, names, rng):
     assert checked >= 2 * len(names) // 2  # at least a few smooth probes
 
 
-def test_cross_entropy_gradient_matches_finite_differences():
-    cfg, store = make_store(csep=False, seed=2)
+def test_cross_entropy_gradient_matches_finite_differences(monkeypatch):
     pts = cloud(seed=1)
-
-    def loss_fn():
-        return ad.cross_entropy(heads.classify_baseline(pts, store, cfg), 1)
-
     names = ("cls.token", "cls.pos", "cls.head.w0", "cls.head.w1",
              "enc.block00.attn.wv", "embed.mlp1.w0")
-    _fd_smooth_grad_check(store, loss_fn, names, np.random.default_rng(6))
+    for classify, extra in ((heads.classify_baseline, ()),
+                            (heads.classify_csep, ("pcsm.prototypes",))):
+        cfg, store = make_store(csep=bool(extra), seed=2)
+        if extra:
+            # the prompts refresh the bank against frozen-encoded token
+            # features, which cross the stop-gradient boundary as constants:
+            # hold them at their initial values, as the training tape does
+            te, _ = pcsm.refresh(embedding.tokenize(pts, store, cfg), store.frozen(),
+                                 store["pcsm.prototypes"], cfg)
+            monkeypatch.setattr(pcsm, "refresh", lambda tb, frozen, bank, cfg: (
+                te, pcsm.update_prototypes(bank, Tensor(te))))
+
+        def loss_fn():
+            return ad.cross_entropy(classify(pts, store, cfg), 1)
+
+        _fd_smooth_grad_check(store, loss_fn, names + extra, np.random.default_rng(6))

@@ -107,9 +107,9 @@ def test_csem_four_equal_components():
         sel = plan.fully_masked_components[0]
         assert plan.masked[assignment == sel].all()
         rest = sorted(c for c in range(4) if c != sel)
-        got = [plan.per_component_counts[c][0] for c in rest]
+        got = [int(plan.masked[assignment == c].sum()) for c in rest]
         assert got == [8, 7, 7]
-        assert plan.per_component_counts[sel] == (16, 16)
+        assert plan.masked[assignment == sel].sum() == 16
 
 
 def test_csem_selection_is_uniform():
@@ -151,7 +151,7 @@ def test_csem_invariants_random_instances():
             if c in plan.fully_masked_components:
                 continue
             quota = deficit * int(s) / pool
-            assert abs(plan.per_component_counts[c][0] - quota) < 1.0
+            assert abs(plan.masked[assignment == c].sum() - quota) < 1.0
 
 
 def test_csem_single_component_falls_back(caplog):
@@ -174,7 +174,7 @@ def test_csem_noncontiguous_component_ids():
     plan = csem_mask(assignment, 1, 0.5, np.random.default_rng(8))
     assert plan.n_masked == 15
     assert plan.fully_masked_components[0] in (2, 9, 40)
-    assert set(plan.per_component_counts) == {2, 9, 40}
+    assert set(assignment[plan.masked].tolist()) == {2, 9, 40}
 
 
 def test_csem_zero_full_components_is_pure_stratification():
@@ -182,7 +182,7 @@ def test_csem_zero_full_components_is_pure_stratification():
     plan = csem_mask(assignment, 0, 0.5, np.random.default_rng(2))
     assert plan.n_masked == 32
     assert plan.fully_masked_components == ()
-    assert [plan.per_component_counts[c][0] for c in range(4)] == [8, 8, 8, 8]
+    assert [int(plan.masked[assignment == c].sum()) for c in range(4)] == [8, 8, 8, 8]
 
 
 def test_component_coverage_values():

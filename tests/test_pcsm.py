@@ -216,9 +216,7 @@ def test_ppr_centroid_bias_matches_chamfer_oracle():
     phat = Tensor(rng.normal(size=(cfg.n_prototypes, cfg.dim)))
     pos = Tensor(rng.normal(size=(g, cfg.dim)))
     assignment = rng.integers(0, cfg.n_prototypes, g)
-    pred, loss = pcsm.ppr_reconstruct(phat, pos, assignment, cloud, store, cfg)
-    assert pred.shape == (g, cfg.recon_points, 3)
-    assert np.allclose(pred, centroid, atol=1e-12)
+    loss = pcsm.ppr_reconstruct(phat, pos, assignment, cloud, store, cfg)
     oracle = geo.chamfer(centroid[None, :], cloud) / g
     assert abs(float(loss.values) - oracle) < 1e-12
 
@@ -230,14 +228,14 @@ def test_ppr_empty_groups_are_legal():
     pos = Tensor(rng.normal(size=(cfg.n_patches, cfg.dim)))
     assignment = np.zeros(cfg.n_patches, dtype=np.int64)  # groups 1..Q-1 empty
     cloud = rng.normal(size=(cfg.n_points, 3))
-    pred, loss = pcsm.ppr_reconstruct(phat, pos, assignment, cloud, store, cfg)
-    assert pred.shape == (cfg.n_patches, cfg.recon_points, 3)
+    loss = pcsm.ppr_reconstruct(phat, pos, assignment, cloud, store, cfg)
     assert np.isfinite(float(loss.values))
 
 
 def test_ppr_row_order_follows_tokens():
     # token i's row is [phat[assignment[i]] || pos[i]]: permuting two tokens
-    # with different prototypes swaps their predictions
+    # with different prototypes only permutes the predicted points, while
+    # swapping their positions alone re-pairs them and moves the loss
     cfg, store = toy_model()
     rng = np.random.default_rng(14)
     phat = Tensor(rng.normal(size=(cfg.n_prototypes, cfg.dim)))
@@ -245,14 +243,15 @@ def test_ppr_row_order_follows_tokens():
     cloud = rng.normal(size=(cfg.n_points, 3))
     assignment = np.zeros(cfg.n_patches, dtype=np.int64)
     assignment[0] = 1
-    pred_a, _ = pcsm.ppr_reconstruct(phat, Tensor(pos_values), assignment, cloud, store, cfg)
+    loss_a = pcsm.ppr_reconstruct(phat, Tensor(pos_values), assignment, cloud, store, cfg)
     swapped = pos_values.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
     assignment2 = assignment.copy()
     assignment2[[0, 1]] = assignment2[[1, 0]]
-    pred_b, _ = pcsm.ppr_reconstruct(phat, Tensor(swapped), assignment2, cloud, store, cfg)
-    assert np.allclose(pred_a[0], pred_b[1], atol=1e-12)
-    assert np.allclose(pred_a[1], pred_b[0], atol=1e-12)
+    loss_b = pcsm.ppr_reconstruct(phat, Tensor(swapped), assignment2, cloud, store, cfg)
+    assert abs(float(loss_a.values) - float(loss_b.values)) < 1e-12
+    positions_only = pcsm.ppr_reconstruct(phat, Tensor(swapped), assignment, cloud, store, cfg)
+    assert abs(float(loss_a.values) - float(positions_only.values)) > 1e-9
 
 
 def test_ppr_validation():
@@ -317,21 +316,23 @@ def forward_toy(seed=16):
     rng = np.random.default_rng(seed)
     cloud = rng.normal(size=(cfg.n_points, 3))
     tb = embedding.tokenize(cloud, store, cfg)
-    pos = embedding.pos_embed(tb.centers, store)
-    out = pcsm.pcsm_forward(tb.tokens.values, tb.centers, pos.values, cloud, store, cfg)
+    out = pcsm.pcsm_forward(tb, cloud, store, cfg)
     return cfg, store, out
 
 
 def test_pcsm_forward_shapes():
-    cfg, _, out = forward_toy()
+    cfg, store, out = forward_toy()
     g, q = cfg.n_patches, cfg.n_prototypes
     assert out.tokens_encoded.shape == (g, cfg.dim)
     assert out.prototypes_hat.values.shape == (q, cfg.dim)
-    assert out.tokens_hat.values.shape == (g, cfg.dim)
-    assert out.similarity.shape == (g, q)
+    bank = out.prototypes_hat.detach()
+    tokens_hat = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, store.frozen(), cfg)
+    assert tokens_hat.values.shape == (g, cfg.dim)
+    similarity, assignment = pcsm.similarity(tokens_hat, bank)
+    assert similarity.values.shape == (g, q)
     assert out.assignment.shape == (g,)
-    assert out.reconstruction.shape == (g, cfg.recon_points, 3)
-    assert np.allclose(out.similarity.sum(axis=1), 1.0, atol=1e-9)
+    assert np.array_equal(out.assignment, assignment)
+    assert np.allclose(similarity.values.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_pcsm_losses_leave_encoder_untouched():
@@ -359,6 +360,8 @@ def test_pcsm_enhancement_gradient_is_structurally_zero():
 def test_pcsm_forward_deterministic():
     _, _, a = forward_toy(seed=17)
     _, _, b = forward_toy(seed=17)
-    assert np.array_equal(a.similarity, b.similarity)
+    assert np.array_equal(a.tokens_encoded, b.tokens_encoded)
+    assert np.array_equal(a.prototypes_hat.values, b.prototypes_hat.values)
+    assert np.array_equal(a.assignment, b.assignment)
     assert float(a.loss_proto.values) == float(b.loss_proto.values)
     assert float(a.loss_cont.values) == float(b.loss_cont.values)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from protomae import autodiff as ad
-from protomae import backbone, checkpoint, pipeline, shapes
+from protomae import backbone, checkpoint, heads, pcsm, pipeline, shapes
 from protomae.config import preset
 from protomae.errors import ConfigError, InvariantViolation, NumericError
 from protomae.geometry import PointCloud
@@ -214,8 +214,9 @@ def test_finetune_ignores_extra_tensors_and_starts_a_fresh_head(csep):
     polluted = in_memory_ckpt(cfg)
     # an old plain head with other values: same shapes as the plain head,
     # different ones from the prompted head
-    old = pipeline.init_model(tiny_cfg(seed=9), decoder=False, pcsm_branch=False,
-                              n_classes=len(cfg.kinds()))
+    old_cfg = tiny_cfg(seed=9)
+    old = pipeline.init_model(old_cfg, decoder=False, pcsm_branch=False)
+    heads.init_head_params(old, old_cfg, len(cfg.kinds()), csep=False)
     polluted.tensors.update((name, t.values) for name, t in old.items()
                             if name.startswith("cls."))
     polluted.tensors["zzz.extra"] = np.zeros(3)
@@ -286,12 +287,13 @@ def test_ablate_rejects_unknown_strategy():
 
 # ----------------------------------------------- grouping and export
 
-def test_cloud_assignment_shapes_and_ranges():
+def test_cloud_assignment_shapes_and_ranges(tmp_path):
     cfg = tiny_cfg()
     store = pipeline.init_model(cfg)
     cloud = shapes.make_shape("plane", cfg.n_points, seed=0)
-    point_labels, assignment, members = pipeline.cloud_assignment(
-        store, cloud.points, cfg)
+    tb, grouping = pcsm.cloud_assignment(cloud.points, store, cfg)
+    assignment, members = grouping.assignment, tb.member_indices
+    point_labels = pipeline.export_groups(store, cloud.points, cfg, tmp_path / "groups.txt")
     assert point_labels.shape == (cfg.n_points,)
     assert assignment.shape == (cfg.n_patches,)
     assert members.shape == (cfg.n_patches, cfg.knn_k)
