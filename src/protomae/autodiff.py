@@ -1,11 +1,19 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 A deliberately small engine: ``Tensor`` wraps a numpy array plus a gradient
 accumulator, every operation records its parents and a backward closure on an
 implicit tape, and ``Tensor.backward()`` walks the tape once in reverse
-topological order.  Everything runs in double precision; any op that produces
-a non-finite value raises ``NumericError`` naming the op, so NaNs cannot
-propagate silently into a training run.
+topological order.  Any op that produces a non-finite value raises
+``NumericError`` naming the op, so NaNs cannot propagate silently into a
+training run.
+
+A tape runs in one dtype, the dtype of the ``ParamStore`` it reads: float64
+(the default and the reference) or float32.  Nothing converts silently.
+Constants are cast to the tape's dtype where they enter it (the callers'
+job, except for ``chamfer_batch``'s target), and an op whose operands
+differ in dtype, or a gradient whose dtype differs from its tensor's,
+raises ``InvariantViolation`` naming the op.  ``AdamW`` keeps its moments
+and scratch rows in the store's dtype.
 
 Only the primitives the point-cloud networks actually need are provided.
 Sequence ops work on the last two axes, (rows, channels), and accept any
@@ -32,6 +40,7 @@ from .geometry import sq_dists
 
 _MAX_NDIM = 4
 _CHUNK = 16384  # AdamW block: 128 KiB per float64 row, so a block's rows stay in L2
+DTYPES = ("float32", "float64")
 
 # ---------------------------------------------------------------------------
 # Tensor and tape
@@ -39,17 +48,20 @@ _CHUNK = 16384  # AdamW block: 128 KiB per float64 row, so a block's rows stay i
 
 
 class Tensor:
-    """A float64 array with an optional gradient accumulator.
+    """A float32 or float64 array with an optional gradient accumulator.
 
-    Leaf tensors created with ``requires_grad=True`` get a zero-initialised
-    ``grad`` of the same shape immediately.  Interior nodes allocate their
-    gradient lazily during backward.
+    A float32 array stays float32; anything else becomes float64.  Leaf
+    tensors created with ``requires_grad=True`` get a zero-initialised
+    ``grad`` of the same shape and dtype immediately.  Interior nodes
+    allocate their gradient lazily during backward.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim > _MAX_NDIM:
             raise InvalidArgument(f"tensors are limited to {_MAX_NDIM} dimensions, got {arr.ndim}")
         self.values = arr
@@ -80,14 +92,16 @@ class Tensor:
         ``seed`` defaults to ones (the usual scalar-loss case).  Multiple uses
         of a tensor sum their contributions; calling backward twice without
         zeroing grads keeps accumulating, which the optimizer relies on not
-        happening (it zeroes after each step).
+        happening (it zeroes after each step).  A gradient whose dtype
+        differs from its tensor's raises ``InvariantViolation`` naming the
+        op whose backward produced it.
         """
         if not self.requires_grad:
             raise InvalidArgument("backward() on a tensor that does not require grad")
         if seed is None:
             seed = np.ones_like(self.values)
         else:
-            seed = np.asarray(seed, dtype=np.float64)
+            seed = np.asarray(seed, dtype=self.values.dtype)
             if seed.shape != self.values.shape:
                 raise InvalidArgument(f"seed shape {seed.shape} != value shape {self.values.shape}")
 
@@ -107,10 +121,14 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        _accum(self, seed)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node)
+        node = self
+        try:
+            _accum(self, seed)
+            for node in reversed(topo):
+                if node._backward is not None:
+                    node._backward(node)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"backward of op '{node._op}': {exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.values.shape}, op={self._op}, grad={self.requires_grad})"
@@ -122,22 +140,34 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     The first contribution is copied, since it may be a view of another
     node's gradient (or the caller's seed); ``fresh`` marks an array the
     backward function just allocated and owns nothing else, which ``t``
-    then takes over as its accumulator without a copy.
+    then takes over as its accumulator without a copy.  ``g`` must have
+    ``t``'s dtype; ``Tensor.backward`` names the op when it does not.
     """
+    if g.dtype != t.values.dtype:
+        raise InvariantViolation(f"{g.dtype} gradient for a {t.values.dtype} tensor")
     if t.grad is None:
-        t.grad = g if fresh else g.astype(np.float64, copy=True)
+        t.grad = g if fresh else g.copy(order="K")
     else:
         t.grad += g
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[Tensor], None] | None) -> Tensor:
-    """Create an interior tape node, checking finiteness of the forward value."""
-    values = np.asarray(values, dtype=np.float64)
+    """Create an interior tape node, checking the dtype and finiteness of its value.
+
+    The value must have every parent's dtype: numpy promotes a float32 and a
+    float64 operand to float64, so a mix shows here as a parent whose dtype
+    differs from the value's.
+    """
+    values = np.asarray(values)
+    for p in parents:
+        if p.values.dtype != values.dtype:
+            raise InvariantViolation(
+                f"op '{op}' mixes {p.values.dtype} and {values.dtype} operands")
     if values.ndim > _MAX_NDIM:
         raise InvalidArgument(f"op '{op}' produced a {values.ndim}-d tensor (max {_MAX_NDIM})")
     if not np.all(np.isfinite(values)):
@@ -197,9 +227,9 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def mul_const(a: Tensor, c) -> Tensor:
-    """Elementwise product with a constant array (masks, one-hot rows)."""
+    """Elementwise product with a constant array (masks, one-hot rows) of ``a``'s dtype."""
     a = _as_tensor(a)
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c)
     if c.shape != a.values.shape:
         raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
 
@@ -351,7 +381,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         if a.requires_grad:
             entries = int(np.prod(lead, dtype=np.int64))
             flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
-            g = np.zeros((entries * n, c))
+            g = np.zeros((entries * n, c), dtype=out.grad.dtype)
             np.add.at(g, flat, out.grad.reshape(-1, c))
             _accum(a, g.reshape(a.values.shape), fresh=True)
 
@@ -545,13 +575,13 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over batch entries of chamfer(pred[i], target[i]).
 
     ``pred`` is (..., M, D) on the tape; ``target`` is a constant
-    (..., L, D) array with the same leading axes.  Every leading entry is
-    one pair, so a 2-d input is a single pair and a (B, G, k, 3) input is
-    B·G per-patch pairs.
+    (..., L, D) array with the same leading axes, cast to ``pred``'s dtype.
+    Every leading entry is one pair, so a 2-d input is a single pair and a
+    (B, G, k, 3) input is B·G per-patch pairs.
     """
     pred = _as_tensor(pred)
     pv = pred.values
-    tgt = np.asarray(target, dtype=np.float64)
+    tgt = np.asarray(target, dtype=pv.dtype)
     if pv.ndim < 2 or tgt.ndim != pv.ndim or tgt.shape[:-2] != pv.shape[:-2] \
             or tgt.shape[-1] != pv.shape[-1]:
         raise InvalidArgument(
@@ -645,7 +675,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         raise InvalidArgument(f"{targets.size} targets for {r} logit rows")
     if targets.min() < 0 or targets.max() >= n:
         raise InvalidArgument(f"target out of range for {n} classes")
-    onehot = np.zeros((r, n))
+    onehot = np.zeros((r, n), dtype=rows.values.dtype)
     onehot[np.arange(r), targets] = 1.0
     lse = sum_all(logsumexp_rows(rows))
     picked = sum_all(mul_const(rows, onehot))
@@ -672,11 +702,16 @@ class ParamStore:
     """Named map of trainable tensors with deterministic creation order.
 
     Iteration is always lexicographic by name so the optimiser update order
-    (and therefore every downstream float) is reproducible.
+    (and therefore every downstream float) is reproducible.  Every tensor
+    has the store's ``dtype``; random initial values are drawn in float64
+    and then cast, so a float32 store starts from the float64 one rounded.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, dtype: str = "float64"):
+        if dtype not in DTYPES:
+            raise InvalidArgument(f"dtype must be one of {', '.join(DTYPES)}, got '{dtype}'")
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(self.seed)
         self._params: dict[str, Tensor] = {}
 
@@ -684,11 +719,11 @@ class ParamStore:
         if name in self._params:
             raise InvalidArgument(f"parameter '{name}' already exists")
         if init == "trunc_normal":
-            values = truncated_normal(self.rng, shape)
+            values = truncated_normal(self.rng, shape).astype(self.dtype, copy=False)
         elif init == "zeros":
-            values = np.zeros(shape)
+            values = np.zeros(shape, dtype=self.dtype)
         elif init == "ones":
-            values = np.ones(shape)
+            values = np.ones(shape, dtype=self.dtype)
         else:
             raise InvalidArgument(f"unknown init '{init}'")
         t = Tensor(values, requires_grad=True)
@@ -734,10 +769,12 @@ class AdamW:
     The step streams through memory once and allocates nothing: the moments
     ``_m``/``_v`` are created once per parameter (kept by name), and each
     parameter is walked in blocks of ``_CHUNK`` elements through scratch
-    rows allocated with the optimizer.  Within a block the ufuncs run in the
-    order of the whole-array update, so every value is bit-identical to it.
-    A non-finite gradient raises ``NumericError`` before its block is
-    written; blocks and parameters before it have already been stepped.
+    rows allocated with the optimizer.  Moments and scratch rows have the
+    store's dtype, and a parameter or gradient of another dtype is an
+    invariant violation.  Within a block the ufuncs run in the order of the
+    whole-array update, so every value is bit-identical to it.  A non-finite
+    gradient raises ``NumericError`` before its block is written; blocks
+    and parameters before it have already been stepped.
     """
 
     def __init__(self, store: ParamStore, lr: float, betas: tuple[float, float] = (0.9, 0.999),
@@ -752,7 +789,8 @@ class AdamW:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._scratch = (np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool))
+        self._scratch = (np.empty(_CHUNK, dtype=store.dtype), np.empty(_CHUNK, dtype=store.dtype),
+                         np.empty(_CHUNK, dtype=bool))
 
     def step(self) -> None:
         self.t += 1
@@ -767,9 +805,12 @@ class AdamW:
                 raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
             if not (g.flags.c_contiguous and p.values.flags.c_contiguous):
                 raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
+            if not p.values.dtype == g.dtype == self.store.dtype:
+                raise InvariantViolation(f"parameter '{name}' or its gradient is not "
+                                         f"{self.store.dtype}")
             if name not in self._m:
-                self._m[name] = np.zeros(p.values.shape)
-                self._v[name] = np.zeros(p.values.shape)
+                self._m[name] = np.zeros_like(p.values)
+                self._v[name] = np.zeros_like(p.values)
             lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
             flat = [x.reshape(-1) for x in (p.values, g, self._m[name], self._v[name])]
             for lo in range(0, g.size, _CHUNK):

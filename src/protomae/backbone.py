@@ -119,7 +119,7 @@ def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
     batch) of the chamfer distance between the predicted and true
     centre-relative patches.
     """
-    tgt = np.asarray(target_local, dtype=np.float64)
+    tgt = np.asarray(target_local)
     if pred.values.ndim < 3 or pred.values.shape[-3] == 0:
         raise InvalidArgument("l_3d expects a nonempty (..., G_mask, k, 3) prediction")
     if tgt.shape[:-2] != pred.values.shape[:-2]:

@@ -15,10 +15,15 @@ Tensors are written sorted by name and the JSON is canonical (sorted keys, no
 whitespace), so save -> load -> save reproduces the file byte for byte.
 Writes go to a temp file in the target directory and are renamed into place.
 They stream: the header goes out first, then each tensor's bytes straight
-from its float64 array, so a save builds no copy of the model in memory.
+from its float64 array, so a save of a float64 store builds no copy of the
+model in memory.  A float32 store is widened one tensor at a time.  The file
+stays float64 whatever the compute dtype: widening is exact, so a float32
+store saves and loads back bit for bit, and its dtype travels in the config
+text (``dtype = float32``).
 Loading (``load_into``) needs every tensor of the receiving store, shape
-included, and ignores the rest, so each run builds a store of exactly what it
-reads and creates anything fresh (a classification head) after loading.
+included, casts into the store's dtype and ignores the rest, so each run
+builds a store of exactly what it reads and creates anything fresh (a
+classification head) after loading.
 """
 
 from __future__ import annotations
@@ -47,9 +52,16 @@ class Checkpoint:
     config_text: str
     rng_state: dict
     tensors: dict[str, np.ndarray]
+    path: Path | None = None        # the file it was loaded from, if any
 
     def config(self) -> RunConfig:
-        return RunConfig.from_text(self.config_text)
+        """The embedded config; an error in it names the checkpoint file."""
+        try:
+            return RunConfig.from_text(self.config_text)
+        except ConfigError as exc:
+            if self.path is None:
+                raise
+            raise ConfigError(f"{self.path}: embedded config: {exc}") from None
 
 
 def from_store(store: ad.ParamStore, cfg: RunConfig,
@@ -153,11 +165,12 @@ def load(path: str | Path) -> Checkpoint:
     if r.off != len(data):
         raise ConfigError(f"{path}: {len(data) - r.off} trailing bytes")
     return Checkpoint(version=version, config_text=config_text,
-                      rng_state=rng_state, tensors=tensors)
+                      rng_state=rng_state, tensors=tensors, path=path)
 
 
 def load_into(store: ad.ParamStore, ckpt: Checkpoint) -> None:
-    """Copy the checkpoint's tensors into every tensor of an initialised store.
+    """Copy the checkpoint's tensors into every tensor of an initialised store,
+    cast to the store's dtype.
 
     Every tensor the store holds must be in the checkpoint with the same
     shape; otherwise a ``ConfigError`` names every missing tensor, or else

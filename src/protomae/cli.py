@@ -65,15 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace,
-                 ck: checkpoint.Checkpoint | None = None) -> RunConfig:
+                 ck: checkpoint.Checkpoint | None = None,
+                 default: str = "test-small") -> RunConfig:
     """--config or --preset when given, else the config embedded in the
-    checkpoint ``ck`` the command reads, else test-small; then --seed."""
+    checkpoint ``ck`` the command reads, else the ``default`` preset; then
+    --seed."""
     if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
     if args.config:
         cfg = RunConfig.from_file(args.config)
     elif args.preset or ck is None:
-        cfg = preset(args.preset or "test-small")
+        cfg = preset(args.preset or default)
     else:
         cfg = ck.config()
     if args.seed is not None:
@@ -139,7 +141,7 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = preset("toy") if not (args.config or args.preset) else _load_config(args)
+    cfg = _load_config(args, default="toy")
     reports = verification.gradient_suite(cfg)
     failed = False
     for r in reports:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .autodiff import DTYPES
 from .errors import ConfigError
 from .shapes import SHAPE_KINDS
 
@@ -24,6 +25,7 @@ class RunConfig:
 
     preset: str = "paper-default"
     seed: int = 0
+    dtype: str = "float64"          # compute dtype of the store, the tape and AdamW
 
     # geometry / tokens
     n_points: int = 1024
@@ -90,6 +92,7 @@ class RunConfig:
         c = self
         unknown = [k for k in c.kinds() if k not in SHAPE_KINDS]
         checks = [
+            (c.dtype in DTYPES, f"dtype must be one of {', '.join(DTYPES)}, got '{c.dtype}'"),
             (c.n_points >= 64, "n_points must be >= 64"),
             (1 <= c.n_patches <= c.n_points, "n_patches must be in [1, n_points]"),
             (1 <= c.knn_k <= c.n_points, "knn_k must be in [1, n_points]"),
@@ -192,9 +195,9 @@ def _coerce(key: str, type_name: str, val: str, lineno: int):
 # ---------------------------------------------------------------------------
 
 _PRESETS: dict[str, dict] = {
-    # full-size architecture; used for shape and contract checks, not trained
-    # in the test suite
-    "paper-default": {},
+    # full-size architecture, computed in float32 (float64 GEMMs and AdamW
+    # passes bound a step at this width)
+    "paper-default": dict(dtype="float32"),
     # small enough to pretrain end to end on one desktop core in minutes
     "test-small": dict(
         n_points=256, n_patches=32, knn_k=8, dim=64, heads=4,

@@ -76,7 +76,7 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     center_idx = geo.fps(pts, cfg.n_patches, start=start)
     patches = geo.knn(pts, center_idx, cfg.knn_k)
 
-    x = Tensor(patches.local_coords)
+    x = Tensor(patches.local_coords.astype(params["embed.mlp1.w0"].values.dtype, copy=False))
     h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
     h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
     h = ad.concat([h, pool_row(h)], axis=-1)
@@ -102,8 +102,9 @@ def pool_row(rows: Tensor) -> Tensor:
 
 
 def pos_embed(centers: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
-    """Affine map of absolute centre coordinates to token width."""
-    centers = np.asarray(centers, dtype=np.float64)
+    """Affine map of absolute centre coordinates to token width, in the weights' dtype."""
+    w = params["embed.pos.w"]
+    centers = np.asarray(centers, dtype=w.values.dtype)
     if centers.ndim < 2 or centers.shape[-1] != 3:
         raise InvalidArgument(f"pos_embed expects (..., G, 3) centres, got {centers.shape}")
-    return ad.linear(Tensor(centers), params["embed.pos.w"], params["embed.pos.b"])
+    return ad.linear(Tensor(centers), w, params["embed.pos.b"])

@@ -128,10 +128,13 @@ def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods
     """k nearest neighbours of each centre, self included.
 
     ``points`` is (..., N, 3) and ``center_indices`` (..., G), or (G,) for
-    the same centres in every leading entry.  One (G, N) distance matrix per
-    entry is sorted per row with a stable argsort, so members are ordered by
-    (Euclidean distance, index); ``local_coords`` are member coordinates
-    minus the centre coordinate, computed by exact subtraction.
+    the same centres in every leading entry.  Members are ordered by
+    (Euclidean distance, index): ``argpartition`` keeps the k nearest of
+    each row of the (G, N) distance matrices, and a stable sort orders
+    them.  A row where points tie at the k-th distance is sorted whole
+    instead, so ties always keep the lowest indices.  ``local_coords`` are
+    member coordinates minus the centre coordinate, computed by exact
+    subtraction.
     """
     pts = _clouds(points, "knn")
     lead, n = pts.shape[:-2], pts.shape[-2]
@@ -146,7 +149,12 @@ def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods
     rows = np.arange(flat.shape[0])[:, None]
     origin = flat[rows, centers.reshape(-1, g)]                        # (L, G, 3)
     d = sq_dists(flat[:, None, :, :], origin[:, :, None, :])
-    members = np.argsort(d, axis=-1, kind="stable")[..., :k]          # (L, G, k)
+    members = np.sort(np.argpartition(d, k - 1, axis=-1)[..., :k], axis=-1)   # (L, G, k)
+    near = np.take_along_axis(d, members, axis=-1)
+    members = np.take_along_axis(members, np.argsort(near, axis=-1, kind="stable"), axis=-1)
+    tied = np.count_nonzero(d <= near.max(axis=-1, keepdims=True), axis=-1) > k
+    if tied.any():
+        members[tied] = np.argsort(d[tied], axis=-1, kind="stable")[:, :k]
     local = flat[rows[..., None], members] - origin[:, :, None, :]
     return Neighborhoods(member_indices=members.reshape(lead + (g, k)),
                          local_coords=local.reshape(lead + (g, k, 3)))

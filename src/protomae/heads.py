@@ -96,8 +96,8 @@ def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
     if prompt_rows is None:
         p_hat = pcsm.prompts(tb, store, cfg)
     else:
-        p_hat = Tensor(np.asarray(prompt_rows, dtype=np.float64))
+        p_hat = Tensor(np.asarray(prompt_rows, dtype=store["cls.token"].values.dtype))
         if p_hat.values.shape[-1] != c:
             raise InvalidArgument(f"prompt rows must be width {c}")
-    zeros = Tensor(np.zeros((p_hat.values.shape[-2], c)))
+    zeros = Tensor(np.zeros((p_hat.values.shape[-2], c), dtype=p_hat.values.dtype))
     return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], store, cfg)

@@ -68,9 +68,12 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
     unchanged.
 
     Parameter free and applied only to stop-gradient features, so it is plain
-    numpy.  ``tokens`` is (..., G, C) and ``centers`` (..., G, 3).
+    numpy.  ``tokens`` is (..., G, C) and ``centers`` (..., G, 3).  It
+    computes in float64 and returns the tokens' dtype.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
+    tokens = np.asarray(tokens)
+    dtype = np.float32 if tokens.dtype == np.float32 else np.float64
+    tokens = tokens.astype(np.float64, copy=False)
     centers = np.asarray(centers, dtype=np.float64)
     g, c = tokens.shape[-2:]
     if centers.shape[:-1] != tokens.shape[:-1]:
@@ -82,7 +85,7 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
     gathered = flat[np.arange(flat.shape[0])[:, None, None], members]   # (L, G, k, C)
     mu = gathered.mean(axis=-2)
     sd = gathered.std(axis=-2)
-    return tokens + ((flat - mu) / (sd + eps)).reshape(tokens.shape)
+    return (tokens + ((flat - mu) / (sd + eps)).reshape(tokens.shape)).astype(dtype, copy=False)
 
 
 def update_prototypes(prototypes: Tensor, tokens: Tensor) -> Tensor:
@@ -167,7 +170,8 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     pn = ad.l2_normalize_rows(prototypes_hat)
     d = ad.scale(ad.matmul(pn, ad.transpose(pn)), 1.0 / temperature)
     lse = ad.logsumexp_rows(d)
-    return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), Tensor(np.float64(-q / temperature)))
+    diagonal = Tensor(np.asarray(-q / temperature, dtype=lse.values.dtype))
+    return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), diagonal)
 
 
 def refresh(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,

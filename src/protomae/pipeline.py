@@ -84,7 +84,7 @@ def token_truth(cloud: PointCloud, member_indices: np.ndarray) -> np.ndarray:
 
 def init_model(cfg: RunConfig, decoder: bool = True,
                pcsm_branch: bool = True) -> ad.ParamStore:
-    store = ad.ParamStore(cfg.seed)
+    store = ad.ParamStore(cfg.seed, cfg.dtype)
     embedding.init_embedding_params(store, cfg)
     backbone.init_backbone_params(store, cfg, with_decoder=decoder)
     if pcsm_branch:
@@ -93,10 +93,11 @@ def init_model(cfg: RunConfig, decoder: bool = True,
 
 
 def params_hash(store: ad.ParamStore) -> str:
+    """sha256 over each name and its tensor widened to float64, as a checkpoint stores it."""
     h = hashlib.sha256()
     for name, t in store.items():
         h.update(name.encode("utf-8"))
-        h.update(t.values.tobytes())
+        h.update(np.ascontiguousarray(t.values, dtype=np.float64))
     return h.hexdigest()
 
 

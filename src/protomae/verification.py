@@ -7,7 +7,7 @@ the ``ok`` flags so a harness can render every result before deciding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,7 +180,10 @@ def _check_loss(store: ad.ParamStore, loss_fn, names: list[str],
 
 def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
                    probes_per_tensor: int = 3, seed: int = 0) -> list[GradReport]:
-    """Finite-difference checks for all four losses on the toy preset.
+    """Finite-difference checks for all four losses, on the toy preset by default.
+
+    The suite always runs in float64, whatever ``cfg.dtype`` says: its 1e-4
+    bound is a double-precision bound.
 
     Each loss is checked over the parameters its tape actually reaches, plus
     any parameter that is provably inert for it (zero analytic gradient, and
@@ -189,7 +192,7 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     fixed, exactly as the training tape does: features cross the
     stop-gradient boundary as constants and the argmax is index data.
     """
-    cfg = (cfg or preset("toy")).validate()
+    cfg = replace(cfg or preset("toy"), dtype="float64").validate()
     rng = np.random.default_rng(seed)
     kinds = cfg.kinds()
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)

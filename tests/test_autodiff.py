@@ -583,6 +583,79 @@ def test_adamw_blocks_match_whole_array_reference():
             assert_same_bits(p.grad, np.zeros(p.values.shape))
 
 
+def test_float32_adamw_blocks_match_whole_array_reference():
+    n = 3 * ad._CHUNK + 5
+
+    def build(cls):
+        store = ad.ParamStore(seed=4, dtype="float32")
+        store.create("w", (n,))
+        b = store.create("b", (7,), init="zeros")
+        b.values[:3] = [-0.0, 1e-40, -2.5]  # 1e-40 is subnormal in float32
+        return store, cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05,
+                          overrides={"b": (0.1, 0.0)})
+
+    (store, opt), (ref_store, ref) = build(ad.AdamW), build(ReferenceAdamW)
+    rng = np.random.default_rng(5)
+    for t in range(5):
+        for o in (opt, ref):
+            o.overrides["b"] = (0.1 / (t + 1), 0.0 if t == 0 else 0.01 * t)
+        for name, p in store.items():
+            g = rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-40, 4, p.values.shape)
+            g[::11] = 0.0
+            p.grad[...] = g
+            ref_store[name].grad[...] = g
+        opt.step()
+        ref.step()
+        for name, p in store.items():
+            for got, want in ((p.values, ref_store[name].values),
+                              (opt._m[name], ref._m[name]), (opt._v[name], ref._v[name])):
+                assert got.dtype == want.dtype == np.float32
+                np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+            assert p.grad.dtype == np.float32 and not p.grad.any()
+
+
+def test_adamw_parameter_of_another_dtype_is_invariant_violation():
+    store = ad.ParamStore(seed=0, dtype="float32")
+    p = store.create("p", (3,))
+    p.grad = np.zeros(3)
+    with pytest.raises(InvariantViolation, match="'p' or its gradient is not float32"):
+        ad.AdamW(store, lr=0.1).step()
+
+
+@pytest.mark.parametrize("build, op", [
+    (lambda a, b: ad.add(a, b), "add"),
+    (lambda a, b: ad.matmul(a, b), "matmul"),
+    (lambda a, b: ad.concat([a, b], axis=-1), "concat"),
+    (lambda a, b: ad.mul_const(a, b.values), "mul_const"),
+])
+def test_mixing_float32_and_float64_operands_names_the_op(build, op):
+    a = ad.Tensor(RNG.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    with pytest.raises(InvariantViolation, match=f"op '{op}' mixes float32 and float64"):
+        build(a, b)
+
+
+def test_float64_gradient_into_a_float32_tensor_names_the_op():
+    a = ad.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    out = ad.scale(a, 2.0)
+    out._backward = lambda node: ad._accum(a, np.ones((2, 2)))
+    with pytest.raises(InvariantViolation, match="backward of op 'scale': float64 gradient"):
+        ad.sum_all(out).backward()
+
+
+def test_float32_tape_stays_float32():
+    x = ad.Tensor(RNG.normal(size=(2, 5, 4)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(RNG.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+    h = ad.layer_norm(ad.gelu(ad.linear(x, w)), ad.Tensor(np.ones(4, np.float32)),
+                      ad.Tensor(np.zeros(4, np.float32)))
+    h = ad.multi_head_attention(h, h, h, heads=2)
+    loss = ad.add(ad.cross_entropy(ad.max_over_rows(ad.gather_rows(h, [0, 2, 2])), 1),
+                  ad.chamfer_batch(ad.reshape(h, (2, 10, 2)), RNG.normal(size=(2, 3, 2))))
+    assert loss.values.dtype == np.float32
+    loss.backward()
+    assert x.grad.dtype == w.grad.dtype == np.float32
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_adamw_non_finite_gradient_names_the_parameter(bad):
     store = ad.ParamStore(seed=0)

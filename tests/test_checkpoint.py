@@ -6,6 +6,7 @@ and every malformed input fails with a message naming the offending
 tensor or byte range rather than an index error from struct.
 """
 
+import dataclasses
 import hashlib
 import struct
 import tracemalloc
@@ -110,6 +111,34 @@ def test_save_streams_without_copying_the_store(tmp_path):
     loaded = checkpoint.load(path).tensors
     for name, t in store.items():
         np.testing.assert_array_equal(loaded[name], t.values)
+
+
+def test_float32_store_round_trips_exactly(tmp_path):
+    cfg = dataclasses.replace(preset("toy"), dtype="float32").validate()
+    store = pipeline.init_model(cfg)
+    rng = np.random.default_rng(0)
+    for _, t in store.items():
+        t.values += (0.01 * rng.standard_normal(t.values.shape)).astype(np.float32)
+    path = tmp_path / "ck.bin"
+    checkpoint.save(path, store, cfg, np.random.default_rng(3))
+    ckpt = checkpoint.load(path)
+    assert ckpt.config() == cfg
+    # on disk every tensor is the exact float64 widening
+    for name, t in store.items():
+        assert ckpt.tensors[name].dtype == np.float64
+        np.testing.assert_array_equal(ckpt.tensors[name], t.values.astype(np.float64))
+    fresh = pipeline.init_model(dataclasses.replace(cfg, seed=9))
+    checkpoint.load_into(fresh, ckpt)
+    for name, t in store.items():
+        assert fresh[name].values.dtype == np.float32
+        np.testing.assert_array_equal(fresh[name].values.view(np.int32), t.values.view(np.int32))
+    assert pipeline.params_hash(fresh) == pipeline.params_hash(store)
+    # the hash is of the widened tensors, so a loaded checkpoint gives it too
+    widened = ad.ParamStore(seed=0)
+    for name in store.names():
+        widened.create(name, ckpt.tensors[name].shape)
+    checkpoint.load_into(widened, ckpt)
+    assert pipeline.params_hash(widened) == pipeline.params_hash(store)
 
 
 # ----------------------------------------------------------- load_into

@@ -35,6 +35,14 @@ def test_gradcheck_exits_zero(capsys):
     assert out.count("ok ") == 4 and "FAIL" not in out
 
 
+def test_gradcheck_honours_the_seed(capsys):
+    assert cli.main(["gradcheck"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["--seed", "5", "gradcheck"]) == 0
+    seeded = capsys.readouterr().out
+    assert seeded.count("ok ") == 4 and seeded != default
+
+
 def test_failed_suite_exits_three(monkeypatch, capsys):
     bad = SimpleNamespace(op="fps", instances=1, mismatches=1,
                           max_deviation=1.0, ok=False)
@@ -83,6 +91,30 @@ def test_corrupt_checkpoint_exits_two(toy_config_file, tmp_path, capsys):
                      "finetune", "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["float16", "bogus"])
+def test_unknown_dtype_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"preset = toy\ndtype = {value}\n")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "pretrain"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dtype" in err and value in err
+
+
+@pytest.mark.parametrize("command", ["finetune", "export-groups"])
+def test_bad_embedded_config_names_the_checkpoint(tmp_path, capsys, command):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ck = checkpoint.from_store(pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    ck.config_text = "dim = 16\nbogus line\n"
+    path = tmp_path / "pre.bin"
+    checkpoint.write(path, ck)
+    assert cli.main(["--out", str(tmp_path), command, "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: embedded config: line 2: expected 'key = value'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("learning_rate", "inf"),

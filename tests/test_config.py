@@ -94,3 +94,16 @@ def test_zero_weight_decays_and_a_disabled_early_stop_are_accepted():
     cfg = RunConfig.from_text("preset = toy\nweight_decay = 0\nproto_weight_decay = 0\n"
                               "stop_train_accuracy = 1.01\n")
     assert (cfg.weight_decay, cfg.proto_weight_decay, cfg.stop_train_accuracy) == (0.0, 0.0, 1.01)
+
+
+def test_presets_set_their_compute_dtype():
+    assert RunConfig().dtype == "float64"
+    assert preset("paper-default").dtype == "float32"
+    assert preset("test-small").dtype == preset("toy").dtype == "float64"
+    assert "dtype = float32" in preset("paper-default").to_text()
+
+
+@pytest.mark.parametrize("value", ["float16", "bogus"])
+def test_unknown_dtype_names_the_key(value):
+    with pytest.raises(ConfigError, match=f"dtype must be one of float32, float64, got '{value}'"):
+        RunConfig.from_text(f"preset = toy\ndtype = {value}\n")

@@ -150,6 +150,20 @@ def test_knn_against_oracle_random_instances():
         np.testing.assert_array_equal(nb.local_coords[0], pts[members] - pts[c])
 
 
+def test_knn_ties_at_the_kth_place_keep_the_lowest_indices():
+    # an integer grid puts many points at equal distance from every centre,
+    # so most k cut through a tie; two leading entries share one call
+    axis = np.arange(3.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    clouds = np.stack([grid, grid[::-1]])
+    centers = np.arange(grid.shape[0])
+    for k in range(1, grid.shape[0] + 1):
+        members = geo.knn(clouds, centers, k).member_indices
+        for b in range(2):
+            for c in centers:
+                assert members[b, c].tolist() == oracle_knn(clouds[b], c, k), (b, c, k)
+
+
 def test_knn_local_coords_translation_invariant():
     pts = RNG.normal(size=(30, 3))
     base = geo.knn(pts, np.array([3, 11]), 6)
