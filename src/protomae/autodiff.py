@@ -26,6 +26,19 @@ set pair, so a 2-d input is a single pair.  A node stores
 its backward function rather than a closure over itself, so a tape holds no
 reference cycles and is freed by reference counting as soon as the last
 reference to its output is dropped.
+
+The kernels follow one rule, so a forward pass on frozen weights (no tape)
+pays only for the values it returns:
+
+* a forward computes only its value.  State that only backward reads, such
+  as ``max_over_rows``' first-argmax index or ``relu``'s mask, is derived
+  inside backward from the saved input and output;
+* an op writes in place only into arrays it allocated in that same call,
+  never into an operand, a saved array or another node's gradient.  The
+  in-place forms keep the ufunc order of the plain expressions, so values
+  and gradients are bit-identical to them;
+* ``linear`` is one node: one GEMM, the bias added in place into the fresh
+  product, and one finiteness check.
 """
 
 from __future__ import annotations
@@ -166,8 +179,8 @@ def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
     values = np.asarray(values)
     for p in parents:
         if p.values.dtype != values.dtype:
-            raise InvariantViolation(
-                f"op '{op}' mixes {p.values.dtype} and {values.dtype} operands")
+            mix = " and ".join(sorted((p.values.dtype.name, values.dtype.name)))
+            raise InvariantViolation(f"op '{op}' mixes {mix} operands")
     if values.ndim > _MAX_NDIM:
         raise InvalidArgument(f"op '{op}' produced a {values.ndim}-d tensor (max {_MAX_NDIM})")
     if not np.all(np.isfinite(values)):
@@ -278,6 +291,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _sum_to_shape(gb, bv.shape), fresh=True)
 
     return _node("matmul", values, (a, b), backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` for a 2-d ``weight`` and a (C_out,) ``bias``, as one node.
+
+    All leading rows of ``x`` go through one GEMM, as in ``matmul``; the
+    bias is added in place into the fresh product, and its gradient sums
+    over those rows.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    xv, wv = x.values, weight.values
+    if xv.ndim < 2 or wv.ndim != 2:
+        raise InvalidArgument(f"linear needs a 2+ dim input and a 2-d weight, "
+                              f"got {xv.ndim}-d and {wv.ndim}-d")
+    if xv.shape[-1] != wv.shape[0]:
+        raise InvalidArgument(f"linear inner dims differ: {xv.shape} @ {wv.shape}")
+    parents = (x, weight)
+    values = _flat_matmul(xv, wv)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.values.shape != wv.shape[1:]:
+            raise InvalidArgument(f"linear bias must have shape {wv.shape[1:]}, "
+                                  f"got {bias.values.shape}")
+        parents = (x, weight, bias)
+        values += bias.values
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if bias is not None and bias.requires_grad:
+            _accum(bias, _sum_to_shape(g, bias.values.shape), fresh=True)
+        if x.requires_grad:
+            _accum(x, _flat_matmul(g, wv.T), fresh=True)
+        if weight.requires_grad:
+            _accum(weight, xv.reshape(-1, xv.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+                   fresh=True)
+
+    return _node("linear", values, parents, backward)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -408,16 +458,15 @@ def max_over_rows(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("max_over_rows needs at least 2 dimensions")
-    idx = np.argmax(a.values, axis=-2)
-    values = np.take_along_axis(a.values, np.expand_dims(idx, -2), axis=-2).squeeze(-2)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
+            idx = np.argmax(a.values, axis=-2)
             g = np.zeros_like(a.values)
             np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
             _accum(a, g, fresh=True)
 
-    return _node("max_over_rows", values, (a,), backward)
+    return _node("max_over_rows", a.values.max(axis=-2), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -433,18 +482,19 @@ def sum_all(a: Tensor) -> Tensor:
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis with row-max subtraction."""
     a = _as_tensor(a)
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    values = e / e.sum(axis=-1, keepdims=True)
+    e = a.values - a.values.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            y = out.values
-            g = out.grad
-            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)), fresh=True)
+            y, g = out.values, out.grad
+            ga = g * y                                # y * (g - sum(g * y))
+            np.subtract(g, ga.sum(axis=-1, keepdims=True), out=ga)
+            ga *= y
+            _accum(a, ga, fresh=True)
 
-    out = _node("softmax_rows", values, (a,), backward)
-    return out
+    return _node("softmax_rows", e, (a,), backward)
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -454,24 +504,25 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     e = np.exp(a.values - m)
     s = e.sum(axis=-1, keepdims=True)
     values = (m + np.log(s)).squeeze(-1)
-    soft = e / s
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, soft * np.expand_dims(out.grad, -1), fresh=True)
+            ga = e / s
+            ga *= np.expand_dims(out.grad, -1)
+            _accum(a, ga, fresh=True)
 
     return _node("logsumexp_rows", values, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0), with +0 for every x <= 0; the gradient flows where x > 0."""
     a = _as_tensor(a)
-    mask = a.values > 0
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            _accum(a, out.grad * mask, fresh=True)
+            _accum(a, out.grad * (out.values > 0), fresh=True)
 
-    return _node("relu", np.where(mask, a.values, 0.0), (a,), backward)
+    return _node("relu", np.maximum(a.values, 0.0), (a,), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -482,15 +533,30 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     a = _as_tensor(a)
     x = a.values
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
-    values = 0.5 * x * (1.0 + t)
+    t = x * x                       # t = tanh(C * (x + A * x^3))
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    values = x * 0.5                # 0.5 * x * (1 + t)
+    values *= t + 1.0
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-            _accum(a, out.grad * local, fresh=True)
+            d_inner = x * x         # C * (1 + 3A * x^2)
+            d_inner *= 3.0 * _GELU_A
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            slope = t * t           # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(x * 0.5, slope, out=slope)
+            slope *= d_inner
+            local = t + 1.0
+            local *= 0.5
+            local += slope
+            local *= out.grad
+            _accum(a, local, fresh=True)
 
     return _node("gelu", values, (a,), backward)
 
@@ -501,22 +567,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     c = x.values.shape[-1]
     if gain.values.shape != (c,) or bias.values.shape != (c,):
         raise InvalidArgument(f"layer_norm gain/bias must have shape ({c},)")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
-    values = xhat * gain.values + bias.values
+    xhat = x.values - x.values.mean(axis=-1, keepdims=True)
+    values = xhat * xhat            # the squares, as ndarray.var forms them
+    inv = 1.0 / np.sqrt(values.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.values, out=values)
+    values += bias.values
 
     def backward(out: Tensor) -> None:
         g = out.grad
+        tmp = g * xhat
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, c).sum(axis=0), fresh=True)
+            _accum(gain, tmp.reshape(-1, c).sum(axis=0), fresh=True)
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, c).sum(axis=0), fresh=True)
         if x.requires_grad:
-            gx = g * gain.values
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, term * inv, fresh=True)
+            gx = g * gain.values    # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
+            np.multiply(gx, xhat, out=tmp)
+            mean_gx_xhat = tmp.mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(xhat, mean_gx_xhat, out=tmp)
+            gx *= inv
+            _accum(x, gx, fresh=True)
 
     return _node("layer_norm", values, (x, gain, bias), backward)
 
@@ -603,13 +675,6 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Composite layers
 # ---------------------------------------------------------------------------
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 def _split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:

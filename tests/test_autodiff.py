@@ -627,6 +627,7 @@ def test_adamw_parameter_of_another_dtype_is_invariant_violation():
     (lambda a, b: ad.matmul(a, b), "matmul"),
     (lambda a, b: ad.concat([a, b], axis=-1), "concat"),
     (lambda a, b: ad.mul_const(a, b.values), "mul_const"),
+    (lambda a, b: ad.linear(a, a, ad.Tensor(b.values[0])), "linear"),
 ])
 def test_mixing_float32_and_float64_operands_names_the_op(build, op):
     a = ad.Tensor(RNG.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
