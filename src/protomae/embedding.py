@@ -62,7 +62,10 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
 
     The mini-PointNet is the usual two-stage construction: a shared per-point
     MLP, max-pool over the patch, the pooled vector concatenated back onto
-    every point feature, a second shared MLP, and a final max-pool.  Patch
+    every point feature, a second shared MLP, and a final max-pool.  The
+    second MLP's first layer is applied to the concatenation in two halves:
+    ``[h | pool] @ W0`` is ``h @ W0[:h2] + pool @ W0[h2:]``, and the pooled
+    half is computed once per patch rather than once per member.  Patch
     order follows the farthest-point pick order; ``start`` selects the first
     pick (fixed for evaluation, drawn from the training RNG during training),
     one int for every cloud or one per cloud.  The position embeddings come
@@ -79,8 +82,9 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     x = Tensor(patches.local_coords.astype(params["embed.mlp1.w0"].values.dtype, copy=False))
     h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
     h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
-    h = ad.concat([h, pool_row(h)], axis=-1)
-    h = ad.relu(ad.linear(h, params["embed.mlp2.w0"], params["embed.mlp2.b0"]))
+    w0, h2 = params["embed.mlp2.w0"], cfg.embed_hidden2
+    pooled = ad.linear(pool_row(h), ad.slice_rows(w0, h2, 2 * h2), params["embed.mlp2.b0"])
+    h = ad.relu(ad.add(ad.linear(h, ad.slice_rows(w0, 0, h2)), pooled))
     h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
     tokens = ad.max_over_rows(h)
 
