@@ -754,12 +754,19 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
 def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
                      std: float = 0.02) -> np.ndarray:
-    """N(0, std^2) samples with |x| > 2*std redrawn until inside the band."""
+    """N(0, std^2) samples with |x| > 2*std redrawn until inside the band.
+
+    Each round redraws, in flat order, only the entries the last round left
+    outside the band, so the draws are those of redrawing over the whole
+    array each round.
+    """
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while np.any(bad):
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redrawn = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2.0 * std]
     return out
 
 

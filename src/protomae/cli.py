@@ -121,6 +121,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_groups(args: argparse.Namespace) -> int:
+    if args.cloud_seed < 0:
+        raise InvalidArgument(f"--cloud-seed must be >= 0, got {args.cloud_seed}")
     ck = checkpoint.load(args.checkpoint)
     cfg = _load_config(args, ck)
     store = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
@@ -156,6 +158,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_suite(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise InvalidArgument(f"--instances must be >= 1, got {args.instances}")
     reports = verification.oracle_suite(instances=args.instances)
     failed = False
     for r in reports:

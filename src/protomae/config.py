@@ -92,6 +92,8 @@ class RunConfig:
         c = self
         unknown = [k for k in c.kinds() if k not in SHAPE_KINDS]
         checks = [
+            *((getattr(c, k) >= 0, f"{k} must be >= 0, got {getattr(c, k)}")
+              for k in ("seed", "split_seed")),
             (c.dtype in DTYPES, f"dtype must be one of {', '.join(DTYPES)}, got '{c.dtype}'"),
             (c.n_points >= 64, "n_points must be >= 64"),
             (1 <= c.n_patches <= c.n_points, "n_patches must be in [1, n_points]"),

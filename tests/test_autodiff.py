@@ -416,6 +416,31 @@ def test_trunc_normal_band_and_determinism():
     np.testing.assert_array_equal(x, ad.truncated_normal(rng2, (200, 50), std=0.02))
 
 
+def truncated_normal_reference(rng, shape, std):
+    """Redraw over the whole array until every entry is inside the band."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while np.any(bad):
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+@pytest.mark.parametrize("shape, std", [((), 0.02), ((1,), 1.0), ((7, 3), 0.02),
+                                        ((64, 48), 0.5), ((3, 5, 4, 6), 0.02)])
+def test_trunc_normal_redraws_only_the_out_of_band_entries(seed, shape, std):
+    want = truncated_normal_reference(np.random.default_rng(seed), shape, std)
+    rng = np.random.default_rng(seed)
+    got = ad.truncated_normal(rng, shape, std)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
+    # the generator is left where the whole-array loop leaves it
+    after = np.random.default_rng(seed)
+    truncated_normal_reference(after, shape, std)
+    assert rng.random() == after.random()
+
+
 def test_param_store_order_and_duplicates():
     store = ad.ParamStore(seed=1)
     store.create("b.w", (2,))

@@ -269,3 +269,25 @@ def test_seed_override_changes_data_stream(toy_config_file, tmp_path):
                      "--out", str(out_b), "pretrain"]) == 0
     assert (out_a / "pretrain" / "metrics.jsonl").read_bytes() != \
            (out_b / "pretrain" / "metrics.jsonl").read_bytes()
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1", "pretrain"], "config error: seed must be >= 0, got -1"),
+    (["--seed", "-1", "gradcheck"], "config error: seed must be >= 0, got -1"),
+    (["export-groups", "--checkpoint", "no.bin", "--cloud-seed", "-1"],
+     "input error: --cloud-seed must be >= 0, got -1"),
+    (["oracle-suite", "--instances", "0"], "input error: --instances must be >= 1, got 0"),
+    (["oracle-suite", "--instances", "-3"], "input error: --instances must be >= 1, got -3"),
+])
+def test_negative_seed_or_empty_oracle_check_exits_two(tmp_path, capsys, argv, message):
+    assert cli.main(["--out", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "ok " not in captured.out
+
+
+@pytest.mark.parametrize("key", ["seed", "split_seed"])
+def test_negative_seed_in_a_config_file_exits_two(tmp_path, capsys, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"preset = toy\n{key} = -5\n")
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "pretrain"]) == 2
+    assert f"config error: {key} must be >= 0, got -5" in capsys.readouterr().err

@@ -107,3 +107,10 @@ def test_presets_set_their_compute_dtype():
 def test_unknown_dtype_names_the_key(value):
     with pytest.raises(ConfigError, match=f"dtype must be one of float32, float64, got '{value}'"):
         RunConfig.from_text(f"preset = toy\ndtype = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["seed", "split_seed"])
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_negative_seed_is_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got {value}$"):
+        RunConfig.from_text(f"preset = toy\n{key} = {value}\n")
