@@ -134,15 +134,6 @@ def test_unary_kernels_match_the_plain_expressions_bit_for_bit(op, ref, shape, d
     assert_bits_equal(got_gx, want_gx)
 
 
-def test_max_over_rows_ties_still_route_to_the_first_row():
-    x = RNG.integers(-1, 2, size=(2, 3, 6, 4)).astype(np.float32)
-    got, (gx,) = run(ad.max_over_rows, [x], np.ones((2, 3, 4), np.float32))
-    first = np.argmax(x, axis=-2)
-    assert (np.sum(gx, axis=-2) == 1.0).all()
-    np.testing.assert_array_equal(np.argmax(gx, axis=-2), first)
-    np.testing.assert_array_equal(got, x.max(axis=-2))
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_layer_norm_matches_the_plain_expression_bit_for_bit(shape, dtype):
