@@ -461,7 +461,9 @@ def max_over_rows(a: Tensor) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
-            idx = np.argmax(a.values, axis=-2)
+            # the first row equal to the max is the first argmax; a boolean
+            # argmax is several times faster than a float one
+            idx = np.argmax(a.values == np.expand_dims(out.values, -2), axis=-2)
             g = np.zeros_like(a.values)
             np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
             _accum(a, g, fresh=True)

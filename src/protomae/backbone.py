@@ -20,9 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
+from . import embedding
 from .autodiff import Tensor
 from .config import RunConfig
-from .embedding import TokenBatch
 from .errors import InvalidArgument
 
 
@@ -128,15 +128,21 @@ def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
     return ad.chamfer_batch(pred, tgt)
 
 
-def reconstruction_loss(tb: TokenBatch, visible: np.ndarray, masked: np.ndarray,
+def reconstruction_loss(tb: embedding.TokenBatch, visible: np.ndarray, masked: np.ndarray,
                         params: Mapping[str, Tensor], cfg: RunConfig) -> Tensor:
     """The masked-autoencoding branch of a pre-training step: its ``l_3d``.
 
-    Encodes the ``visible`` tokens, decodes the ``masked`` ones (both (..., n)
-    token indices) and scores them against their patches' local coordinates.
+    Reads only the patch geometry of ``tb``, which may come from a tape-free
+    tokenize.  Only the ``visible`` patches ((..., n) indices) go through
+    ``embedding.mini_pointnet`` on ``params``; the positions of all G centres
+    are embedded on ``params`` too, so ``embed.pos.*`` trains.  The encoder
+    sees the visible tokens, the decoder adds the ``masked`` positions, and
+    the prediction is scored against the masked patches' local coordinates.
     """
-    pos_vis = ad.gather_rows(tb.pos, visible)
-    enc = encode(ad.gather_rows(tb.tokens, visible), pos_vis, params, cfg)
-    dm = decode(enc, pos_vis, ad.gather_rows(tb.pos, masked), params, cfg)
+    local_vis = np.take_along_axis(tb.local_coords, visible[..., None, None], axis=-3)
+    pos = embedding.pos_embed(tb.centers, params)
+    pos_vis = ad.gather_rows(pos, visible)
+    enc = encode(embedding.mini_pointnet(local_vis, params, cfg), pos_vis, params, cfg)
+    dm = decode(enc, pos_vis, ad.gather_rows(pos, masked), params, cfg)
     target = np.take_along_axis(tb.local_coords, masked[..., None, None], axis=-3)
     return l_3d(recon_head(dm, params, cfg), target)

@@ -8,6 +8,10 @@ invariant; all absolute position information travels separately, as the
 batch's ``pos`` field (``pos_embed``, a single affine map of the centre
 coordinates).
 
+``tokenize`` builds the patch geometry and runs ``mini_pointnet`` over every
+patch; a training step also runs ``mini_pointnet`` alone, over its visible
+patches (``backbone.reconstruction_loss``).
+
 A batch of clouds is one (B, N, 3) array and yields (B, G, C) tokens from one
 pass; a single (N, 3) cloud yields (G, C) tokens from the same code.
 """
@@ -60,16 +64,12 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
              start=0) -> TokenBatch:
     """Embed a cloud, or a (B, N, 3) batch of clouds, into G tokens of width C each.
 
-    The mini-PointNet is the usual two-stage construction: a shared per-point
-    MLP, max-pool over the patch, the pooled vector concatenated back onto
-    every point feature, a second shared MLP, and a final max-pool.  The
-    second MLP's first layer is applied to the concatenation in two halves:
-    ``[h | pool] @ W0`` is ``h @ W0[:h2] + pool @ W0[h2:]``, and the pooled
-    half is computed once per patch rather than once per member.  Patch
-    order follows the farthest-point pick order; ``start`` selects the first
-    pick (fixed for evaluation, drawn from the training RNG during training),
-    one int for every cloud or one per cloud.  The position embeddings come
-    from the same ``params``.
+    The patch geometry comes first: farthest-point sampling picks the G
+    centres and kNN gathers each centre's k members.  Patch order follows the
+    farthest-point pick order; ``start`` selects the first pick (fixed for
+    evaluation, drawn from the training RNG during training), one int for
+    every cloud or one per cloud.  ``mini_pointnet`` then maps all G patches
+    to tokens, and the position embeddings come from the same ``params``.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[-2] if pts.ndim >= 2 else 0
@@ -78,25 +78,37 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
             f"cloud of {n} points cannot supply {cfg.n_patches} patches of {cfg.knn_k} members")
     center_idx = geo.fps(pts, cfg.n_patches, start=start)
     patches = geo.knn(pts, center_idx, cfg.knn_k)
-
-    x = Tensor(patches.local_coords.astype(params["embed.mlp1.w0"].values.dtype, copy=False))
-    h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
-    h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
-    w0, h2 = params["embed.mlp2.w0"], cfg.embed_hidden2
-    pooled = ad.linear(pool_row(h), ad.slice_rows(w0, h2, 2 * h2), params["embed.mlp2.b0"])
-    h = ad.relu(ad.add(ad.linear(h, ad.slice_rows(w0, 0, h2)), pooled))
-    h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
-    tokens = ad.max_over_rows(h)
-
     centers = np.take_along_axis(pts, center_idx[..., None], axis=-2)
     return TokenBatch(
         center_indices=center_idx,
         centers=centers,
         member_indices=patches.member_indices,
         local_coords=patches.local_coords,
-        tokens=tokens,
+        tokens=mini_pointnet(patches.local_coords, params, cfg),
         pos=pos_embed(centers, params),
     )
+
+
+def mini_pointnet(local_coords: np.ndarray, params: Mapping[str, Tensor],
+                  cfg: RunConfig) -> Tensor:
+    """Map (..., n, k, 3) centre-relative patches to (..., n, C) tokens.
+
+    The usual two-stage construction: a shared per-point MLP, max-pool over
+    the patch, the pooled vector concatenated back onto every point feature,
+    a second shared MLP, and a final max-pool.  The second MLP's first layer
+    is applied to the concatenation in two halves: ``[h | pool] @ W0`` is
+    ``h @ W0[:h2] + pool @ W0[h2:]``, and the pooled half is computed once
+    per patch rather than once per member.  Patches are independent, so a
+    subset of them gives the same tokens as the full set.
+    """
+    x = Tensor(local_coords.astype(params["embed.mlp1.w0"].values.dtype, copy=False))
+    h = ad.relu(ad.linear(x, params["embed.mlp1.w0"], params["embed.mlp1.b0"]))
+    h = ad.linear(h, params["embed.mlp1.w1"], params["embed.mlp1.b1"])
+    w0, h2 = params["embed.mlp2.w0"], cfg.embed_hidden2
+    pooled = ad.linear(pool_row(h), ad.slice_rows(w0, h2, 2 * h2), params["embed.mlp2.b0"])
+    h = ad.relu(ad.add(ad.linear(h, ad.slice_rows(w0, 0, h2)), pooled))
+    h = ad.linear(h, params["embed.mlp2.w1"], params["embed.mlp2.b1"])
+    return ad.max_over_rows(h)
 
 
 def pool_row(rows: Tensor) -> Tensor:

@@ -13,8 +13,9 @@ these losses train only the prototype bank and the reconstruction head.  The
 enhancement cross-attention feeds only the hard argmax, which no loss
 differentiates through, so it runs on frozen weights.  This module owns that
 boundary: it alone takes the frozen view of a parameter store, for the
-training pass (``pcsm_forward``), the classifier's prompt rows (``prompts``)
-and the tape-free assignment of evaluation and export (``cloud_assignment``).
+tape-free tokenize of a training step (``frozen_tokenize``), the training
+pass (``pcsm_forward``), the classifier's prompt rows (``prompts``) and the
+tape-free assignment of evaluation and export (``cloud_assignment``).
 
 Every function takes a single cloud's (G, C) tokens or a (B, G, C) batch.
 The shared bank is refreshed against each cloud's own tokens, and the
@@ -218,6 +219,13 @@ def group(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,
     return Grouping(tokens_encoded=te, prototypes_hat=p_hat, assignment=assignment)
 
 
+def frozen_tokenize(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
+                    start=0) -> TokenBatch:
+    """``embedding.tokenize`` on constant weights: a training step's grouping
+    branch reads the complete cloud's tokens only as constants."""
+    return embedding.tokenize(points, store.frozen(), cfg, start=start)
+
+
 def cloud_assignment(points: np.ndarray, store: ad.ParamStore,
                      cfg: RunConfig) -> tuple[TokenBatch, Grouping]:
     """The frozen assignment pass: tokenize and ``group`` on constant weights.
@@ -242,9 +250,10 @@ def pcsm_forward(tb: TokenBatch, cloud_points: np.ndarray, store: ad.ParamStore,
                  cfg: RunConfig) -> PCSMOutput:
     """Full component-grouping pass on a complete cloud, or a batch of them.
 
-    The grouping runs as in ``group`` against the trainable prototype bank;
-    trainable inputs of the two losses are that bank and the reconstruction
-    head.
+    ``tb`` is read only as constants, so it may come from
+    ``frozen_tokenize``.  The grouping runs as in ``group`` against the
+    trainable prototype bank; trainable inputs of the two losses are that
+    bank and the reconstruction head.
     """
     grouping = group(tb, store.frozen(), store["pcsm.prototypes"], cfg)
     p_hat = grouping.prototypes_hat

@@ -1,9 +1,10 @@
 """Training and evaluation orchestration.
 
 Pre-training follows the two-branch step: the component-grouping branch runs
-on the complete cloud (stop-gradient encoder pass) and yields the assignment
-the masking strategy needs, then the masked-autoencoding branch reconstructs
-the hidden patches.  The data stream (epoch shuffles, patch-seed draws) and
+on the complete cloud (tape-free tokenize, stop-gradient encoder pass) and
+yields the assignment the masking strategy needs, then the masked-autoencoding
+branch embeds only the visible patches on the tape and reconstructs the rest.
+The data stream (epoch shuffles, patch-seed draws) and
 the masking stream use separate generators spawned from the run seed, so
 swapping the masking strategy cannot perturb which clouds are seen in which
 order - the ablation harness checks exactly that.
@@ -174,7 +175,7 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                 data_hash = _batch_hash(clouds, starts)
             points = np.stack([cloud.points for cloud in clouds])
             try:
-                tb = embedding.tokenize(points, store, cfg, start=np.array(starts))
+                tb = pcsm.frozen_tokenize(points, store, cfg, start=np.array(starts))
                 out = pcsm.pcsm_forward(tb, points, store, cfg)
                 plans = [_make_plan(cfg, out.assignment[j], tb.centers[j], mask_rng)
                          for j in range(len(batch))]
@@ -377,6 +378,9 @@ def ablate(cfg: RunConfig, strategies: list[str],
         raise ConfigError(f"unknown masking strategies {bad}; pick from {STRATEGIES}")
     if not strategies:
         raise ConfigError("no masking strategies requested")
+    repeated = sorted({s for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"repeated masking strategies {repeated}")
     subs = [dataclasses.replace(cfg, mask_strategy=strat).validate() for strat in strategies]
     rows = []
     ref_init = ref_data = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import backbone, embedding, geometry, heads, pcsm, pipeline, shapes
+from . import backbone, geometry, heads, pcsm, pipeline, shapes
 from .autodiff import Tensor
 from .config import RunConfig, preset
 from .masking import csem_mask
@@ -200,15 +200,15 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     points = shapes.make_shape(kinds[0], cfg.n_points, seed=3).points
 
     # fixed masking plan, token features and assignment from the initial
-    # weights, by the frozen pass
+    # weights, by the frozen pass; l_3d re-embeds the visible patches of the
+    # same token batch on the tape
     tb0, out0 = pcsm.cloud_assignment(points, store, cfg)
     plan = csem_mask(out0.assignment, cfg.full_mask_components, cfg.mask_ratio,
                      np.random.default_rng(5))
     vis, msk = plan.visible_indices(), plan.masked_indices()
 
     def l3d_fn():
-        return backbone.reconstruction_loss(embedding.tokenize(points, store, cfg),
-                                            vis, msk, store, cfg)
+        return backbone.reconstruction_loss(tb0, vis, msk, store, cfg)
 
     te = Tensor(out0.tokens_encoded)
 

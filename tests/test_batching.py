@@ -1,5 +1,6 @@
 """One batched tape per step: a (B, N, 3) batch must give the per-cloud
-results, and a training step must build the same tape whatever B is."""
+results, a training step must build the same tape whatever B is, and only
+the visible patches go through the taped mini-PointNet."""
 
 import dataclasses
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from protomae import autodiff as ad
-from protomae import backbone, embedding, heads, pcsm, pipeline, shapes
+from protomae import backbone, embedding, heads, masking, pcsm, pipeline, shapes
 from protomae.autodiff import Tensor
 from protomae.config import preset
 
@@ -165,3 +166,97 @@ def test_classify_csep_prompts_are_the_refreshed_bank(setup):
     np.testing.assert_allclose(heads.classify_csep(points, store, cfg).values,
                                heads.classify_csep(points, store, cfg, prompt_rows=p_hat).values,
                                **TOL)
+
+
+def _full_tokenize_reconstruction_loss(points, starts, vis, msk, store, cfg):
+    """The reference ``l_3d``: every patch through the taped mini-PointNet,
+    then the visible tokens and both position sets gathered."""
+    tb = embedding.tokenize(points, store, cfg, start=starts)
+    pos_vis = ad.gather_rows(tb.pos, vis)
+    enc = backbone.encode(ad.gather_rows(tb.tokens, vis), pos_vis, store, cfg)
+    dm = backbone.decode(enc, pos_vis, ad.gather_rows(tb.pos, msk), store, cfg)
+    target = np.take_along_axis(tb.local_coords, msk[..., None, None], axis=-3)
+    return backbone.l_3d(backbone.recon_head(dm, store, cfg), target)
+
+
+def _value_and_grads(loss_fn, store, names):
+    store.zero_grads()
+    loss = loss_fn()
+    loss.backward()
+    grads = {name: store[name].grad.copy() for name in names}
+    store.zero_grads()
+    return float(loss.values), grads
+
+
+def _mask_indices(cfg, seed):
+    rng = np.random.default_rng(seed)
+    plans = [masking.random_mask(cfg.n_patches, cfg.mask_ratio, rng) for _ in range(B)]
+    return (np.stack([plan.visible_indices() for plan in plans]),
+            np.stack([plan.masked_indices() for plan in plans]))
+
+
+def test_visible_only_reconstruction_matches_full_tokenize(setup):
+    cfg, store, points, starts = setup
+    assert cfg.dtype == "float64"
+    vis, msk = _mask_indices(cfg, seed=7)
+    tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
+    assert not tb.tokens.requires_grad and not tb.pos.requires_grad
+    names = [n for n in store.names() if n.startswith(("embed.", "enc.", "dec.", "recon."))]
+    value, grads = _value_and_grads(
+        lambda: backbone.reconstruction_loss(tb, vis, msk, store, cfg), store, names)
+    ref_value, ref = _value_and_grads(
+        lambda: _full_tokenize_reconstruction_loss(points, starts, vis, msk, store, cfg),
+        store, names)
+    assert value == pytest.approx(ref_value, rel=1e-10, abs=0.0)
+    for name in names:
+        np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref[name]).max(), err_msg=name)
+    h2 = cfg.embed_hidden2
+    w0 = grads["embed.mlp2.w0"]
+    for label, g in (("embed.pos.w", grads["embed.pos.w"]), ("embed.pos.b", grads["embed.pos.b"]),
+                     ("embed.mlp2.w0 member rows", w0[:h2]),
+                     ("embed.mlp2.w0 pooled rows", w0[h2:])):
+        assert np.abs(g).max() > 0.0, label
+
+
+def test_pretrain_step_tapes_only_the_visible_patches(monkeypatch):
+    # one step over the whole toy dataset; the grouping branch tokenizes every
+    # patch without a tape, the reconstruction branch the visible ones on it
+    toy = preset("toy")
+    cfg = dataclasses.replace(toy, epochs=1, clouds_per_kind=2, mask_ratio=0.6,
+                              batch_size=2 * len(toy.kinds())).validate()
+    g = cfg.n_patches
+    n_visible = masking.random_mask(g, cfg.mask_ratio,
+                                    np.random.default_rng(0)).visible_indices().size
+    assert 0 < n_visible < g
+    nodes, inside = [], [0]
+    real_node, real_pointnet = ad._node, embedding.mini_pointnet
+
+    def recording_node(*args, **kwargs):
+        out = real_node(*args, **kwargs)
+        nodes.append((out.values.shape, out.requires_grad, inside[0] > 0))
+        return out
+
+    def marked_pointnet(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return real_pointnet(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(ad, "_node", recording_node)
+    monkeypatch.setattr(embedding, "mini_pointnet", marked_pointnet)
+    pipeline.pretrain(cfg)
+    monkeypatch.undo()
+
+    # no (B, patches, members or pooled row, channels) array on the tape spans
+    # all G patches (the toy's 2 attention heads differ from its k = 4 members)
+    assert not [shape for shape, grad, _ in nodes
+                if grad and len(shape) == 4 and shape[1] == g and shape[2] in (cfg.knn_k, 1)]
+    # batch arrays of the mini-PointNet, leaving out the sliced 2-d weights
+    batch_arrays = [(shape, grad) for shape, grad, pointnet in nodes
+                    if pointnet and len(shape) >= 3]
+    taped = {shape for shape, grad in batch_arrays if grad}
+    frozen = {shape for shape, grad in batch_arrays if not grad}
+    assert taped and {shape[:2] for shape in taped} == {(cfg.batch_size, n_visible)}
+    assert frozen and {shape[:2] for shape in frozen} == {(cfg.batch_size, g)}

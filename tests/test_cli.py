@@ -260,6 +260,16 @@ def test_ablate_single_strategy(toy_config_file, tmp_path, capsys):
     assert "randm: total" in capsys.readouterr().out
 
 
+def test_ablate_repeated_strategy_exits_two(toy_config_file, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli.main(["--config", toy_config_file, "--out", str(out), "ablate",
+                     "--strategies", "randm,randm"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: repeated masking strategies ['randm']" in err
+    assert "Traceback" not in err
+    assert not (out / "ablate" / "ablation.csv").exists()
+
+
 def test_seed_override_changes_data_stream(toy_config_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

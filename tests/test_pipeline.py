@@ -285,6 +285,15 @@ def test_ablate_rejects_unknown_strategy():
         pipeline.ablate(tiny_cfg(), [])
 
 
+def test_ablate_rejects_repeated_strategy(monkeypatch):
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("pretrained before rejecting the strategy list")
+
+    monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+    with pytest.raises(ConfigError, match=r"repeated masking strategies \['randm'\]"):
+        pipeline.ablate(tiny_cfg(), ["randm", "csem", "randm"])
+
+
 # ----------------------------------------------- grouping and export
 
 def test_cloud_assignment_shapes_and_ranges(tmp_path):
