@@ -26,9 +26,8 @@ def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidArgument("empty assignment")
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
-    table = np.zeros((ua.size, ub.size))
-    np.add.at(table, (ia, ib), 1.0)
-    return table
+    table = np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size)
+    return table.reshape(ua.size, ub.size).astype(np.float64)
 
 
 def nmi(a: np.ndarray, b: np.ndarray) -> float:
@@ -74,14 +73,21 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
                         rng: np.random.Generator) -> float:
     """Mean NMI of uniformly random ``n_groups``-way assignments vs truth.
 
-    The draws are taken one assignment at a time (the generator stream of a
-    per-draw loop); their NMIs come from one stack of contingency tables.
-    Empty groups and absent labels add nothing to any entropy, so the fixed
+    All picks come from one ``rng.integers(0, n_groups, (draws, n))`` call.
+    It yields the same picks, and leaves ``rng`` in the same state, as a loop
+    of ``draws`` calls of size ``n``: bounded integers below 2**32 are drawn
+    32 bits at a time from the generator's own buffer, which persists across
+    calls.  The NMIs come from one stack of contingency tables.  Empty groups
+    and absent labels add nothing to any entropy, so the fixed
     (n_groups, labels) table gives the same NMI as ``nmi`` on each draw.
     """
+    if draws < 1:
+        raise InvalidArgument(f"random_nmi_baseline needs draws >= 1, got {draws}")
+    if n_groups < 1:
+        raise InvalidArgument(f"random_nmi_baseline needs n_groups >= 1, got {n_groups}")
     _, truth_ids = np.unique(np.asarray(truth, dtype=np.int64), return_inverse=True)
     n, width = truth_ids.size, int(truth_ids.max()) + 1
-    picks = np.stack([rng.integers(0, n_groups, n) for _ in range(draws)])
+    picks = rng.integers(0, n_groups, (draws, n))
     cells = (np.arange(draws)[:, None] * n_groups + picks) * width + truth_ids
     pab = np.bincount(cells.reshape(-1), minlength=draws * n_groups * width)
     pab = pab.reshape(draws, n_groups, width) / n

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
 from .config import STRATEGIES, RunConfig
-from .errors import ConfigError, InvariantViolation, NumericError
+from .errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
 from .geometry import PointCloud, sq_dists
 
 LOGGER = logging.getLogger("protomae.pipeline")
@@ -432,8 +432,13 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
     The held-out clouds use seeds far outside the training range and are
     grouped ``cfg.batch_size`` at a time.  The random baseline is the mean
     NMI of ``draws`` uniform Q-way assignments against the same ground
-    truth, freshly drawn in-run, cloud by cloud.
+    truth, freshly drawn in-run, cloud by cloud.  ``n_clouds`` and ``draws``
+    must be at least 1.
     """
+    if n_clouds < 1:
+        raise InvalidArgument(f"evaluate_grouping needs n_clouds >= 1, got {n_clouds}")
+    if draws < 1:
+        raise InvalidArgument(f"evaluate_grouping needs draws >= 1, got {draws}")
     rng = np.random.default_rng([cfg.seed, 101])
     scores, baselines = [], []
     for lo in range(0, n_clouds, cfg.batch_size):

@@ -29,48 +29,41 @@ def _orient(local: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _sample_box(rng: np.random.Generator, count: int, center, half) -> np.ndarray:
-    """Uniform samples on the surface of an axis-aligned box."""
+    """Uniform samples on the surface of an axis-aligned box.
+
+    Face ``f`` lies at ``(-1)**(f % 2) * half[f // 2]`` on axis ``f // 2``;
+    its two free coordinates, in axis order, are ``u`` and ``v`` scaled by
+    their half-widths.  Every coordinate is written at once for all points.
+    """
     hx, hy, hz = half
     areas = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy])
     faces = rng.choice(6, size=count, p=areas / areas.sum())
     u = rng.uniform(-1.0, 1.0, size=count)
     v = rng.uniform(-1.0, 1.0, size=count)
-    pts = np.empty((count, 3))
-    for face in range(6):
-        m = faces == face
-        if not np.any(m):
-            continue
-        axis, sign = divmod(face, 2)
-        fixed = (hx, hy, hz)[axis] * (1.0 if sign == 0 else -1.0)
-        others = [a for a in range(3) if a != axis]
-        pts[m, axis] = fixed
-        pts[m, others[0]] = u[m] * (hx, hy, hz)[others[0]]
-        pts[m, others[1]] = v[m] * (hx, hy, hz)[others[1]]
+    axis, sign = np.divmod(faces, 2)
+    pts = np.stack([u * hx, np.where(axis == 0, u, v) * hy, v * hz], axis=1)
+    pts[np.arange(count), axis] = np.array(half, dtype=np.float64)[axis] * (1.0 - 2.0 * sign)
     return pts + np.asarray(center)
 
 
 def _sample_cylinder(rng: np.random.Generator, count: int, center, axis: int,
                      radius: float, height: float, caps: bool = True) -> np.ndarray:
-    """Uniform samples on a cylinder surface (optionally including end caps)."""
+    """Uniform samples on a cylinder surface (optionally including end caps).
+
+    Region 0 is the lateral surface, 1 the top cap and 2 the bottom cap; a
+    cap point sits at radius ``radius * sqrt(u)``.  Every coordinate is
+    written at once for all points.
+    """
     lateral = 2.0 * np.pi * radius * height
     cap = np.pi * radius * radius
     weights = np.array([lateral, cap, cap]) if caps else np.array([1.0])
     region = rng.choice(len(weights), size=count, p=weights / weights.sum())
     theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
     u = rng.uniform(0.0, 1.0, size=count)
-    local = np.empty((count, 3))
     side = region == 0
-    local[side, 0] = radius * np.cos(theta[side])
-    local[side, 1] = radius * np.sin(theta[side])
-    local[side, 2] = (u[side] - 0.5) * height
-    for reg, zc in ((1, 0.5 * height), (2, -0.5 * height)):
-        m = region == reg
-        if not np.any(m):
-            continue
-        r = radius * np.sqrt(u[m])
-        local[m, 0] = r * np.cos(theta[m])
-        local[m, 1] = r * np.sin(theta[m])
-        local[m, 2] = zc
+    r = np.where(side, radius, radius * np.sqrt(u))
+    z = np.where(side, (u - 0.5) * height, np.where(region == 1, 0.5 * height, -0.5 * height))
+    local = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
     return _orient(local, axis) + np.asarray(center)
 
 

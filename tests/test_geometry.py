@@ -1,6 +1,8 @@
 """Geometry kernels against brute-force oracles, plus shape generator and
 text-format contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,79 @@ def test_make_shape_every_kind_labels_contiguous():
         names = shapes.SHAPE_COMPONENTS[kind]
         assert 3 <= len(names) <= 5
         assert set(np.unique(cloud.labels)) == set(range(len(names)))
+
+
+def reference_sample_box(rng, count, center, half):
+    """The per-face loop that ``shapes._sample_box`` replaced."""
+    hx, hy, hz = half
+    areas = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy])
+    faces = rng.choice(6, size=count, p=areas / areas.sum())
+    u = rng.uniform(-1.0, 1.0, size=count)
+    v = rng.uniform(-1.0, 1.0, size=count)
+    pts = np.empty((count, 3))
+    for face in range(6):
+        m = faces == face
+        if not np.any(m):
+            continue
+        axis, sign = divmod(face, 2)
+        fixed = (hx, hy, hz)[axis] * (1.0 if sign == 0 else -1.0)
+        others = [a for a in range(3) if a != axis]
+        pts[m, axis] = fixed
+        pts[m, others[0]] = u[m] * (hx, hy, hz)[others[0]]
+        pts[m, others[1]] = v[m] * (hx, hy, hz)[others[1]]
+    return pts + np.asarray(center)
+
+
+def reference_sample_cylinder(rng, count, center, axis, radius, height, caps=True):
+    """The per-region loop that ``shapes._sample_cylinder`` replaced."""
+    lateral = 2.0 * np.pi * radius * height
+    cap = np.pi * radius * radius
+    weights = np.array([lateral, cap, cap]) if caps else np.array([1.0])
+    region = rng.choice(len(weights), size=count, p=weights / weights.sum())
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    u = rng.uniform(0.0, 1.0, size=count)
+    local = np.empty((count, 3))
+    side = region == 0
+    local[side, 0] = radius * np.cos(theta[side])
+    local[side, 1] = radius * np.sin(theta[side])
+    local[side, 2] = (u[side] - 0.5) * height
+    for reg, zc in ((1, 0.5 * height), (2, -0.5 * height)):
+        m = region == reg
+        if not np.any(m):
+            continue
+        r = radius * np.sqrt(u[m])
+        local[m, 0] = r * np.cos(theta[m])
+        local[m, 1] = r * np.sin(theta[m])
+        local[m, 2] = zc
+    return shapes._orient(local, axis) + np.asarray(center)
+
+
+def test_make_shape_bit_identical_to_per_face_and_per_region_samplers(monkeypatch):
+    sizes = (64, 65, 100, 256, 1024, 2048)
+    fast = {(kind, n, seed): shapes.make_shape(kind, n, seed)
+            for kind in shapes.SHAPE_KINDS for n in sizes for seed in range(20)}
+    monkeypatch.setattr(shapes, "_sample_box", reference_sample_box)
+    monkeypatch.setattr(shapes, "_sample_cylinder", reference_sample_cylinder)
+    for (kind, n, seed), cloud in fast.items():
+        ref = shapes.make_shape(kind, n, seed)
+        np.testing.assert_array_equal(cloud.points.view(np.int64), ref.points.view(np.int64),
+                                      err_msg=f"{kind} n={n} seed={seed}")
+        np.testing.assert_array_equal(cloud.labels, ref.labels)
+
+
+def test_synthetic_corpus_matches_golden_digest():
+    # recorded before the samplers were vectorized; every training corpus
+    # and held-out evaluation set is drawn from make_shape
+    from protomae.pipeline import HELD_OUT_SEED_BASE
+    digest = hashlib.sha256()
+    for kind in shapes.SHAPE_KINDS:
+        for seed in (0, 7, HELD_OUT_SEED_BASE):
+            for n in (256, 1024):
+                cloud = shapes.make_shape(kind, n, seed)
+                digest.update(cloud.points.astype("<f8").tobytes())
+                digest.update(cloud.labels.astype("<i8").tobytes())
+    assert digest.hexdigest() == \
+        "d702f5c76d838ea4cc7f0427dec11a3f09a318939ea48eaa1b466b6035b5997d"
 
 
 def test_make_shape_rejects_small_n_and_bad_kind():

@@ -124,16 +124,49 @@ def test_random_baseline_far_below_true_grouping():
     assert base < metrics.nmi(labels, labels)
 
 
-def test_random_baseline_equals_mean_of_per_draw_nmi():
-    # the vectorised baseline consumes the generator exactly as a per-draw
-    # loop would, and scores every draw like metrics.nmi
+def random_baseline_cases():
     for seed in range(12):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(2, 90))) + 2
-        groups = int(rng.integers(2, 9))
-        draws = int(rng.integers(1, 40))
-        got = metrics.random_nmi_baseline(labels, groups, draws, np.random.default_rng(seed + 50))
-        loop = np.random.default_rng(seed + 50)
+        yield labels, int(rng.integers(2, 9)), int(rng.integers(1, 40)), seed + 50
+    # odd and even sizes, power-of-two and other group counts, and the
+    # single group, which draws nothing
+    for groups in (1, 2, 3, 4, 5, 8, 13, 16):
+        for n in (1, 2, 7, 32, 69):
+            yield np.arange(n) % 3, groups, 3, groups * 100 + n
+
+
+def test_random_baseline_equals_mean_of_per_draw_nmi():
+    # the one-call baseline consumes the generator exactly as a per-draw
+    # loop would, and scores every draw like metrics.nmi
+    for labels, groups, draws, seed in random_baseline_cases():
+        one_call = np.random.default_rng(seed)
+        got = metrics.random_nmi_baseline(labels, groups, draws, one_call)
+        loop = np.random.default_rng(seed)
         expected = np.mean([metrics.nmi(loop.integers(0, groups, labels.size), labels)
                             for _ in range(draws)])
         assert abs(got - expected) <= 1e-12, seed
+        assert one_call.bit_generator.state == loop.bit_generator.state, seed
+
+
+def test_random_baseline_rejects_degenerate_arguments():
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(InvalidArgument, match="draws"):
+        metrics.random_nmi_baseline(labels, 4, draws=0, rng=np.random.default_rng(0))
+    with pytest.raises(InvalidArgument, match="n_groups"):
+        metrics.random_nmi_baseline(labels, 0, draws=5, rng=np.random.default_rng(0))
+
+
+def test_contingency_equals_add_at_table():
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        n = int(rng.integers(1, 200))
+        a = rng.integers(-3, int(rng.integers(-2, 12)), n)
+        b = rng.choice([-7, 0, 2, 5, 40], n)
+        ua, ia = np.unique(a, return_inverse=True)
+        ub, ib = np.unique(b, return_inverse=True)
+        expected = np.zeros((ua.size, ub.size))
+        np.add.at(expected, (ia, ib), 1.0)
+        got = metrics._contingency(a, b)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)

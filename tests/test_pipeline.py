@@ -16,7 +16,7 @@ import pytest
 from protomae import autodiff as ad
 from protomae import backbone, checkpoint, heads, pcsm, pipeline, shapes
 from protomae.config import preset
-from protomae.errors import ConfigError, InvariantViolation, NumericError
+from protomae.errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
 from protomae.geometry import PointCloud
 
 
@@ -321,6 +321,16 @@ def test_evaluate_grouping_structure_and_determinism():
     assert 0.0 <= a["nmi_mean"] <= 1.0
     assert 0.0 <= a["random_mean"] <= 1.0
     assert a["nmi_mean"] == pytest.approx(np.mean(a["nmi_per_cloud"]))
+
+
+def test_evaluate_grouping_rejects_degenerate_arguments():
+    cfg = tiny_cfg()
+    store = pipeline.init_model(cfg)
+    with pytest.raises(InvalidArgument, match="evaluate_grouping needs n_clouds"):
+        pipeline.evaluate_grouping(store, cfg, n_clouds=0)
+    # before any model pass, not from the baseline of the first cloud
+    with pytest.raises(InvalidArgument, match="evaluate_grouping needs draws"):
+        pipeline.evaluate_grouping(store, cfg, n_clouds=2, draws=0)
 
 
 def test_export_groups_file_contract(tmp_path):
