@@ -13,9 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint, geometry, pipeline, shapes, verification
-from .config import STRATEGIES, RunConfig, preset
+from .config import PRESET_NAMES, RunConfig, preset
 from .errors import ConfigError, InvalidArgument, NumericError
+from .masking import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value config file")
     parser.add_argument("--preset", metavar="NAME",
-                        help="named preset (paper-default, test-small, toy)")
+                        help=f"named preset ({', '.join(PRESET_NAMES)})")
     parser.add_argument("--seed", type=int, metavar="U64",
                         help="override the run seed")
     parser.add_argument("--out", metavar="DIR", default="runs",
@@ -136,40 +139,35 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "groups.txt"
     labels = pipeline.export_groups(store, points, cfg, out_path)
-    import numpy as np
     print(f"wrote {labels.size} points, {np.unique(labels).size} distinct "
           f"components: {out_path}")
     return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _load_config(args, default="toy")
-    reports = verification.gradient_suite(cfg)
-    failed = False
-    for r in reports:
-        status = "ok" if r.ok else "FAIL"
-        print(f"{status} {r.loss}: {r.tensors} tensors, {r.probes} probes "
-              f"({r.skipped} at kinks skipped), max rel err {r.max_rel_err:.3e}"
-              + (f" at {r.worst_parameter}" if r.worst_parameter else ""))
-        failed = failed or not r.ok
-    if failed:
-        raise NumericError("gradient suite failed")
+def _report(lines: list[tuple[bool, str]], suite: str) -> int:
+    """Print each (ok, text) line with its status; raise if any failed."""
+    for ok, text in lines:
+        print(f"{'ok' if ok else 'FAIL'} {text}")
+    if not all(ok for ok, _ in lines):
+        raise NumericError(f"{suite} suite failed")
     return 0
+
+
+def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    reports = verification.gradient_suite(_load_config(args, default="toy"))
+    return _report([(r.ok, f"{r.loss}: {r.tensors} tensors, {r.probes} probes "
+                           f"({r.skipped} at kinks skipped), max rel err {r.max_rel_err:.3e}"
+                           + (f" at {r.worst_parameter}" if r.worst_parameter else ""))
+                    for r in reports], "gradient")
 
 
 def _cmd_oracle_suite(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise InvalidArgument(f"--instances must be >= 1, got {args.instances}")
     reports = verification.oracle_suite(instances=args.instances)
-    failed = False
-    for r in reports:
-        status = "ok" if r.ok else "FAIL"
-        print(f"{status} {r.op}: {r.instances} instances, "
-              f"{r.mismatches} mismatches, max deviation {r.max_deviation:.3e}")
-        failed = failed or not r.ok
-    if failed:
-        raise NumericError("oracle suite failed")
-    return 0
+    return _report([(r.ok, f"{r.op}: {r.instances} instances, "
+                           f"{r.mismatches} mismatches, max deviation {r.max_deviation:.3e}")
+                    for r in reports], "oracle")
 
 
 _COMMANDS = {

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .autodiff import DTYPES
 from .errors import ConfigError
+from .masking import STRATEGIES
 from .shapes import SHAPE_KINDS
-
-STRATEGIES = ("randm", "randbm", "csem")
 
 
 @dataclass
@@ -224,7 +223,10 @@ _PRESETS: dict[str, dict] = {
 }
 
 
+PRESET_NAMES = tuple(sorted(_PRESETS))
+
+
 def preset(name: str) -> RunConfig:
     if name not in _PRESETS:
-        raise ConfigError(f"unknown preset '{name}' (have {', '.join(sorted(_PRESETS))})")
+        raise ConfigError(f"unknown preset '{name}' (have {', '.join(PRESET_NAMES)})")
     return RunConfig(preset=name, **_PRESETS[name]).validate()

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .geometry import sq_dists
 from .shapes import apportion
 
 log = logging.getLogger(__name__)
+
+STRATEGIES = ("randm", "randbm", "csem")
 
 
 def round_half_up(x: float) -> int:
@@ -90,7 +93,7 @@ def block_mask(centers: np.ndarray, ratio: float, rng: np.random.Generator) -> M
     g = centers.shape[0]
     n = _target(g, ratio)
     anchor = int(rng.integers(g))
-    d = ((centers - centers[anchor]) ** 2).sum(axis=1)
+    d = sq_dists(centers, centers[anchor])
     order = np.lexsort((np.arange(g), d))
     masked = np.zeros(g, dtype=bool)
     masked[order[:n]] = True
@@ -160,6 +163,22 @@ def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
             tokens = np.flatnonzero(assignment == comp)
             masked[rng.choice(tokens, size=take, replace=False)] = True
     return MaskPlan(masked=masked, fully_masked_components=tuple(selected))
+
+
+def make_plan(strategy: str, assignment: np.ndarray, centers: np.ndarray, ratio: float,
+              full_components: int, rng: np.random.Generator) -> MaskPlan:
+    """One cloud's plan under ``strategy``, one of ``STRATEGIES``.
+
+    The strategy function is looked up in this module when called, so a
+    wrapper set on ``masking.csem_mask`` (say) sees every plan.
+    """
+    if strategy == "randm":
+        return random_mask(assignment.size, ratio, rng)
+    if strategy == "randbm":
+        return block_mask(centers, ratio, rng)
+    if strategy == "csem":
+        return csem_mask(assignment, full_components, ratio, rng)
+    raise InvalidArgument(f"unknown mask strategy '{strategy}' (have {', '.join(STRATEGIES)})")
 
 
 def component_coverage(plan: MaskPlan, assignment: np.ndarray) -> tuple[float | None, float]:

@@ -30,6 +30,20 @@ def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table.reshape(ua.size, ub.size).astype(np.float64)
 
 
+def _nmi(pab: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """NMI, 2·MI/(H(a)+H(b)), of joint distributions ``pab`` (..., A, B).
+
+    ``pa`` (..., A) and ``pb`` (..., B) are its marginals, passed in so
+    that ``nmi`` can take them from exact integer counts.  A side with zero
+    entropy scores 0.
+    """
+    ha, hb = _entropy(pa), _entropy(pb)
+    outer = pa[..., :, None] * pb[..., None, :]
+    ratio = np.divide(pab, outer, where=pab > 0, out=np.ones_like(pab))
+    mi = np.sum(pab * np.log(ratio), axis=(-2, -1))
+    return np.divide(2.0 * mi, ha + hb, where=(ha > 0.0) & (hb > 0.0), out=np.zeros_like(mi))
+
+
 def nmi(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized mutual information, 2·MI/(H(a)+H(b)), in [0, 1].
 
@@ -38,16 +52,7 @@ def nmi(a: np.ndarray, b: np.ndarray) -> float:
     """
     table = _contingency(a, b)
     n = table.sum()
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    ha, hb = _entropy(pa), _entropy(pb)
-    if ha == 0.0 or hb == 0.0:
-        return 0.0
-    pab = table / n
-    outer = pa[:, None] * pb[None, :]
-    mask = pab > 0
-    mi = float(np.sum(pab[mask] * np.log(pab[mask] / outer[mask])))
-    return 2.0 * mi / float(ha + hb)
+    return float(_nmi(table / n, table.sum(axis=1) / n, table.sum(axis=0) / n))
 
 
 def purity(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -79,7 +84,7 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
     32 bits at a time from the generator's own buffer, which persists across
     calls.  The NMIs come from one stack of contingency tables.  Empty groups
     and absent labels add nothing to any entropy, so the fixed
-    (n_groups, labels) table gives the same NMI as ``nmi`` on each draw.
+    (n_groups, labels) table scores each draw as ``nmi`` would.
     """
     if draws < 1:
         raise InvalidArgument(f"random_nmi_baseline needs draws >= 1, got {draws}")
@@ -91,11 +96,4 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
     cells = (np.arange(draws)[:, None] * n_groups + picks) * width + truth_ids
     pab = np.bincount(cells.reshape(-1), minlength=draws * n_groups * width)
     pab = pab.reshape(draws, n_groups, width) / n
-    pa, pb = pab.sum(axis=2), pab.sum(axis=1)
-    ha, hb = _entropy(pa), _entropy(pb)
-    outer = pa[:, :, None] * pb[:, None, :]
-    ratio = np.divide(pab, outer, where=pab > 0, out=np.ones_like(pab))
-    mi = np.sum(pab * np.log(ratio), axis=(1, 2))
-    scores = np.divide(2.0 * mi, ha + hb, where=(ha > 0.0) & (hb > 0.0),
-                       out=np.zeros_like(mi))
-    return float(np.mean(scores))
+    return float(np.mean(_nmi(pab, pab.sum(axis=2), pab.sum(axis=1))))

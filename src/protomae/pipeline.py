@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
-from .config import STRATEGIES, RunConfig
+from .config import RunConfig
 from .errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
 from .geometry import PointCloud, sq_dists
 
@@ -102,7 +102,7 @@ def params_hash(store: ad.ParamStore) -> str:
     return h.hexdigest()
 
 
-def _batch_hash(clouds: list[PointCloud], starts: list[int]) -> str:
+def _batch_hash(clouds: list[PointCloud], starts: np.ndarray) -> str:
     h = hashlib.sha256()
     for cloud, start in zip(clouds, starts):
         h.update(cloud.points.tobytes())
@@ -113,16 +113,6 @@ def _batch_hash(clouds: list[PointCloud], starts: list[int]) -> str:
 # ---------------------------------------------------------------------------
 # pre-training
 # ---------------------------------------------------------------------------
-
-def _make_plan(cfg: RunConfig, assignment: np.ndarray, centers: np.ndarray,
-               mask_rng: np.random.Generator) -> masking.MaskPlan:
-    if cfg.mask_strategy == "randm":
-        return masking.random_mask(assignment.size, cfg.mask_ratio, mask_rng)
-    if cfg.mask_strategy == "randbm":
-        return masking.block_mask(centers, cfg.mask_ratio, mask_rng)
-    return masking.csem_mask(assignment, cfg.full_mask_components,
-                             cfg.mask_ratio, mask_rng)
-
 
 @dataclass
 class PretrainResult:
@@ -169,15 +159,16 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
         entropy_sum = purity_sum = 0.0
         for step in range(steps):
             batch = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            starts = [int(data_rng.integers(cfg.n_points)) for _ in batch]
+            starts = data_rng.integers(cfg.n_points, size=len(batch))
             clouds = [ds.clouds[i] for i in batch]
             if epoch == 0 and step == 0:
                 data_hash = _batch_hash(clouds, starts)
             points = np.stack([cloud.points for cloud in clouds])
             try:
-                tb = pcsm.frozen_tokenize(points, store, cfg, start=np.array(starts))
+                tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
                 out = pcsm.pcsm_forward(tb, points, store, cfg)
-                plans = [_make_plan(cfg, out.assignment[j], tb.centers[j], mask_rng)
+                plans = [masking.make_plan(cfg.mask_strategy, out.assignment[j], tb.centers[j],
+                                           cfg.mask_ratio, cfg.full_mask_components, mask_rng)
                          for j in range(len(batch))]
                 vis = np.stack([plan.visible_indices() for plan in plans])
                 msk = np.stack([plan.masked_indices() for plan in plans])
@@ -373,9 +364,9 @@ def ablate(cfg: RunConfig, strategies: list[str],
     the recorded hashes ever differ, because then the comparison would be
     measuring more than the masking strategy.
     """
-    bad = [s for s in strategies if s not in STRATEGIES]
+    bad = [s for s in strategies if s not in masking.STRATEGIES]
     if bad:
-        raise ConfigError(f"unknown masking strategies {bad}; pick from {STRATEGIES}")
+        raise ConfigError(f"unknown masking strategies {bad}; pick from {masking.STRATEGIES}")
     if not strategies:
         raise ConfigError("no masking strategies requested")
     repeated = sorted({s for s in strategies if strategies.count(s) > 1})

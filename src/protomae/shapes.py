@@ -82,73 +82,48 @@ def _sample_cone(rng: np.random.Generator, count: int, base_center, axis: int,
 # ---------------------------------------------------------------------------
 # shape definitions
 # ---------------------------------------------------------------------------
-# Each component: (name, point share, list of (weight, sampler) primitives).
+# kind -> [(component, point share, [(weight, sampler, args)])], where
+# ``sampler`` names ``_sample_<sampler>``, called as (rng, count, *args) and
+# looked up when the shape is drawn, so a patched sampler is the one used.
 # Shares per shape sum to 1 and every share is >= 0.1 so no component can
 # starve at small n.
 
+_SHAPES = {
+    "plane": [
+        ("fuselage", 0.35, [(1.0, "cylinder", ((0, 0, 0), 0, 0.09, 1.3))]),
+        ("wing_left", 0.20, [(1.0, "box", ((0.1, 0.48, 0.0), (0.20, 0.40, 0.015)))]),
+        ("wing_right", 0.20, [(1.0, "box", ((0.1, -0.48, 0.0), (0.20, 0.40, 0.015)))]),
+        ("tail", 0.25, [(0.5, "box", ((-0.60, 0.0, 0.16), (0.10, 0.015, 0.16))),
+                        (0.5, "box", ((-0.60, 0.0, 0.02), (0.10, 0.22, 0.015)))]),
+    ],
+    "chair": [
+        ("seat", 0.30, [(1.0, "box", ((0, 0, 0), (0.35, 0.35, 0.03)))]),
+        ("back", 0.30, [(1.0, "box", ((0, -0.33, 0.40), (0.35, 0.02, 0.37)))]),
+        ("legs", 0.30, [(0.25, "cylinder", ((sx * 0.30, sy * 0.30, -0.33), 2, 0.030, 0.62))
+                        for sx in (1, -1) for sy in (1, -1)]),
+        ("armrests", 0.10, [(0.5, "box", ((0.37, 0.0, 0.20), (0.025, 0.30, 0.02))),
+                            (0.5, "box", ((-0.37, 0.0, 0.20), (0.025, 0.30, 0.02)))]),
+    ],
+    "table": [
+        ("top", 0.45, [(1.0, "box", ((0, 0, 0.41), (0.52, 0.36, 0.03)))]),
+        ("legs", 0.35, [(0.25, "cylinder", ((sx * 0.43, sy * 0.28, 0.0), 2, 0.035, 0.76))
+                        for sx in (1, -1) for sy in (1, -1)]),
+        ("apron", 0.20, [(0.5, "box", ((0.0, 0.26, 0.33), (0.44, 0.015, 0.035))),
+                         (0.5, "box", ((0.0, -0.26, 0.33), (0.44, 0.015, 0.035)))]),
+    ],
+    "rocket": [
+        ("body", 0.40, [(1.0, "cylinder", ((0, 0, 0), 2, 0.14, 1.0, False))]),  # no caps
+        ("nose", 0.20, [(1.0, "cone", ((0, 0, 0.50), 2, 0.14, 0.38))]),
+        ("fins", 0.25, [(0.25, "box", ((0.20 * np.cos(k * np.pi / 2.0),
+                                        0.20 * np.sin(k * np.pi / 2.0), -0.46), half))
+                        for k, half in enumerate([(0.10, 0.015, 0.13), (0.015, 0.10, 0.13)] * 2)]),
+        ("nozzle", 0.15, [(1.0, "cylinder", ((0, 0, -0.56), 2, 0.08, 0.12))]),
+    ],
+}
 
-def _plane():
-    return [
-        ("fuselage", 0.35, [(1.0, lambda r, c: _sample_cylinder(r, c, (0, 0, 0), 0, 0.09, 1.3))]),
-        ("wing_left", 0.20, [(1.0, lambda r, c: _sample_box(r, c, (0.1, 0.48, 0.0), (0.20, 0.40, 0.015)))]),
-        ("wing_right", 0.20, [(1.0, lambda r, c: _sample_box(r, c, (0.1, -0.48, 0.0), (0.20, 0.40, 0.015)))]),
-        ("tail", 0.25, [
-            (0.5, lambda r, c: _sample_box(r, c, (-0.60, 0.0, 0.16), (0.10, 0.015, 0.16))),
-            (0.5, lambda r, c: _sample_box(r, c, (-0.60, 0.0, 0.02), (0.10, 0.22, 0.015))),
-        ]),
-    ]
+SHAPE_KINDS = tuple(sorted(_SHAPES))
 
-
-def _chair():
-    legs = [(0.25, (lambda sx, sy: lambda r, c: _sample_cylinder(
-        r, c, (sx * 0.30, sy * 0.30, -0.33), 2, 0.030, 0.62))(sx, sy))
-        for sx in (1, -1) for sy in (1, -1)]
-    return [
-        ("seat", 0.30, [(1.0, lambda r, c: _sample_box(r, c, (0, 0, 0), (0.35, 0.35, 0.03)))]),
-        ("back", 0.30, [(1.0, lambda r, c: _sample_box(r, c, (0, -0.33, 0.40), (0.35, 0.02, 0.37)))]),
-        ("legs", 0.30, legs),
-        ("armrests", 0.10, [
-            (0.5, lambda r, c: _sample_box(r, c, (0.37, 0.0, 0.20), (0.025, 0.30, 0.02))),
-            (0.5, lambda r, c: _sample_box(r, c, (-0.37, 0.0, 0.20), (0.025, 0.30, 0.02))),
-        ]),
-    ]
-
-
-def _table():
-    legs = [(0.25, (lambda sx, sy: lambda r, c: _sample_cylinder(
-        r, c, (sx * 0.43, sy * 0.28, 0.0), 2, 0.035, 0.76))(sx, sy))
-        for sx in (1, -1) for sy in (1, -1)]
-    return [
-        ("top", 0.45, [(1.0, lambda r, c: _sample_box(r, c, (0, 0, 0.41), (0.52, 0.36, 0.03)))]),
-        ("legs", 0.35, legs),
-        ("apron", 0.20, [
-            (0.5, lambda r, c: _sample_box(r, c, (0.0, 0.26, 0.33), (0.44, 0.015, 0.035))),
-            (0.5, lambda r, c: _sample_box(r, c, (0.0, -0.26, 0.33), (0.44, 0.015, 0.035))),
-        ]),
-    ]
-
-
-def _rocket():
-    fins = []
-    for k in range(4):
-        ang = k * np.pi / 2.0
-        cx, cy = 0.20 * np.cos(ang), 0.20 * np.sin(ang)
-        half = (0.10, 0.015, 0.13) if k % 2 == 0 else (0.015, 0.10, 0.13)
-        fins.append((0.25, (lambda cx, cy, half: lambda r, c: _sample_box(
-            r, c, (cx, cy, -0.46), half))(cx, cy, half)))
-    return [
-        ("body", 0.40, [(1.0, lambda r, c: _sample_cylinder(r, c, (0, 0, 0), 2, 0.14, 1.0, caps=False))]),
-        ("nose", 0.20, [(1.0, lambda r, c: _sample_cone(r, c, (0, 0, 0.50), 2, 0.14, 0.38))]),
-        ("fins", 0.25, fins),
-        ("nozzle", 0.15, [(1.0, lambda r, c: _sample_cylinder(r, c, (0, 0, -0.56), 2, 0.08, 0.12))]),
-    ]
-
-
-_BUILDERS = {"plane": _plane, "chair": _chair, "table": _table, "rocket": _rocket}
-
-SHAPE_KINDS = tuple(sorted(_BUILDERS))
-
-SHAPE_COMPONENTS = {kind: [name for name, _, _ in build()] for kind, build in _BUILDERS.items()}
+SHAPE_COMPONENTS = {kind: [name for name, _, _ in comps] for kind, comps in _SHAPES.items()}
 
 
 def apportion(total: int, weights: list[float]) -> list[int]:
@@ -173,20 +148,20 @@ def make_shape(kind: str, n: int, seed: int) -> PointCloud:
     the order listed by ``SHAPE_COMPONENTS[kind]``.  The cloud is normalised
     to centroid zero and maximum radius one.
     """
-    if kind not in _BUILDERS:
+    if kind not in _SHAPES:
         raise InvalidArgument(f"unknown shape kind '{kind}' (have {', '.join(SHAPE_KINDS)})")
     if n < 64:
         raise InvalidArgument(f"make_shape needs n >= 64, got {n}")
     rng = np.random.default_rng(seed)
-    components = _BUILDERS[kind]()
+    components = _SHAPES[kind]
     counts = apportion(n, [share for _, share, _ in components])
     chunks = []
     labels = []
-    for label, ((name, _, prims), count) in enumerate(zip(components, counts)):
-        sub = apportion(count, [w for w, _ in prims])
-        for (w, sampler), c in zip(prims, sub):
+    for label, ((_, _, prims), count) in enumerate(zip(components, counts)):
+        sub = apportion(count, [w for w, _, _ in prims])
+        for (_, sampler, args), c in zip(prims, sub):
             if c:
-                chunks.append(sampler(rng, c))
+                chunks.append(globals()[f"_sample_{sampler}"](rng, c, *args))
         labels.append(np.full(count, label, dtype=np.int64))
     points = normalize(np.concatenate(chunks, axis=0))
     return PointCloud(points=points, labels=np.concatenate(labels), shape_class=kind)

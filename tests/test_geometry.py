@@ -2,6 +2,7 @@
 text-format contracts."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -291,6 +292,19 @@ def test_make_shape_every_kind_labels_contiguous():
         names = shapes.SHAPE_COMPONENTS[kind]
         assert 3 <= len(names) <= 5
         assert set(np.unique(cloud.labels)) == set(range(len(names)))
+
+
+def test_shape_table_invariants():
+    for kind, components in shapes._SHAPES.items():
+        shares = [share for _, share, _ in components]
+        assert abs(sum(shares) - 1.0) <= 1e-12, kind
+        assert min(shares) >= 0.1, kind
+        for name, _, prims in components:
+            assert abs(sum(w for w, _, _ in prims) - 1.0) <= 1e-12, (kind, name)
+            for _, sampler, args in prims:
+                fn = getattr(shapes, f"_sample_{sampler}", None)
+                assert callable(fn), (kind, name, sampler)
+                inspect.signature(fn).bind(None, 1, *args)
 
 
 def reference_sample_box(rng, count, center, half):

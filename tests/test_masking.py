@@ -1,16 +1,21 @@
 """Masking strategies: exact budgets, component coverage, determinism."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from protomae import masking, pipeline
+from protomae.config import preset
 from protomae.errors import InvalidArgument
 from protomae.masking import (
+    STRATEGIES,
     MaskPlan,
     block_mask,
     component_coverage,
     csem_mask,
+    make_plan,
     random_mask,
     round_half_up,
 )
@@ -202,3 +207,28 @@ def test_masked_and_visible_partition():
         plan = random_mask(33, 0.6, rng)
         both = np.concatenate([plan.masked_indices(), plan.visible_indices()])
         assert np.array_equal(np.sort(both), np.arange(33))
+
+
+def test_make_plan_dispatches_every_strategy_and_rejects_unknown():
+    assignment = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+    centers = np.random.default_rng(0).normal(size=(8, 3))
+    for strategy in STRATEGIES:
+        plan = make_plan(strategy, assignment, centers, 0.5, 1, np.random.default_rng(1))
+        assert plan.n_masked == 4, strategy
+    with pytest.raises(InvalidArgument, match="blockwise"):
+        make_plan("blockwise", assignment, centers, 0.5, 1, np.random.default_rng(1))
+
+
+def test_make_plan_resolves_strategies_at_call_time(monkeypatch):
+    # a wrapper set on the module attribute (as a profiler would set it)
+    # must see every plan a pretrain run draws
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return csem_mask(*args, **kwargs)
+
+    monkeypatch.setattr(masking, "csem_mask", recording)
+    cfg = dataclasses.replace(preset("toy"), mask_strategy="csem").validate()
+    res = pipeline.pretrain(cfg)
+    assert len(calls) == len(res.mask_log) > 0

@@ -129,6 +129,22 @@ def test_pretrain_is_bit_deterministic(tmp_path):
     assert c.data_hash != a.data_hash
 
 
+def test_one_call_fps_starts_equal_per_cloud_draws():
+    # pretrain draws a step's FPS starts with one integers(n, size=B) call;
+    # over several steps it must give the per-cloud loop's values and
+    # leave the generator in the same state
+    for seed in range(200):
+        for n_points in (64, 65, 100, 256, 2048):
+            for batch in (1, 2, 3, 8, 32):
+                one, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    got = one.integers(n_points, size=batch)
+                    expected = [int(loop.integers(n_points)) for _ in range(batch)]
+                    assert got.tolist() == expected, (seed, n_points, batch)
+                assert one.bit_generator.state == loop.bit_generator.state, \
+                    (seed, n_points, batch)
+
+
 def test_labels_influence_metrics_but_never_losses(monkeypatch):
     cfg = tiny_cfg()
     base = pipeline.pretrain(cfg)
