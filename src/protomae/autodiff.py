@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, InvariantViolation, NumericError
-from .geometry import sq_dists
+from .geometry import chamfer_nearest
 
 _MAX_NDIM = 4
 _CHUNK = 65536  # AdamW block: a float32 block's six rows fill about 1.5 MiB of a 2 MiB L2
@@ -174,7 +174,8 @@ def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
 
     The value must have every parent's dtype: numpy promotes a float32 and a
     float64 operand to float64, so a mix shows here as a parent whose dtype
-    differs from the value's.
+    differs from the value's.  The node keeps ``backward`` only when it
+    requires grad, so a single-parent op's backward may assume its parent does.
     """
     values = np.asarray(values)
     for p in parents:
@@ -233,8 +234,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, out.grad * s, fresh=True)
+        _accum(a, out.grad * s, fresh=True)
 
     return _node("scale", a.values * s, (a,), backward)
 
@@ -247,8 +247,7 @@ def mul_const(a: Tensor, c) -> Tensor:
         raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, out.grad * c, fresh=True)
+        _accum(a, out.grad * c, fresh=True)
 
     return _node("mul_const", a.values * c, (a,), backward)
 
@@ -340,8 +339,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, np.transpose(out.grad, inverse))
+        _accum(a, np.transpose(out.grad, inverse))
 
     return _node("transpose", np.transpose(a.values, axes), (a,), backward)
 
@@ -351,8 +349,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.values.shape
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, out.grad.reshape(old))
+        _accum(a, out.grad.reshape(old))
 
     return _node("reshape", a.values.reshape(shape), (a,), backward)
 
@@ -399,10 +396,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         raise InvalidArgument(f"slice_rows[{start}:{stop}] out of range for {n} rows")
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            g = np.zeros_like(a.values)
-            g[..., start:stop, :] = out.grad
-            _accum(a, g, fresh=True)
+        g = np.zeros_like(a.values)
+        g[..., start:stop, :] = out.grad
+        _accum(a, g, fresh=True)
 
     return _node("slice_rows", a.values[..., start:stop, :].copy(), (a,), backward)
 
@@ -428,12 +424,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     values = np.take_along_axis(a.values, idx[..., None], axis=-2)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            entries = int(np.prod(lead, dtype=np.int64))
-            flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
-            g = np.zeros((entries * n, c), dtype=out.grad.dtype)
-            np.add.at(g, flat, out.grad.reshape(-1, c))
-            _accum(a, g.reshape(a.values.shape), fresh=True)
+        entries = int(np.prod(lead, dtype=np.int64))
+        flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
+        g = np.zeros((entries * n, c), dtype=out.grad.dtype)
+        np.add.at(g, flat, out.grad.reshape(-1, c))
+        _accum(a, g.reshape(a.values.shape), fresh=True)
 
     return _node("gather_rows", values, (a,), backward)
 
@@ -447,8 +442,7 @@ def broadcast(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise InvalidArgument(f"cannot broadcast {a.values.shape} to {shape}") from None
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, _sum_to_shape(out.grad, a.values.shape))
+        _accum(a, _sum_to_shape(out.grad, a.values.shape))
 
     return _node("broadcast", values, (a,), backward)
 
@@ -460,13 +454,12 @@ def max_over_rows(a: Tensor) -> Tensor:
         raise InvalidArgument("max_over_rows needs at least 2 dimensions")
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            # the first row equal to the max is the first argmax; a boolean
-            # argmax is several times faster than a float one
-            idx = np.argmax(a.values == np.expand_dims(out.values, -2), axis=-2)
-            g = np.zeros_like(a.values)
-            np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
-            _accum(a, g, fresh=True)
+        # the first row equal to the max is the first argmax; a boolean
+        # argmax is several times faster than a float one
+        idx = np.argmax(a.values == np.expand_dims(out.values, -2), axis=-2)
+        g = np.zeros_like(a.values)
+        np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
+        _accum(a, g, fresh=True)
 
     return _node("max_over_rows", a.values.max(axis=-2), (a,), backward)
 
@@ -475,8 +468,7 @@ def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, np.full_like(a.values, out.grad), fresh=True)
+        _accum(a, np.full_like(a.values, out.grad), fresh=True)
 
     return _node("sum_all", np.sum(a.values), (a,), backward)
 
@@ -489,12 +481,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     e /= e.sum(axis=-1, keepdims=True)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            y, g = out.values, out.grad
-            ga = g * y                                # y * (g - sum(g * y))
-            np.subtract(g, ga.sum(axis=-1, keepdims=True), out=ga)
-            ga *= y
-            _accum(a, ga, fresh=True)
+        y, g = out.values, out.grad
+        ga = g * y                                # y * (g - sum(g * y))
+        np.subtract(g, ga.sum(axis=-1, keepdims=True), out=ga)
+        ga *= y
+        _accum(a, ga, fresh=True)
 
     return _node("softmax_rows", e, (a,), backward)
 
@@ -508,10 +499,9 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     values = (m + np.log(s)).squeeze(-1)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            ga = e / s
-            ga *= np.expand_dims(out.grad, -1)
-            _accum(a, ga, fresh=True)
+        ga = e / s
+        ga *= np.expand_dims(out.grad, -1)
+        _accum(a, ga, fresh=True)
 
     return _node("logsumexp_rows", values, (a,), backward)
 
@@ -521,8 +511,7 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, out.grad * (out.values > 0), fresh=True)
+        _accum(a, out.grad * (out.values > 0), fresh=True)
 
     return _node("relu", np.maximum(a.values, 0.0), (a,), backward)
 
@@ -545,20 +534,19 @@ def gelu(a: Tensor) -> Tensor:
     values *= t + 1.0
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            d_inner = x * x         # C * (1 + 3A * x^2)
-            d_inner *= 3.0 * _GELU_A
-            d_inner += 1.0
-            d_inner *= _GELU_C
-            slope = t * t           # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
-            np.subtract(1.0, slope, out=slope)
-            np.multiply(x * 0.5, slope, out=slope)
-            slope *= d_inner
-            local = t + 1.0
-            local *= 0.5
-            local += slope
-            local *= out.grad
-            _accum(a, local, fresh=True)
+        d_inner = x * x         # C * (1 + 3A * x^2)
+        d_inner *= 3.0 * _GELU_A
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        slope = t * t           # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(x * 0.5, slope, out=slope)
+        slope *= d_inner
+        local = t + 1.0
+        local *= 0.5
+        local += slope
+        local *= out.grad
+        _accum(a, local, fresh=True)
 
     return _node("gelu", values, (a,), backward)
 
@@ -605,13 +593,12 @@ def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
     values = a.values / denom
 
     def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            g = out.grad
-            live = norms > floor
-            y = out.values
-            proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
-            clipped = g / floor
-            _accum(a, np.where(live, proj, clipped), fresh=True)
+        g = out.grad
+        live = norms > floor
+        y = out.values
+        proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
+        clipped = g / floor
+        _accum(a, np.where(live, proj, clipped), fresh=True)
 
     return _node("l2_normalize_rows", values, (a,), backward)
 
@@ -619,20 +606,6 @@ def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 # Set distances
 # ---------------------------------------------------------------------------
-
-
-def _nearest(a: np.ndarray, b: np.ndarray):
-    """Nearest-neighbour matching of n point-set pairs, (n, M, D) against (n, L, D).
-
-    Returns (per-pair chamfer values (n,), nearest b for each a (n, M),
-    nearest a for each b (n, L)); ties go to the lowest index.
-    """
-    d = sq_dists(a[:, :, None, :], b[:, None, :, :])
-    ia = np.argmin(d, axis=2)
-    ib = np.argmin(d, axis=1)
-    value = (np.take_along_axis(d, ia[:, :, None], axis=2).mean(axis=(1, 2))
-             + np.take_along_axis(d, ib[:, None, :], axis=1).mean(axis=(1, 2)))
-    return value, ia, ib
 
 
 def _chamfer_grad(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -664,12 +637,11 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
         raise InvalidArgument("chamfer_batch over an empty batch or point set")
     p3 = pv.reshape((-1,) + pv.shape[-2:])
     t3 = tgt.reshape((-1,) + tgt.shape[-2:])
-    per_pair, ia, ib = _nearest(p3, t3)
+    per_pair, ia, ib = chamfer_nearest(p3, t3)
 
     def backward(out: Tensor) -> None:
-        if pred.requires_grad:
-            g = float(out.grad) / p3.shape[0]
-            _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape), fresh=True)
+        g = float(out.grad) / p3.shape[0]
+        _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape), fresh=True)
 
     return _node("chamfer_batch", per_pair.mean(), (pred,), backward)
 

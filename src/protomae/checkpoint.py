@@ -19,11 +19,11 @@ from its float64 array, so a save of a float64 store builds no copy of the
 model in memory.  A float32 store is widened one tensor at a time.  The file
 stays float64 whatever the compute dtype: widening is exact, so a float32
 store saves and loads back bit for bit, and its dtype travels in the config
-text (``dtype = float32``).
-Loading (``load_into``) needs every tensor of the receiving store, shape
-included, casts into the store's dtype and ignores the rest, so each run
-builds a store of exactly what it reads and creates anything fresh (a
-classification head) after loading.
+text (``dtype = float32``).  ``load`` keeps each tensor a read-only view of
+the one buffer it reads the file into.  Loading (``load_into``) needs every
+tensor of the receiving store, shape included, casts into the store's dtype
+and ignores the rest, so each run builds a store of exactly what it reads
+and creates anything fresh (a classification head) after loading.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def save(path: str | Path, store: ad.ParamStore, cfg: RunConfig,
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: Path):
+    def __init__(self, data: memoryview, path: Path):
         self.data = data
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.data):
             raise ConfigError(f"truncated checkpoint {self.path} "
                               f"(wanted {n} bytes at offset {self.off})")
@@ -127,7 +127,7 @@ class _Reader:
     def text(self, n: int, what: str) -> str:
         raw = self.take(n)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError:
             raise ConfigError(f"{self.path}: corrupt {what} (not UTF-8)") from None
 
@@ -135,7 +135,7 @@ class _Reader:
 def load(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
-        data = path.read_bytes()
+        data = memoryview(path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
     r = _Reader(data, path)
@@ -146,7 +146,7 @@ def load(path: str | Path) -> Checkpoint:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     config_text = r.text(r.u64(), "config text")
     try:
-        rng_state = json.loads(r.take(r.u64()).decode("utf-8"))
+        rng_state = json.loads(str(r.take(r.u64()), "utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupt RNG state: {exc}") from None
     tensors: dict[str, np.ndarray] = {}
@@ -156,7 +156,7 @@ def load(path: str | Path) -> Checkpoint:
         shape = tuple(r.u64() for _ in range(ndim))
         payload = r.take(math.prod(shape) * 8)
         try:
-            arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
         except ValueError as exc:
             raise ConfigError(f"{path}: tensor '{name}' has a bad shape: {exc}") from None
         if name in tensors:

@@ -3,9 +3,9 @@
 Everything here is plain float64 numpy with deterministic tie-breaking
 (lowest index wins), so the same inputs always produce the same outputs
 bit for bit.  The sampling and neighbourhood kernels take any leading batch
-axes and treat each leading entry as an independent cloud.  The
-differentiable chamfer distance lives in ``autodiff``; this module is the
-ground-truth arithmetic.
+axes and treat each leading entry as an independent cloud.  The chamfer
+kernel here is the one behind the reconstruction losses: ``autodiff``
+differentiates it rather than keeping its own.
 """
 
 from __future__ import annotations
@@ -160,12 +160,23 @@ def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods
                          local_coords=local.reshape(lead + (g, k, 3)))
 
 
-def chamfer(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric squared-L2 chamfer distance.
+def chamfer_nearest(a: np.ndarray, b: np.ndarray):
+    """Symmetric squared-L2 chamfer distance of n point-set pairs, (n, M, D) and (n, L, D).
 
-    mean over a of min squared distance to b, plus the same with the sets
-    swapped.  Zero iff the two sets cover the same locations.
+    Per pair: mean over a of min squared distance to b, plus the same with the
+    sets swapped.  Returns (values (n,), nearest b for each a (n, M), nearest a
+    for each b (n, L)); ties go to the lowest index.  Works in the inputs' dtype.
     """
+    d = sq_dists(a[:, :, None, :], b[:, None, :, :])
+    ia = np.argmin(d, axis=2)
+    ib = np.argmin(d, axis=1)
+    value = (np.take_along_axis(d, ia[:, :, None], axis=2).mean(axis=(1, 2))
+             + np.take_along_axis(d, ib[:, None, :], axis=1).mean(axis=(1, 2)))
+    return value, ia, ib
+
+
+def chamfer(a: np.ndarray, b: np.ndarray) -> float:
+    """``chamfer_nearest`` of one (M, D), (L, D) pair: zero iff both cover the same locations."""
     pa = np.asarray(a, dtype=np.float64)
     pb = np.asarray(b, dtype=np.float64)
     if pa.ndim != 2 or pb.ndim != 2 or pa.shape[1] != pb.shape[1]:
@@ -174,8 +185,7 @@ def chamfer(a: np.ndarray, b: np.ndarray) -> float:
         raise InvalidArgument("chamfer of an empty point set")
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
         raise InvalidArgument("chamfer of non-finite coordinates")
-    d = sq_dists(pa[:, None, :], pb[None, :, :])
-    return float(d.min(axis=1).mean() + d.min(axis=0).mean())
+    return float(chamfer_nearest(pa[None], pb[None])[0][0])
 
 
 # ---------------------------------------------------------------------------

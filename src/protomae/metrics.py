@@ -82,9 +82,9 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
     It yields the same picks, and leaves ``rng`` in the same state, as a loop
     of ``draws`` calls of size ``n``: bounded integers below 2**32 are drawn
     32 bits at a time from the generator's own buffer, which persists across
-    calls.  The NMIs come from one stack of contingency tables.  Empty groups
-    and absent labels add nothing to any entropy, so the fixed
-    (n_groups, labels) table scores each draw as ``nmi`` would.
+    calls.  The NMIs come from one stack of integer contingency tables.  Empty
+    groups and absent labels add nothing to any entropy, so the fixed
+    (n_groups, labels) table scores each draw exactly as ``nmi`` would.
     """
     if draws < 1:
         raise InvalidArgument(f"random_nmi_baseline needs draws >= 1, got {draws}")
@@ -94,6 +94,6 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
     n, width = truth_ids.size, int(truth_ids.max()) + 1
     picks = rng.integers(0, n_groups, (draws, n))
     cells = (np.arange(draws)[:, None] * n_groups + picks) * width + truth_ids
-    pab = np.bincount(cells.reshape(-1), minlength=draws * n_groups * width)
-    pab = pab.reshape(draws, n_groups, width) / n
-    return float(np.mean(_nmi(pab, pab.sum(axis=2), pab.sum(axis=1))))
+    counts = np.bincount(cells.reshape(-1), minlength=draws * n_groups * width)
+    counts = counts.reshape(draws, n_groups, width)
+    return float(np.mean(_nmi(counts / n, counts.sum(axis=2) / n, counts.sum(axis=1) / n)))

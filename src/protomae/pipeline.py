@@ -1,6 +1,6 @@
 """Training and evaluation orchestration.
 
-Pre-training follows the two-branch step: the component-grouping branch runs
+A pre-training step (``train_step``) has two branches: component grouping runs
 on the complete cloud (tape-free tokenize, stop-gradient encoder pass) and
 yields the assignment the masking strategy needs, then the masked-autoencoding
 branch embeds only the visible patches on the tape and reconstructs the rest.
@@ -67,6 +67,10 @@ def build_dataset(cfg: RunConfig) -> Dataset:
                    kinds=kinds)
 
 
+def _stack_points(ds: Dataset, batch: np.ndarray) -> np.ndarray:
+    return np.stack([ds.clouds[i].points for i in batch])
+
+
 def token_truth(cloud: PointCloud, member_indices: np.ndarray) -> np.ndarray:
     """Majority component label of each (G, k) patch (ties to the lowest label)."""
     if cloud.labels is None:
@@ -114,6 +118,36 @@ def _batch_hash(clouds: list[PointCloud], starts: np.ndarray) -> str:
 # pre-training
 # ---------------------------------------------------------------------------
 
+_LOSS_COLUMNS = ("l_3d", "l_proto", "l_cont", "total")
+_CLOUD_COLUMNS = ("grouping_entropy", "component_purity")
+
+
+def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generator,
+               points: np.ndarray, starts: np.ndarray, cfg: RunConfig
+               ) -> tuple[dict[str, float], list[masking.MaskPlan], np.ndarray, np.ndarray]:
+    """One pre-training step on a (B, N, 3) batch, as the module docstring describes.
+
+    Returns the four losses as floats, the B mask plans, the (B, G) assignment
+    and the (B, G, k) patch members: no Tensor, so the step's tape dies with it.
+    """
+    tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
+    out = pcsm.pcsm_forward(tb, points, store, cfg)
+    plans = [masking.make_plan(cfg.mask_strategy, out.assignment[j], tb.centers[j],
+                               cfg.mask_ratio, cfg.full_mask_components, mask_rng)
+             for j in range(len(points))]
+    vis = np.stack([plan.visible_indices() for plan in plans])
+    msk = np.stack([plan.masked_indices() for plan in plans])
+    losses = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
+              "l_proto": out.loss_proto, "l_cont": out.loss_cont}
+    losses["total"] = ad.add(losses["l_3d"],
+                             ad.add(ad.scale(losses["l_proto"], cfg.lambda_proto),
+                                    ad.scale(losses["l_cont"], cfg.lambda_cont)))
+    losses["total"].backward()
+    opt.step()
+    return ({name: float(t.values) for name, t in losses.items()}, plans,
+            out.assignment, tb.member_indices)
+
+
 @dataclass
 class PretrainResult:
     store: ad.ParamStore
@@ -126,7 +160,7 @@ class PretrainResult:
 
 
 def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResult:
-    """Run the full pre-training loop; see the module docstring for the step.
+    """Run the full pre-training loop of ``train_step``.
 
     Writes ``metrics.jsonl`` (one object per epoch), ``masks.jsonl`` (one
     object per cloud per step), and ``checkpoint.bin`` under ``out_dir`` when
@@ -155,39 +189,23 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
         opt.overrides["pcsm.prototypes"] = (plr, cfg.proto_weight_decay)
         order = np.arange(n)
         data_rng.shuffle(order)
-        sums = {"l_3d": 0.0, "l_proto": 0.0, "l_cont": 0.0, "total": 0.0}
-        entropy_sum = purity_sum = 0.0
+        sums = dict.fromkeys(_LOSS_COLUMNS + _CLOUD_COLUMNS, 0.0)
         for step in range(steps):
             batch = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             starts = data_rng.integers(cfg.n_points, size=len(batch))
             clouds = [ds.clouds[i] for i in batch]
             if epoch == 0 and step == 0:
                 data_hash = _batch_hash(clouds, starts)
-            points = np.stack([cloud.points for cloud in clouds])
             try:
-                tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
-                out = pcsm.pcsm_forward(tb, points, store, cfg)
-                plans = [masking.make_plan(cfg.mask_strategy, out.assignment[j], tb.centers[j],
-                                           cfg.mask_ratio, cfg.full_mask_components, mask_rng)
-                         for j in range(len(batch))]
-                vis = np.stack([plan.visible_indices() for plan in plans])
-                msk = np.stack([plan.masked_indices() for plan in plans])
-                means = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
-                         "l_proto": out.loss_proto, "l_cont": out.loss_cont}
-                total = ad.add(means["l_3d"],
-                               ad.add(ad.scale(means["l_proto"], cfg.lambda_proto),
-                                      ad.scale(means["l_cont"], cfg.lambda_cont)))
-                total.backward()
-                opt.step()
+                losses, plans, assignment, members = train_step(
+                    store, opt, mask_rng, _stack_points(ds, batch), starts, cfg)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1} step {step + 1}: {exc}") from None
-            for j, (ci, cloud, plan) in enumerate(zip(batch, clouds, plans)):
-                assignment = out.assignment[j]
-                entropy_sum += metrics.group_entropy(assignment, cfg.n_prototypes)
-                purity_sum += metrics.purity(assignment,
-                                             token_truth(cloud, tb.member_indices[j]))
-                cov_sel, cov_max = masking.component_coverage(plan, assignment)
+            for ci, cloud, plan, groups, patches in zip(batch, clouds, plans, assignment, members):
+                sums["grouping_entropy"] += metrics.group_entropy(groups, cfg.n_prototypes)
+                sums["component_purity"] += metrics.purity(groups, token_truth(cloud, patches))
+                cov_sel, cov_max = masking.component_coverage(plan, groups)
                 mask_log.append({
                     "epoch": epoch + 1, "step": step + 1, "cloud": int(ci),
                     "strategy": cfg.mask_strategy,
@@ -196,19 +214,12 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                     "coverage_selected": cov_sel,
                     "coverage_max": cov_max,
                 })
-            for name, t in means.items():
-                sums[name] += float(t.values)
-            sums["total"] += float(total.values)
+            for name, value in losses.items():
+                sums[name] += value
         clouds_seen = steps * cfg.batch_size
-        epoch_rows.append({
-            "epoch": epoch + 1,
-            "l_3d": sums["l_3d"] / steps,
-            "l_proto": sums["l_proto"] / steps,
-            "l_cont": sums["l_cont"] / steps,
-            "total": sums["total"] / steps,
-            "grouping_entropy": entropy_sum / clouds_seen,
-            "component_purity": purity_sum / clouds_seen,
-        })
+        epoch_rows.append({"epoch": epoch + 1,
+                           **{name: sums[name] / steps for name in _LOSS_COLUMNS},
+                           **{name: sums[name] / clouds_seen for name in _CLOUD_COLUMNS}})
         LOGGER.info("pretrain epoch %d/%d total %.6f (%.1fs)", epoch + 1,
                     cfg.epochs, epoch_rows[-1]["total"], time.monotonic() - t0)
     ckpt_path = None
@@ -249,13 +260,19 @@ def split_dataset(ds: Dataset, val_fraction: float,
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(val), dtype=np.int64)
 
 
-def _stack_points(ds: Dataset, batch: np.ndarray) -> np.ndarray:
-    return np.stack([ds.clouds[i].points for i in batch])
-
-
 def _predicted(logits: ad.Tensor) -> np.ndarray:
     """Predicted class of each cloud from (B, 1, n_classes) logits."""
     return np.argmax(logits.values, axis=-1).reshape(-1)
+
+
+def _finetune_step(classify, store: ad.ParamStore, opt: ad.AdamW, points: np.ndarray,
+                   labels: np.ndarray, cfg: RunConfig) -> tuple[int, float]:
+    """One fine-tuning step; returns (correct predictions, mean cross-entropy), no Tensor."""
+    logits = classify(points, store, cfg)
+    batch_ce = ad.cross_entropy(logits, labels)
+    batch_ce.backward()
+    opt.step()
+    return int(np.sum(_predicted(logits) == labels)), float(batch_ce.values)
 
 
 @dataclass
@@ -297,22 +314,19 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
         ce_sum = 0.0
         for lo in range(0, order.size, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            labels = ds.kind_ids[batch]
             try:
-                logits = classify(_stack_points(ds, batch), store, cfg)
-                batch_ce = ad.cross_entropy(logits, labels)
-                correct += int(np.sum(_predicted(logits) == labels))
-                ce_sum += float(batch_ce.values) * batch.size
-                batch_ce.backward()
-                opt.step()
+                hits, ce = _finetune_step(classify, store, opt, _stack_points(ds, batch),
+                                          ds.kind_ids[batch], cfg)
             except NumericError as exc:
                 raise NumericError(f"fine-tune epoch {epoch + 1}: {exc}") from None
+            correct += hits
+            ce_sum += ce * batch.size
         train_acc = correct / order.size
         val_correct = 0
         for lo in range(0, val_idx.size, cfg.batch_size):
             batch = val_idx[lo:lo + cfg.batch_size]
-            logits = classify(_stack_points(ds, batch), store, cfg)
-            val_correct += int(np.sum(_predicted(logits) == ds.kind_ids[batch]))
+            predicted = _predicted(classify(_stack_points(ds, batch), store, cfg))
+            val_correct += int(np.sum(predicted == ds.kind_ids[batch]))
         val_acc = val_correct / val_idx.size
         rows.append({"epoch": epoch + 1, "ce": ce_sum / order.size,
                      "train_accuracy": train_acc, "val_accuracy": val_acc})

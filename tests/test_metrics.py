@@ -149,6 +149,15 @@ def test_random_baseline_equals_mean_of_per_draw_nmi():
         assert one_call.bit_generator.state == loop.bit_generator.state, seed
 
 
+def test_random_baseline_single_group_is_exactly_zero():
+    # a one-group draw has zero entropy, so it scores exactly 0 as in nmi;
+    # marginals summed from the rounded joint table miss that by ulps
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        truth = rng.choice(5, size=int(rng.integers(2, 200)), p=[0.6, 0.2, 0.1, 0.07, 0.03])
+        assert metrics.random_nmi_baseline(truth, 1, 3, rng) == 0.0, seed
+
+
 def test_random_baseline_rejects_degenerate_arguments():
     labels = np.array([0, 1, 0, 1])
     with pytest.raises(InvalidArgument, match="draws"):

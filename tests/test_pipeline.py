@@ -9,6 +9,7 @@ and the on-disk artifacts.
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ def test_pretrain_is_bit_deterministic(tmp_path):
     assert c.data_hash != a.data_hash
 
 
+def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):
+    # Tensor takes no weakref, so watch the loss's value array: the tape
+    # holds it until the last node of the step is dropped
+    losses = []
+    reconstruction_loss = pipeline.backbone.reconstruction_loss
+    frozen_tokenize = pipeline.pcsm.frozen_tokenize
+
+    def recording_loss(*args, **kwargs):
+        loss = reconstruction_loss(*args, **kwargs)
+        losses.append(weakref.ref(loss.values))
+        return loss
+
+    def checking_tokenize(*args, **kwargs):
+        assert all(ref() is None for ref in losses), "previous step's tape is still alive"
+        return frozen_tokenize(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.backbone, "reconstruction_loss", recording_loss)
+    monkeypatch.setattr(pipeline.pcsm, "frozen_tokenize", checking_tokenize)
+    cfg = tiny_cfg()
+    pipeline.pretrain(cfg)
+    assert len(losses) == cfg.epochs * (len(pipeline.build_dataset(cfg).clouds) // cfg.batch_size)
+
+
 def test_one_call_fps_starts_equal_per_cloud_draws():
     # pretrain draws a step's FPS starts with one integers(n, size=B) call;
     # over several steps it must give the per-cloud loop's values and
@@ -246,6 +270,23 @@ def test_finetune_early_stop():
     cfg = tiny_cfg(stop_train_accuracy=0.0)
     res = pipeline.finetune(cfg, in_memory_ckpt(cfg), csep=False)
     assert len(res.metrics) == 1
+
+
+def test_finetune_frees_each_step_tape_before_the_next(monkeypatch):
+    # training and validation forwards alike: no logits outlive their batch
+    logits = []
+    classify = pipeline.heads.classify_baseline
+
+    def checking_classify(*args, **kwargs):
+        assert all(ref() is None for ref in logits), "previous step's tape is still alive"
+        out = classify(*args, **kwargs)
+        logits.append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(pipeline.heads, "classify_baseline", checking_classify)
+    cfg = tiny_cfg()
+    res = pipeline.finetune(cfg, in_memory_ckpt(cfg), csep=False)
+    assert len(logits) > len(res.metrics) > 0
 
 
 def test_finetune_is_deterministic():
