@@ -44,7 +44,7 @@ pays only for the values it returns:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -744,6 +744,11 @@ def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
     return out
 
 
+def frozen(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
+    """Constant views of ``params``, sharing the values that ``AdamW`` updates in place."""
+    return {name: t.detach() for name, t in params.items()}
+
+
 class ParamStore:
     """Named map of trainable tensors with deterministic creation order.
 
@@ -791,10 +796,6 @@ class ParamStore:
     def items(self):
         for name in self.names():
             yield name, self._params[name]
-
-    def frozen(self) -> dict[str, Tensor]:
-        """Constant views of every parameter (stop-gradient forward passes)."""
-        return {name: t.detach() for name, t in self._params.items()}
 
     def zero_grads(self) -> None:
         for t in self._params.values():

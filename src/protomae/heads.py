@@ -12,6 +12,8 @@ A single (N, 3) cloud gives (1, n_classes) logits; a (B, N, 3) batch gives
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from . import autodiff as ad
@@ -40,41 +42,41 @@ def init_head_params(store: ad.ParamStore, cfg: RunConfig, n_classes: int,
     store.create("cls.head.b1", (n_classes,), init="zeros")
 
 
-def head_logits(features: Tensor, store: ad.ParamStore) -> Tensor:
-    w0 = store["cls.head.w0"]
+def head_logits(features: Tensor, params: Mapping[str, Tensor]) -> Tensor:
+    w0 = params["cls.head.w0"]
     if features.values.shape[-1] != w0.values.shape[0]:
         raise InvalidArgument(
             f"feature width {features.values.shape[-1]} does not match head "
             f"input width {w0.values.shape[0]}")
-    h = ad.gelu(ad.linear(features, w0, store["cls.head.b0"]))
-    return ad.linear(h, store["cls.head.w1"], store["cls.head.b1"])
+    h = ad.gelu(ad.linear(features, w0, params["cls.head.b0"]))
+    return ad.linear(h, params["cls.head.w1"], params["cls.head.b1"])
 
 
-def _readout(blocks: list[tuple[Tensor, Tensor]], store: ad.ParamStore,
+def _readout(blocks: list[tuple[Tensor, Tensor]], params: Mapping[str, Tensor],
              cfg: RunConfig) -> Tensor:
     """Logits of [class token || blocks]: the class row and each block max-pooled.
 
     Each block is a (rows, positions) pair of (..., n, C) tensors.
     """
-    enc = backbone.encode(ad.concat([store["cls.token"]] + [rows for rows, _ in blocks], axis=-2),
-                          ad.concat([store["cls.pos"]] + [pos for _, pos in blocks], axis=-2),
-                          store, cfg)
+    enc = backbone.encode(ad.concat([params["cls.token"]] + [rows for rows, _ in blocks], axis=-2),
+                          ad.concat([params["cls.pos"]] + [pos for _, pos in blocks], axis=-2),
+                          params, cfg)
     features, lo = [ad.slice_rows(enc, 0, 1)], 1
     for rows, _ in blocks:
         n = rows.values.shape[-2]
         features.append(embedding.pool_row(ad.slice_rows(enc, lo, lo + n)))
         lo += n
-    return head_logits(ad.concat(features, axis=-1), store)
+    return head_logits(ad.concat(features, axis=-1), params)
 
 
-def classify_baseline(points: np.ndarray, store: ad.ParamStore,
+def classify_baseline(points: np.ndarray, params: Mapping[str, Tensor],
                       cfg: RunConfig) -> Tensor:
     """Logits from [class token || patch tokens] features: t_cls || f_g."""
-    tb = embedding.tokenize(points, store, cfg)
-    return _readout([(tb.tokens, tb.pos)], store, cfg)
+    tb = embedding.tokenize(points, params, cfg)
+    return _readout([(tb.tokens, tb.pos)], params, cfg)
 
 
-def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
+def classify_csep(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
                   prompt_rows: np.ndarray | None = None) -> Tensor:
     """Logits with refreshed prototypes as prompt rows: t_cls || p_g || f_g.
 
@@ -84,20 +86,20 @@ def classify_csep(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
 
     ``prompt_rows`` substitutes fixed values for the refreshed prototypes
     (the readout block-structure check feeds zeros here); normally the
-    prompts come from the prototype bank against this cloud's own encoded
-    tokens, with the token features treated as constants exactly as during
-    pre-training.
+    prompts come from ``pcsm.refresh``: the prototype bank against this
+    cloud's own encoded tokens, with the token features treated as constants
+    exactly as during pre-training.
     """
-    if "pcsm.prototypes" not in store:
+    if "pcsm.prototypes" not in params:
         raise ConfigError("prompted classification needs pre-trained prototypes; "
                           "load a pre-training checkpoint first")
     c = cfg.dim
-    tb = embedding.tokenize(points, store, cfg)
+    tb = embedding.tokenize(points, params, cfg)
     if prompt_rows is None:
-        p_hat = pcsm.prompts(tb, store, cfg)
+        _, p_hat = pcsm.refresh(tb, params, cfg)
     else:
-        p_hat = Tensor(np.asarray(prompt_rows, dtype=store["cls.token"].values.dtype))
+        p_hat = Tensor(np.asarray(prompt_rows, dtype=params["cls.token"].values.dtype))
         if p_hat.values.shape[-1] != c:
             raise InvalidArgument(f"prompt rows must be width {c}")
     zeros = Tensor(np.zeros((p_hat.values.shape[-2], c), dtype=p_hat.values.dtype))
-    return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], store, cfg)
+    return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], params, cfg)

@@ -8,14 +8,12 @@ similarity between the two yields a hard component assignment per token.
 Two losses train this branch: a reconstruction loss that decodes each token's
 (prototype, position-embedding) pair back to a piece of the cloud, and a
 contrastive loss that pushes refreshed prototypes apart in cosine similarity.
-The encoder pass feeding this module always runs under stop-gradient, so
-these losses train only the prototype bank and the reconstruction head.  The
-enhancement cross-attention feeds only the hard argmax, which no loss
-differentiates through, so it runs on frozen weights.  This module owns that
-boundary: it alone takes the frozen view of a parameter store, for the
-tape-free tokenize of a training step (``frozen_tokenize``), the training
-pass (``pcsm_forward``), the classifier's prompt rows (``prompts``) and the
-tape-free assignment of evaluation and export (``cloud_assignment``).
+Each pass reads one ``params`` mapping, the store or a frozen view as
+its caller picks, and reads the bank from it as given.  The encoder pass
+feeding this module always reads a frozen view (the grouping branch's
+stop-gradient), so these losses train only the prototype bank and the
+reconstruction head.  The enhancement feeds only the hard argmax, which no
+loss differentiates through, so it reads a frozen view too.
 
 Every function takes a single cloud's (G, C) tokens or a (B, G, C) batch.
 The shared bank is refreshed against each cloud's own tokens, and the
@@ -175,25 +173,20 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), diagonal)
 
 
-def refresh(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,
+def refresh(tb: TokenBatch, params: Mapping[str, Tensor],
             cfg: RunConfig) -> tuple[np.ndarray, Tensor]:
     """Frozen encode, k-norm, prototype refresh: (tokens_encoded, prototypes_hat).
 
     The batch's tokens and positions enter as constants and are encoded
-    through the ``frozen`` weights, so no gradient reaches the embedding or
-    the encoder (the stop-gradient boundary).  ``bank`` is refreshed against
-    each cloud's own k-normed tokens: the trainable parameter, or a frozen
-    copy when only the assignment is wanted.
+    through a frozen view of ``params``, so no gradient reaches the embedding
+    or the encoder (the stop-gradient boundary).  The bank
+    ``params["pcsm.prototypes"]`` is read as given and refreshed against each
+    cloud's own k-normed tokens.
     """
-    te = backbone.encode(tb.tokens.detach(), tb.pos.detach(), frozen, cfg).values
+    te = backbone.encode(tb.tokens.detach(), tb.pos.detach(), ad.frozen(params), cfg).values
     if cfg.knorm_enabled:
         te = knorm_enhance(te, tb.centers, cfg.knorm_k)
-    return te, update_prototypes(bank, Tensor(te))
-
-
-def prompts(tb: TokenBatch, store: ad.ParamStore, cfg: RunConfig) -> Tensor:
-    """The trainable bank refreshed against the batch's frozen-encoded tokens."""
-    return refresh(tb, store.frozen(), store["pcsm.prototypes"], cfg)[1]
+    return te, update_prototypes(params["pcsm.prototypes"], Tensor(te))
 
 
 @dataclass
@@ -205,37 +198,30 @@ class Grouping:
     assignment: np.ndarray          # (..., G) int64
 
 
-def group(tb: TokenBatch, frozen: Mapping[str, Tensor], bank: Tensor,
-          cfg: RunConfig) -> Grouping:
+def group(tb: TokenBatch, params: Mapping[str, Tensor], cfg: RunConfig) -> Grouping:
     """``refresh``, then enhancement, similarity and the hard assignment.
 
-    The enhancement reads the ``frozen`` weights: its output feeds only the
-    argmax, so no loss could differentiate through it.  With a frozen bank
-    too, the pass records no gradient tape.
+    The enhancement reads a frozen view of ``params``: its output feeds only
+    the argmax, so no loss could differentiate through it.  Given a frozen
+    view, the pass records no gradient tape.
     """
-    te, p_hat = refresh(tb, frozen, bank, cfg)
+    te, p_hat = refresh(tb, params, cfg)
     detached = p_hat.detach()
-    _, assignment = similarity(enhance_tokens(Tensor(te), detached, frozen, cfg), detached)
+    _, assignment = similarity(enhance_tokens(Tensor(te), detached, ad.frozen(params), cfg),
+                               detached)
     return Grouping(tokens_encoded=te, prototypes_hat=p_hat, assignment=assignment)
 
 
-def frozen_tokenize(points: np.ndarray, store: ad.ParamStore, cfg: RunConfig,
-                    start=0) -> TokenBatch:
-    """``embedding.tokenize`` on constant weights: a training step's grouping
-    branch reads the complete cloud's tokens only as constants."""
-    return embedding.tokenize(points, store.frozen(), cfg, start=start)
-
-
-def cloud_assignment(points: np.ndarray, store: ad.ParamStore,
+def cloud_assignment(points: np.ndarray, params: Mapping[str, Tensor],
                      cfg: RunConfig) -> tuple[TokenBatch, Grouping]:
-    """The frozen assignment pass: tokenize and ``group`` on constant weights.
+    """The frozen assignment pass: tokenize and ``group`` on a frozen view of ``params``.
 
     ``points`` is one (N, 3) cloud or a (B, N, 3) batch, tokenized from its
     first point.  The pass builds no losses and no gradient tape.
     """
-    frozen = store.frozen()
+    frozen = ad.frozen(params)
     tb = embedding.tokenize(points, frozen, cfg, start=0)
-    return tb, group(tb, frozen, frozen["pcsm.prototypes"], cfg)
+    return tb, group(tb, frozen, cfg)
 
 
 @dataclass
@@ -246,18 +232,18 @@ class PCSMOutput(Grouping):
     loss_cont: Tensor
 
 
-def pcsm_forward(tb: TokenBatch, cloud_points: np.ndarray, store: ad.ParamStore,
+def pcsm_forward(tb: TokenBatch, cloud_points: np.ndarray, params: Mapping[str, Tensor],
                  cfg: RunConfig) -> PCSMOutput:
     """Full component-grouping pass on a complete cloud, or a batch of them.
 
-    ``tb`` is read only as constants, so it may come from
-    ``frozen_tokenize``.  The grouping runs as in ``group`` against the
-    trainable prototype bank; trainable inputs of the two losses are that
-    bank and the reconstruction head.
+    ``tb`` is read only as constants, so it may come from a tokenize on a
+    frozen view.  The grouping runs as in ``group``; given the store, the
+    trainable inputs of the two losses are the prototype bank and the
+    reconstruction head.
     """
-    grouping = group(tb, store.frozen(), store["pcsm.prototypes"], cfg)
+    grouping = group(tb, params, cfg)
     p_hat = grouping.prototypes_hat
     loss_proto = ppr_reconstruct(p_hat, tb.pos.detach(), grouping.assignment,
-                                 cloud_points, store, cfg)
+                                 cloud_points, params, cfg)
     return PCSMOutput(**vars(grouping), loss_proto=loss_proto,
                       loss_cont=l_cont(p_hat, cfg.cont_temperature))

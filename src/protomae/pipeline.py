@@ -130,7 +130,7 @@ def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generato
     Returns the four losses as floats, the B mask plans, the (B, G) assignment
     and the (B, G, k) patch members: no Tensor, so the step's tape dies with it.
     """
-    tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
+    tb = embedding.tokenize(points, ad.frozen(store), cfg, start=starts)
     out = pcsm.pcsm_forward(tb, points, store, cfg)
     plans = [masking.make_plan(cfg.mask_strategy, out.assignment[j], tb.centers[j],
                                cfg.mask_ratio, cfg.full_mask_components, mask_rng)
@@ -246,6 +246,15 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
 # fine-tuning
 # ---------------------------------------------------------------------------
 
+def _val_count(val_fraction: float, n: int) -> int:
+    """Validation clouds split off a kind's ``n``; fine-tuning needs at least one on each side."""
+    n_val = int(round(val_fraction * n))
+    if not 0 < n_val < n:
+        raise ConfigError(f"val_fraction {val_fraction} of clouds_per_kind {n} leaves "
+                          f"{n - n_val} training and {n_val} validation clouds per kind")
+    return n_val
+
+
 def split_dataset(ds: Dataset, val_fraction: float,
                   split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/validation split, deterministic in the split seed."""
@@ -254,7 +263,7 @@ def split_dataset(ds: Dataset, val_fraction: float,
     for k in range(len(ds.kinds)):
         members = np.flatnonzero(ds.kind_ids == k)
         perm = rng.permutation(members)
-        n_val = int(round(val_fraction * members.size))
+        n_val = _val_count(val_fraction, members.size)
         val.extend(perm[:n_val])
         train.extend(perm[n_val:])
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(val), dtype=np.int64)
@@ -297,16 +306,15 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
     cfg.validate()
     ck = ckpt if isinstance(ckpt, checkpoint.Checkpoint) else checkpoint.load(ckpt)
     ds = build_dataset(cfg)
+    train_idx, val_idx = split_dataset(ds, cfg.val_fraction, cfg.split_seed)
     store = init_model(cfg, decoder=False, pcsm_branch=csep)
     checkpoint.load_into(store, ck)
     heads.init_head_params(store, cfg, len(ds.kinds), csep=csep)
     classify = heads.classify_csep if csep else heads.classify_baseline
     opt = ad.AdamW(store, lr=cfg.finetune_learning_rate,
                    betas=(cfg.beta1, cfg.beta2), weight_decay=cfg.weight_decay)
-    train_idx, val_idx = split_dataset(ds, cfg.val_fraction, cfg.split_seed)
     rng = np.random.default_rng([cfg.seed, 17])
     rows: list[dict] = []
-    train_acc = val_acc = 0.0
     for epoch in range(cfg.finetune_epochs):
         order = train_idx.copy()
         rng.shuffle(order)
@@ -323,9 +331,10 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
             ce_sum += ce * batch.size
         train_acc = correct / order.size
         val_correct = 0
+        frozen = ad.frozen(store)
         for lo in range(0, val_idx.size, cfg.batch_size):
             batch = val_idx[lo:lo + cfg.batch_size]
-            predicted = _predicted(classify(_stack_points(ds, batch), store, cfg))
+            predicted = _predicted(classify(_stack_points(ds, batch), frozen, cfg))
             val_correct += int(np.sum(predicted == ds.kind_ids[batch]))
         val_acc = val_correct / val_idx.size
         rows.append({"epoch": epoch + 1, "ce": ce_sum / order.size,
@@ -387,6 +396,7 @@ def ablate(cfg: RunConfig, strategies: list[str],
     if repeated:
         raise ConfigError(f"repeated masking strategies {repeated}")
     subs = [dataclasses.replace(cfg, mask_strategy=strat).validate() for strat in strategies]
+    _val_count(cfg.val_fraction, cfg.clouds_per_kind)
     rows = []
     ref_init = ref_data = None
     for strat, sub in zip(strategies, subs):

@@ -455,7 +455,7 @@ def test_param_store_order_and_duplicates():
 def test_param_store_frozen_shares_values():
     store = ad.ParamStore(seed=1)
     p = store.create("w", (2, 2))
-    frozen = store.frozen()["w"]
+    frozen = ad.frozen(store)["w"]
     assert not frozen.requires_grad
     p.values[0, 0] = 42.0
     assert frozen.values[0, 0] == 42.0

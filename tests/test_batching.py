@@ -60,7 +60,7 @@ def _one_cloud(tb, i):
 def _similarity(out, store, cfg):
     """The row-stochastic similarity behind ``out.assignment``."""
     bank = out.prototypes_hat.detach()
-    enhanced = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, store.frozen(), cfg)
+    enhanced = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, ad.frozen(store), cfg)
     return pcsm.similarity(enhanced, bank)[0].values
 
 
@@ -160,7 +160,7 @@ def test_classify_csep_prompts_are_the_refreshed_bank(setup):
     cfg, store, points, _ = setup
     tb = embedding.tokenize(points, store, cfg)
     pos = embedding.pos_embed(tb.centers, store)
-    te = backbone.encode(Tensor(tb.tokens.values), Tensor(pos.values), store.frozen(), cfg)
+    te = backbone.encode(Tensor(tb.tokens.values), Tensor(pos.values), ad.frozen(store), cfg)
     te = pcsm.knorm_enhance(te.values, tb.centers, cfg.knorm_k)
     p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], Tensor(te)).values
     np.testing.assert_allclose(heads.classify_csep(points, store, cfg).values,
@@ -199,7 +199,7 @@ def test_visible_only_reconstruction_matches_full_tokenize(setup):
     cfg, store, points, starts = setup
     assert cfg.dtype == "float64"
     vis, msk = _mask_indices(cfg, seed=7)
-    tb = pcsm.frozen_tokenize(points, store, cfg, start=starts)
+    tb = embedding.tokenize(points, ad.frozen(store), cfg, start=starts)
     assert not tb.tokens.requires_grad and not tb.pos.requires_grad
     names = [n for n in store.names() if n.startswith(("embed.", "enc.", "dec.", "recon."))]
     value, grads = _value_and_grads(

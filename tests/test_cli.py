@@ -270,6 +270,35 @@ def test_ablate_repeated_strategy_exits_two(toy_config_file, tmp_path, capsys):
     assert not (out / "ablate" / "ablation.csv").exists()
 
 
+@pytest.mark.parametrize("val_fraction, n_train, n_val", [(0.1, 4, 0), (0.9, 0, 4)])
+@pytest.mark.parametrize("command", ["finetune", "ablate"])
+def test_empty_finetune_split_exits_two(tmp_path, capsys, monkeypatch, command, val_fraction,
+                                        n_train, n_val):
+    from protomae import checkpoint, pipeline
+
+    # the split is checked before the first fine-tune step or pretrain runs
+    monkeypatch.setattr(pipeline, "_finetune_step", None)
+    monkeypatch.setattr(pipeline, "pretrain", None)
+    cfg = dataclasses.replace(preset("toy"), val_fraction=val_fraction)
+    path = tmp_path / "split.cfg"
+    path.write_text(cfg.to_text())
+    out = tmp_path / "runs"
+    argv = ["--config", str(path), "--out", str(out), command]
+    if command == "finetune":
+        ckpt = tmp_path / "pre.bin"
+        checkpoint.write(ckpt, checkpoint.from_store(pipeline.init_model(cfg), cfg,
+                                                     np.random.default_rng(0)))
+        argv += ["--checkpoint", str(ckpt)]
+    else:
+        argv += ["--strategies", "randm"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: val_fraction {val_fraction} of clouds_per_kind 4 leaves "
+            f"{n_train} training and {n_val} validation clouds per kind") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_data_stream(toy_config_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -47,6 +47,16 @@ def test_head_input_widths():
     assert prompted["cls.head.w0"].values.shape == (3 * cfg.dim, cfg.head_hidden)
 
 
+@pytest.mark.parametrize("csep", [False, True])
+def test_classify_on_a_frozen_view_matches_the_store(csep):
+    cfg, store = make_store(csep=csep)
+    classify = heads.classify_csep if csep else heads.classify_baseline
+    live = classify(cloud(), store, cfg)
+    frozen = classify(cloud(), ad.frozen(store), cfg)
+    assert live.requires_grad and not frozen.requires_grad
+    assert np.array_equal(live.values, frozen.values)
+
+
 def test_logit_shapes_and_determinism():
     cfg, store = make_store(csep=False)
     a = heads.classify_baseline(cloud(), store, cfg)
@@ -216,10 +226,9 @@ def test_cross_entropy_gradient_matches_finite_differences(monkeypatch):
             # the prompts refresh the bank against frozen-encoded token
             # features, which cross the stop-gradient boundary as constants:
             # hold them at their initial values, as the training tape does
-            te, _ = pcsm.refresh(embedding.tokenize(pts, store, cfg), store.frozen(),
-                                 store["pcsm.prototypes"], cfg)
-            monkeypatch.setattr(pcsm, "refresh", lambda tb, frozen, bank, cfg: (
-                te, pcsm.update_prototypes(bank, Tensor(te))))
+            te, _ = pcsm.refresh(embedding.tokenize(pts, store, cfg), store, cfg)
+            monkeypatch.setattr(pcsm, "refresh", lambda tb, params, cfg: (
+                te, pcsm.update_prototypes(params["pcsm.prototypes"], Tensor(te))))
 
         def loss_fn():
             return ad.cross_entropy(classify(pts, store, cfg), 1)

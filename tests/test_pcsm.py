@@ -326,7 +326,7 @@ def test_pcsm_forward_shapes():
     assert out.tokens_encoded.shape == (g, cfg.dim)
     assert out.prototypes_hat.values.shape == (q, cfg.dim)
     bank = out.prototypes_hat.detach()
-    tokens_hat = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, store.frozen(), cfg)
+    tokens_hat = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, ad.frozen(store), cfg)
     assert tokens_hat.values.shape == (g, cfg.dim)
     similarity, assignment = pcsm.similarity(tokens_hat, bank)
     assert similarity.values.shape == (g, q)

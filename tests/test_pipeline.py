@@ -135,7 +135,7 @@ def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):
     # holds it until the last node of the step is dropped
     losses = []
     reconstruction_loss = pipeline.backbone.reconstruction_loss
-    frozen_tokenize = pipeline.pcsm.frozen_tokenize
+    tokenize = pipeline.embedding.tokenize
 
     def recording_loss(*args, **kwargs):
         loss = reconstruction_loss(*args, **kwargs)
@@ -144,10 +144,10 @@ def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):
 
     def checking_tokenize(*args, **kwargs):
         assert all(ref() is None for ref in losses), "previous step's tape is still alive"
-        return frozen_tokenize(*args, **kwargs)
+        return tokenize(*args, **kwargs)
 
     monkeypatch.setattr(pipeline.backbone, "reconstruction_loss", recording_loss)
-    monkeypatch.setattr(pipeline.pcsm, "frozen_tokenize", checking_tokenize)
+    monkeypatch.setattr(pipeline.embedding, "tokenize", checking_tokenize)
     cfg = tiny_cfg()
     pipeline.pretrain(cfg)
     assert len(losses) == cfg.epochs * (len(pipeline.build_dataset(cfg).clouds) // cfg.batch_size)
@@ -287,6 +287,34 @@ def test_finetune_frees_each_step_tape_before_the_next(monkeypatch):
     cfg = tiny_cfg()
     res = pipeline.finetune(cfg, in_memory_ckpt(cfg), csep=False)
     assert len(logits) > len(res.metrics) > 0
+
+
+@pytest.mark.parametrize("csep", [False, True])
+def test_finetune_validation_records_no_tape(monkeypatch, csep):
+    # training logits carry the tape the step differentiates; validation
+    # logits only feed an argmax, so they must carry none
+    name = "classify_csep" if csep else "classify_baseline"
+    classify, finetune_step = getattr(pipeline.heads, name), pipeline._finetune_step
+    training, calls = [False], []
+
+    def recording_classify(*args, **kwargs):
+        out = classify(*args, **kwargs)
+        calls.append((training[0], out.requires_grad))
+        return out
+
+    def flagged_step(*args, **kwargs):
+        training[0] = True
+        try:
+            return finetune_step(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    monkeypatch.setattr(pipeline.heads, name, recording_classify)
+    monkeypatch.setattr(pipeline, "_finetune_step", flagged_step)
+    cfg = tiny_cfg()
+    pipeline.finetune(cfg, in_memory_ckpt(cfg), csep=csep)
+    assert {grad for train, grad in calls if train} == {True}
+    assert {grad for train, grad in calls if not train} == {False}
 
 
 def test_finetune_is_deterministic():
