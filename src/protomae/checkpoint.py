@@ -22,8 +22,8 @@ store saves and loads back bit for bit, and its dtype travels in the config
 text (``dtype = float32``).  ``load`` keeps each tensor a read-only view of
 the one buffer it reads the file into.  Loading (``load_into``) needs every
 tensor of the receiving store, shape included, casts into the store's dtype
-and ignores the rest, so each run builds a store of exactly what it reads
-and creates anything fresh (a classification head) after loading.
+and ignores the rest, so a run builds the store it trains or reads and
+creates anything fresh (a classification head) after loading.
 """
 
 from __future__ import annotations

@@ -135,9 +135,7 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
     else:
         points = shapes.make_shape(args.kind, cfg.n_points,
                                    seed=args.cloud_seed).points
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "groups.txt"
+    out_path = Path(args.out) / "groups.txt"
     labels = pipeline.export_groups(store, points, cfg, out_path)
     print(f"wrote {labels.size} points, {np.unique(labels).size} distinct "
           f"components: {out_path}")

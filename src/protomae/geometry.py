@@ -195,14 +195,11 @@ def chamfer(a: np.ndarray, b: np.ndarray) -> float:
 # doubles, with blank lines and '#' comments ignored.
 
 
-def save_cloud(path: str | Path, cloud: PointCloud) -> None:
-    lines = []
-    if cloud.labels is None:
-        for p in cloud.points:
-            lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    else:
-        for p, lab in zip(cloud.points, cloud.labels):
-            lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {int(lab)}")
+def save_cloud(path: str | Path, points: np.ndarray, labels: np.ndarray | None = None) -> None:
+    """Write (N, 3) ``points``, with a label column when (N,) ``labels`` is given."""
+    lines = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in points]
+    if labels is not None:
+        lines = [f"{line} {int(label)}" for line, label in zip(lines, labels)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

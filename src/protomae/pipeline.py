@@ -9,8 +9,9 @@ the masking stream use separate generators spawned from the run seed, so
 swapping the masking strategy cannot perturb which clouds are seen in which
 order - the ablation harness checks exactly that.
 
-Each step stacks its clouds into one (B, N, 3) array and runs one batched
-forward and backward over (B, G, C) tokens.  Every mask plan hides the same
+The corpus is two arrays, (n, N, 3) points and (n, N) labels.  Each step
+indexes its (B, N, 3) batch out of them and runs one batched forward and
+backward over (B, G, C) tokens.  Every mask plan hides the same
 number of tokens, so the visible and masked sets stack too.  Mask plans,
 their log rows and the metric draws still go cloud by cloud, in batch order,
 so every random stream is consumed exactly as a per-cloud loop would.
@@ -36,7 +37,7 @@ from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
-from .geometry import PointCloud, sq_dists
+from .geometry import save_cloud, sq_dists
 
 LOGGER = logging.getLogger("protomae.pipeline")
 
@@ -49,7 +50,8 @@ HELD_OUT_SEED_BASE = 1_000_000
 
 @dataclass
 class Dataset:
-    clouds: list[PointCloud]
+    points: np.ndarray              # (n, N, 3) float64
+    labels: np.ndarray              # (n, N) int64 component ids, read by metrics only
     kind_ids: np.ndarray            # (n,) int64 index into kinds
     kinds: list[str]
 
@@ -57,30 +59,19 @@ class Dataset:
 def build_dataset(cfg: RunConfig) -> Dataset:
     """Generate the synthetic corpus: kinds cycle, cloud i uses seed i."""
     kinds = cfg.validate().kinds()
-    n = len(kinds) * cfg.clouds_per_kind
-    clouds, kind_ids = [], []
-    for i in range(n):
-        k = i % len(kinds)
-        clouds.append(shapes.make_shape(kinds[k], cfg.n_points, seed=i))
-        kind_ids.append(k)
-    return Dataset(clouds=clouds, kind_ids=np.array(kind_ids, dtype=np.int64),
-                   kinds=kinds)
+    kind_ids = np.arange(len(kinds) * cfg.clouds_per_kind, dtype=np.int64) % len(kinds)
+    points, labels = shapes.make_corpus(
+        [(kinds[k], i) for i, k in enumerate(kind_ids)], cfg.n_points)
+    return Dataset(points=points, labels=labels, kind_ids=kind_ids, kinds=kinds)
 
 
-def _stack_points(ds: Dataset, batch: np.ndarray) -> np.ndarray:
-    return np.stack([ds.clouds[i].points for i in batch])
-
-
-def token_truth(cloud: PointCloud, member_indices: np.ndarray) -> np.ndarray:
-    """Majority component label of each (G, k) patch (ties to the lowest label)."""
-    if cloud.labels is None:
-        raise ConfigError("cloud has no component labels")
-    member_labels = cloud.labels[member_indices]                      # (G, k)
-    width = int(cloud.labels.max()) + 1
-    rows = np.arange(member_labels.shape[0])[:, None] * width
-    counts = np.bincount((rows + member_labels).reshape(-1),
-                         minlength=member_labels.shape[0] * width)
-    return counts.reshape(-1, width).argmax(axis=1).astype(np.int64)
+def token_truth(labels: np.ndarray, member_indices: np.ndarray) -> np.ndarray:
+    """Majority label of each (..., G, k) patch of (..., N) labels (ties to the lowest)."""
+    member_labels = np.take_along_axis(labels[..., None, :], member_indices, axis=-1)
+    width = int(labels.max()) + 1
+    rows = np.arange(member_labels[..., 0].size).reshape(member_labels.shape[:-1] + (1,)) * width
+    counts = np.bincount((rows + member_labels).ravel(), minlength=rows.size * width)
+    return counts.reshape(rows.shape[:-1] + (width,)).argmax(axis=-1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +97,10 @@ def params_hash(store: ad.ParamStore) -> str:
     return h.hexdigest()
 
 
-def _batch_hash(clouds: list[PointCloud], starts: np.ndarray) -> str:
+def _batch_hash(points: np.ndarray, starts: np.ndarray) -> str:
     h = hashlib.sha256()
-    for cloud, start in zip(clouds, starts):
-        h.update(cloud.points.tobytes())
+    for cloud, start in zip(points, starts):
+        h.update(cloud.tobytes())
         h.update(int(start).to_bytes(8, "little"))
     return h.hexdigest()
 
@@ -176,10 +167,11 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                           for c in np.random.SeedSequence(cfg.seed).spawn(2))
     opt = ad.AdamW(store, lr=cfg.learning_rate, betas=(cfg.beta1, cfg.beta2),
                    weight_decay=cfg.weight_decay)
-    n = len(ds.clouds)
+    n = len(ds.points)
     if n < cfg.batch_size:
         raise ConfigError(f"{n} clouds cannot fill a batch of {cfg.batch_size}")
     steps = n // cfg.batch_size
+    out_dir = _out_dir(out_dir)
     epoch_rows: list[dict] = []
     mask_log: list[dict] = []
     data_hash = ""
@@ -193,18 +185,19 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
         for step in range(steps):
             batch = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             starts = data_rng.integers(cfg.n_points, size=len(batch))
-            clouds = [ds.clouds[i] for i in batch]
+            points = ds.points[batch]
             if epoch == 0 and step == 0:
-                data_hash = _batch_hash(clouds, starts)
+                data_hash = _batch_hash(points, starts)
             try:
                 losses, plans, assignment, members = train_step(
-                    store, opt, mask_rng, _stack_points(ds, batch), starts, cfg)
+                    store, opt, mask_rng, points, starts, cfg)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1} step {step + 1}: {exc}") from None
-            for ci, cloud, plan, groups, patches in zip(batch, clouds, plans, assignment, members):
+            truths = token_truth(ds.labels[batch], members)
+            for ci, plan, groups, truth in zip(batch, plans, assignment, truths):
                 sums["grouping_entropy"] += metrics.group_entropy(groups, cfg.n_prototypes)
-                sums["component_purity"] += metrics.purity(groups, token_truth(cloud, patches))
+                sums["component_purity"] += metrics.purity(groups, truth)
                 cov_sel, cov_max = masking.component_coverage(plan, groups)
                 mask_log.append({
                     "epoch": epoch + 1, "step": step + 1, "cloud": int(ci),
@@ -224,8 +217,6 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                     cfg.epochs, epoch_rows[-1]["total"], time.monotonic() - t0)
     ckpt_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_jsonl(out_dir / "metrics.jsonl", epoch_rows)
         _write_jsonl(out_dir / "masks.jsonl", mask_log)
         ckpt_path = out_dir / "checkpoint.bin"
@@ -234,6 +225,19 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
                           init_hash=init_hash, data_hash=data_hash,
                           checkpoint_path=ckpt_path,
                           wall_seconds=time.monotonic() - t0)
+
+
+def _out_dir(out_dir: str | Path | None) -> Path | None:
+    """Create ``out_dir`` before the first step, so an unusable path costs no training."""
+    if out_dir is None:
+        return None
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgument(
+            f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    return out_dir
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -313,6 +317,7 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
     classify = heads.classify_csep if csep else heads.classify_baseline
     opt = ad.AdamW(store, lr=cfg.finetune_learning_rate,
                    betas=(cfg.beta1, cfg.beta2), weight_decay=cfg.weight_decay)
+    out_dir = _out_dir(out_dir)
     rng = np.random.default_rng([cfg.seed, 17])
     rows: list[dict] = []
     for epoch in range(cfg.finetune_epochs):
@@ -323,7 +328,7 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
         for lo in range(0, order.size, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             try:
-                hits, ce = _finetune_step(classify, store, opt, _stack_points(ds, batch),
+                hits, ce = _finetune_step(classify, store, opt, ds.points[batch],
                                           ds.kind_ids[batch], cfg)
             except NumericError as exc:
                 raise NumericError(f"fine-tune epoch {epoch + 1}: {exc}") from None
@@ -334,7 +339,7 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
         frozen = ad.frozen(store)
         for lo in range(0, val_idx.size, cfg.batch_size):
             batch = val_idx[lo:lo + cfg.batch_size]
-            predicted = _predicted(classify(_stack_points(ds, batch), frozen, cfg))
+            predicted = _predicted(classify(ds.points[batch], frozen, cfg))
             val_correct += int(np.sum(predicted == ds.kind_ids[batch]))
         val_acc = val_correct / val_idx.size
         rows.append({"epoch": epoch + 1, "ce": ce_sum / order.size,
@@ -346,8 +351,6 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
             break
     ckpt_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         name = "csep" if csep else "baseline"
         _write_jsonl(out_dir / f"finetune-{name}.jsonl", rows)
         ckpt_path = out_dir / f"finetune-{name}.bin"
@@ -455,14 +458,13 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
     if draws < 1:
         raise InvalidArgument(f"evaluate_grouping needs draws >= 1, got {draws}")
     rng = np.random.default_rng([cfg.seed, 101])
+    points, labels = shapes.make_corpus(
+        [(kind, seed_base + s) for s in range(n_clouds)], cfg.n_points)
     scores, baselines = [], []
     for lo in range(0, n_clouds, cfg.batch_size):
-        clouds = [shapes.make_shape(kind, cfg.n_points, seed=seed_base + s)
-                  for s in range(lo, min(lo + cfg.batch_size, n_clouds))]
-        tb, grouping = pcsm.cloud_assignment(
-            np.stack([cloud.points for cloud in clouds]), store, cfg)
-        for cloud, tokens, members in zip(clouds, grouping.assignment, tb.member_indices):
-            truth = token_truth(cloud, members)
+        tb, grouping = pcsm.cloud_assignment(points[lo:lo + cfg.batch_size], store, cfg)
+        truths = token_truth(labels[lo:lo + cfg.batch_size], tb.member_indices)
+        for tokens, truth in zip(grouping.assignment, truths):
             scores.append(metrics.nmi(tokens, truth))
             baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
                                                          draws, rng))
@@ -479,11 +481,10 @@ def export_groups(store: ad.ParamStore, points: np.ndarray, cfg: RunConfig,
     Each point inherits the assignment of the token whose patch centre is
     nearest (ties to the lowest token index).
     """
+    _out_dir(Path(out_path).parent)
     points = np.asarray(points, dtype=np.float64)
     tb, grouping = pcsm.cloud_assignment(points, store, cfg)
     point_labels = grouping.assignment[sq_dists(points[:, None, :],
                                                 tb.centers[None, :, :]).argmin(axis=-1)]
-    lines = [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {int(label)}"
-             for p, label in zip(points, point_labels)]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    save_cloud(out_path, points, point_labels)
     return point_labels

@@ -165,3 +165,9 @@ def make_shape(kind: str, n: int, seed: int) -> PointCloud:
         labels.append(np.full(count, label, dtype=np.int64))
     points = normalize(np.concatenate(chunks, axis=0))
     return PointCloud(points=points, labels=np.concatenate(labels), shape_class=kind)
+
+
+def make_corpus(pairs: list[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n, 3) points and (B, n) labels: one ``make_shape`` call per (kind, seed) pair."""
+    clouds = [make_shape(kind, n, seed) for kind, seed in pairs]
+    return np.stack([c.points for c in clouds]), np.stack([c.labels for c in clouds])

@@ -299,6 +299,35 @@ def test_empty_finetune_split_exits_two(tmp_path, capsys, monkeypatch, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate", "export-groups"])
+def test_out_under_a_regular_file_exits_two_before_any_step(tmp_path, capsys, monkeypatch,
+                                                            command):
+    from protomae import checkpoint, pipeline
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    for owner, name in ((pipeline, "train_step"), (pipeline, "_finetune_step"),
+                        (pipeline.pcsm, "cloud_assignment")):
+        monkeypatch.setattr(owner, name, no_work)
+    cfg = dataclasses.replace(preset("toy"), epochs=1, finetune_epochs=1)
+    path = tmp_path / "toy.cfg"
+    path.write_text(cfg.to_text())
+    ckpt = tmp_path / "pre.bin"
+    checkpoint.write(ckpt, checkpoint.from_store(pipeline.init_model(cfg), cfg,
+                                                 np.random.default_rng(0)))
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    argv = ["--config", str(path), "--out", str(blocker), command]
+    if command in ("finetune", "export-groups"):
+        argv += ["--checkpoint", str(ckpt)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot create output directory {blocker}" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_seed_override_changes_data_stream(toy_config_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -380,6 +380,24 @@ def test_synthetic_corpus_matches_golden_digest():
         "d702f5c76d838ea4cc7f0427dec11a3f09a318939ea48eaa1b466b6035b5997d"
 
 
+def test_make_corpus_stacks_make_shape_per_pair(monkeypatch):
+    pairs = [("rocket", 4), ("plane", 0), ("rocket", 4), ("chair", 1_000_000)]
+    points, labels = shapes.make_corpus(pairs, 100)
+    assert points.shape == (4, 100, 3) and labels.shape == (4, 100)
+    assert points.dtype == np.float64 and labels.dtype == np.int64
+    for b, (kind, seed) in enumerate(pairs):
+        cloud = shapes.make_shape(kind, 100, seed)
+        np.testing.assert_array_equal(points[b].view(np.int64), cloud.points.view(np.int64))
+        np.testing.assert_array_equal(labels[b], cloud.labels)
+    # one generator call per cloud, through the module attribute
+    calls = []
+    real = shapes.make_shape
+    monkeypatch.setattr(shapes, "make_shape",
+                        lambda kind, n, seed: calls.append((kind, seed)) or real(kind, n, seed))
+    shapes.make_corpus(pairs, 100)
+    assert calls == pairs
+
+
 def test_make_shape_rejects_small_n_and_bad_kind():
     with pytest.raises(InvalidArgument):
         shapes.make_shape("plane", 63, seed=0)
@@ -395,7 +413,7 @@ def test_make_shape_rejects_small_n_and_bad_kind():
 def test_cloud_roundtrip_with_labels(tmp_path):
     cloud = shapes.make_shape("table", 128, seed=3)
     path = tmp_path / "cloud.txt"
-    geo.save_cloud(path, cloud)
+    geo.save_cloud(path, cloud.points, cloud.labels)
     back = geo.load_cloud(path)
     np.testing.assert_array_equal(back.points, cloud.points)
     np.testing.assert_array_equal(back.labels, cloud.labels)
@@ -404,7 +422,7 @@ def test_cloud_roundtrip_with_labels(tmp_path):
 def test_cloud_roundtrip_without_labels(tmp_path):
     pts = RNG.normal(size=(17, 3))
     path = tmp_path / "plain.txt"
-    geo.save_cloud(path, geo.PointCloud(points=pts))
+    geo.save_cloud(path, pts)
     back = geo.load_cloud(path)
     assert back.labels is None
     np.testing.assert_array_equal(back.points, pts)

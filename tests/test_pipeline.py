@@ -32,15 +32,14 @@ def test_build_dataset_cycles_kinds_deterministically():
     cfg = tiny_cfg()
     ds = pipeline.build_dataset(cfg)
     kinds = cfg.shape_kinds.split(",")
-    assert len(ds.clouds) == len(kinds) * cfg.clouds_per_kind
+    assert ds.points.shape == (len(kinds) * cfg.clouds_per_kind, cfg.n_points, 3)
+    assert ds.labels.shape == ds.points.shape[:2] and ds.labels.dtype == np.int64
     assert ds.kinds == kinds
     assert list(ds.kind_ids[:4]) == [0, 1, 2, 3]
-    assert all(c.labels is not None for c in ds.clouds)
 
     again = pipeline.build_dataset(cfg)
-    for a, b in zip(ds.clouds, again.clouds):
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(ds.points, again.points)
+    assert np.array_equal(ds.labels, again.labels)
 
 
 def test_build_dataset_rejects_single_kind():
@@ -53,7 +52,7 @@ def test_split_is_stratified_disjoint_and_deterministic():
     ds = pipeline.build_dataset(cfg)
     train, val = pipeline.split_dataset(ds, 0.2, split_seed=5)
     assert np.intersect1d(train, val).size == 0
-    assert np.union1d(train, val).size == len(ds.clouds)
+    assert np.union1d(train, val).size == len(ds.points)
     for k in range(len(ds.kinds)):
         assert (ds.kind_ids[val] == k).sum() == 2
     t2, v2 = pipeline.split_dataset(ds, 0.2, split_seed=5)
@@ -63,17 +62,27 @@ def test_split_is_stratified_disjoint_and_deterministic():
 
 
 def test_token_truth_majority_with_low_tie():
-    cloud = PointCloud(points=np.zeros((5, 3)),
-                       labels=np.array([0, 0, 1, 1, 2]))
+    labels = np.array([0, 0, 1, 1, 2])
     members = np.array([[0, 1, 2], [2, 3, 4], [1, 2, 0]])
-    assert pipeline.token_truth(cloud, members).tolist() == [0, 1, 0]
+    assert pipeline.token_truth(labels, members).tolist() == [0, 1, 0]
     # tie between labels 1 and 2 resolves to the lower label
     tie = np.array([[3, 4, 4], [2, 3, 3]])
-    cloud2 = PointCloud(points=np.zeros((5, 3)),
-                        labels=np.array([0, 0, 1, 1, 2]))
-    assert pipeline.token_truth(cloud2, tie).tolist() == [2, 1]
-    with pytest.raises(ConfigError, match="no component labels"):
-        pipeline.token_truth(PointCloud(points=np.zeros((3, 3))), members)
+    assert pipeline.token_truth(labels, tie).tolist() == [2, 1]
+
+
+def test_token_truth_of_a_batch_equals_each_clouds_rows():
+    # one bincount over (B, G, k) patches gives each cloud's own (G,) truth,
+    # even when the clouds use different label ranges
+    rng = np.random.default_rng(3)
+    labels = np.stack([rng.integers(0, 2, size=40), rng.integers(0, 5, size=40),
+                       rng.integers(3, 4, size=40)])
+    members = rng.integers(0, 40, size=(3, 7, 6))
+    batch = pipeline.token_truth(labels, members)
+    assert batch.shape == (3, 7) and batch.dtype == np.int64
+    for b in range(3):
+        assert batch[b].tolist() == pipeline.token_truth(labels[b], members[b]).tolist()
+        majority = [int(np.argmax(np.bincount(labels[b][row]))) for row in members[b]]
+        assert batch[b].tolist() == majority
 
 
 def test_params_hash_tracks_values():
@@ -91,7 +100,7 @@ def test_pretrain_metrics_and_artifacts(tmp_path):
     cfg = tiny_cfg()
     res = pipeline.pretrain(cfg, tmp_path)
     assert len(res.metrics) == cfg.epochs
-    steps = len(pipeline.build_dataset(cfg).clouds) // cfg.batch_size
+    steps = len(pipeline.build_dataset(cfg).points) // cfg.batch_size
     assert len(res.mask_log) == cfg.epochs * steps * cfg.batch_size
 
     for row in res.metrics:
@@ -150,7 +159,7 @@ def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):
     monkeypatch.setattr(pipeline.embedding, "tokenize", checking_tokenize)
     cfg = tiny_cfg()
     pipeline.pretrain(cfg)
-    assert len(losses) == cfg.epochs * (len(pipeline.build_dataset(cfg).clouds) // cfg.batch_size)
+    assert len(losses) == cfg.epochs * (len(pipeline.build_dataset(cfg).points) // cfg.batch_size)
 
 
 def test_one_call_fps_starts_equal_per_cloud_draws():
