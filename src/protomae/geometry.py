@@ -76,15 +76,15 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def normalize(points: np.ndarray) -> np.ndarray:
-    """Centre on the centroid and scale so the farthest point has norm 1."""
+    """Centre each (..., N, 3) cloud on its centroid and scale its farthest point to norm 1."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise InvalidArgument(f"normalize expects a nonempty (N, 3) array, got {pts.shape}")
-    centred = pts - pts.mean(axis=0)
-    radius = np.linalg.norm(centred, axis=1).max()
-    if radius == 0.0:
+    if pts.ndim < 2 or pts.shape[-1] != 3 or pts.shape[-2] == 0:
+        raise InvalidArgument(f"normalize expects nonempty (..., N, 3) points, got {pts.shape}")
+    centred = pts - pts.mean(axis=-2, keepdims=True)
+    radius = np.linalg.norm(centred, axis=-1).max(axis=-1, keepdims=True)
+    if np.any(radius == 0.0):
         raise InvalidArgument("normalize of a degenerate single-location cloud")
-    return centred / radius
+    return centred / radius[..., None]
 
 
 def _clouds(points: np.ndarray, op: str) -> np.ndarray:

@@ -7,7 +7,14 @@ fractions of the point budget (largest-remainder rounding), and points are
 sampled uniformly on each primitive's surface, so every component is
 guaranteed a healthy share of points regardless of its area.
 
-Given the same (kind, n, seed) the output is bit-identical.
+Draw order: cloud (kind, seed) is one ``default_rng(seed).random(total)``
+row.  The primitives of its kind consume that row in table order, and a
+primitive with ``count`` points takes ``draws * count`` consecutive entries:
+``count`` choice draws, then ``count`` for the first coordinate and
+``count`` for the second (the cone, with no choice, takes the last two).
+The choice and uniform transforms are numpy's own, so this is the corpus
+that per-primitive ``rng.choice(p=...)`` and ``rng.uniform`` calls gave,
+bit for bit.  Given the same (kind, n, seed) the output is bit-identical.
 """
 
 from __future__ import annotations
@@ -20,71 +27,85 @@ from .geometry import PointCloud, normalize
 # ---------------------------------------------------------------------------
 # surface samplers (local frames; axis = 0/1/2 picks the long direction)
 # ---------------------------------------------------------------------------
+# Each sampler reads (B, draws, count) uniforms in [0, 1) and returns
+# (B, count, 3) points, one row per cloud.
+
+
+def _choice(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``Generator.choice(len(weights), p=weights / weights.sum())`` of its draws ``u``."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``Generator.uniform(lo, hi)`` of its draws ``u``."""
+    return lo + (hi - lo) * u
 
 
 def _orient(local: np.ndarray, axis: int) -> np.ndarray:
     """Map local (a, b, c) coordinates so that c lies along ``axis``."""
     cols = {0: (2, 0, 1), 1: (1, 2, 0), 2: (0, 1, 2)}[axis]
-    return local[:, cols]
+    return local[..., cols]
 
 
-def _sample_box(rng: np.random.Generator, count: int, center, half) -> np.ndarray:
+def _sample_box(u: np.ndarray, center, half) -> np.ndarray:
     """Uniform samples on the surface of an axis-aligned box.
 
     Face ``f`` lies at ``(-1)**(f % 2) * half[f // 2]`` on axis ``f // 2``;
-    its two free coordinates, in axis order, are ``u`` and ``v`` scaled by
-    their half-widths.  Every coordinate is written at once for all points.
+    its two free coordinates, in axis order, are ``a`` and ``b`` scaled by
+    their half-widths.
     """
     hx, hy, hz = half
     areas = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy])
-    faces = rng.choice(6, size=count, p=areas / areas.sum())
-    u = rng.uniform(-1.0, 1.0, size=count)
-    v = rng.uniform(-1.0, 1.0, size=count)
-    axis, sign = np.divmod(faces, 2)
-    pts = np.stack([u * hx, np.where(axis == 0, u, v) * hy, v * hz], axis=1)
-    pts[np.arange(count), axis] = np.array(half, dtype=np.float64)[axis] * (1.0 - 2.0 * sign)
+    axis, sign = np.divmod(_choice(u[:, 0], areas), 2)
+    a = _uniform(u[:, 1], -1.0, 1.0)
+    b = _uniform(u[:, 2], -1.0, 1.0)
+    pts = np.stack([a * hx, np.where(axis == 0, a, b) * hy, b * hz], axis=-1)
+    fixed = np.array(half, dtype=np.float64)[axis] * (1.0 - 2.0 * sign)
+    np.put_along_axis(pts, axis[..., None], fixed[..., None], axis=-1)
     return pts + np.asarray(center)
 
 
-def _sample_cylinder(rng: np.random.Generator, count: int, center, axis: int,
-                     radius: float, height: float, caps: bool = True) -> np.ndarray:
+def _sample_cylinder(u: np.ndarray, center, axis: int, radius: float, height: float,
+                     caps: bool = True) -> np.ndarray:
     """Uniform samples on a cylinder surface (optionally including end caps).
 
     Region 0 is the lateral surface, 1 the top cap and 2 the bottom cap; a
-    cap point sits at radius ``radius * sqrt(u)``.  Every coordinate is
-    written at once for all points.
+    cap point sits at radius ``radius * sqrt(h)``.  Without caps the
+    one-way region choice still takes its draws.
     """
     lateral = 2.0 * np.pi * radius * height
     cap = np.pi * radius * radius
-    weights = np.array([lateral, cap, cap]) if caps else np.array([1.0])
-    region = rng.choice(len(weights), size=count, p=weights / weights.sum())
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    u = rng.uniform(0.0, 1.0, size=count)
+    region = _choice(u[:, 0], np.array([lateral, cap, cap]) if caps else np.array([1.0]))
+    theta = _uniform(u[:, 1], 0.0, 2.0 * np.pi)
+    h = _uniform(u[:, 2], 0.0, 1.0)
     side = region == 0
-    r = np.where(side, radius, radius * np.sqrt(u))
-    z = np.where(side, (u - 0.5) * height, np.where(region == 1, 0.5 * height, -0.5 * height))
-    local = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    r = np.where(side, radius, radius * np.sqrt(h))
+    z = np.where(side, (h - 0.5) * height, np.where(region == 1, 0.5 * height, -0.5 * height))
+    local = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=-1)
     return _orient(local, axis) + np.asarray(center)
 
 
-def _sample_cone(rng: np.random.Generator, count: int, base_center, axis: int,
-                 radius: float, height: float) -> np.ndarray:
+def _sample_cone(u: np.ndarray, base_center, axis: int, radius: float,
+                 height: float) -> np.ndarray:
     """Uniform samples on the lateral surface of a cone (base open)."""
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    t = np.sqrt(rng.uniform(0.0, 1.0, size=count))  # area density grows linearly
-    local = np.empty((count, 3))
-    local[:, 0] = radius * t * np.cos(theta)
-    local[:, 1] = radius * t * np.sin(theta)
-    local[:, 2] = height * (1.0 - t)
+    theta = _uniform(u[:, 0], 0.0, 2.0 * np.pi)
+    t = np.sqrt(_uniform(u[:, 1], 0.0, 1.0))  # area density grows linearly
+    local = np.stack([radius * t * np.cos(theta), radius * t * np.sin(theta),
+                      height * (1.0 - t)], axis=-1)
     return _orient(local, axis) + np.asarray(base_center)
+
+
+# sampler name -> (sampler, uniform draws per point)
+_SAMPLERS = {"box": (_sample_box, 3), "cylinder": (_sample_cylinder, 3), "cone": (_sample_cone, 2)}
 
 
 # ---------------------------------------------------------------------------
 # shape definitions
 # ---------------------------------------------------------------------------
 # kind -> [(component, point share, [(weight, sampler, args)])], where
-# ``sampler`` names ``_sample_<sampler>``, called as (rng, count, *args) and
-# looked up when the shape is drawn, so a patched sampler is the one used.
+# ``sampler`` is a ``_SAMPLERS`` name, called as (uniforms, *args).
 # Shares per shape sum to 1 and every share is >= 0.1 so no component can
 # starve at small n.
 
@@ -142,32 +163,49 @@ def apportion(total: int, weights: list[float]) -> list[int]:
 
 
 def make_shape(kind: str, n: int, seed: int) -> PointCloud:
-    """Sample a labelled ``kind`` shape with exactly ``n`` points.
+    """Sample a labelled ``kind`` shape with exactly ``n`` points: ``make_corpus`` of one pair."""
+    points, labels = make_corpus([(kind, seed)], n)
+    return PointCloud(points=points[0], labels=labels[0], shape_class=kind)
 
-    Points are grouped per component: component i's points carry label i in
-    the order listed by ``SHAPE_COMPONENTS[kind]``.  The cloud is normalised
-    to centroid zero and maximum radius one.
-    """
-    if kind not in _SHAPES:
-        raise InvalidArgument(f"unknown shape kind '{kind}' (have {', '.join(SHAPE_KINDS)})")
+
+def _check_corpus(pairs, n: int) -> None:
+    if not pairs:
+        raise InvalidArgument("make_corpus needs at least one (kind, seed) pair")
     if n < 64:
-        raise InvalidArgument(f"make_shape needs n >= 64, got {n}")
-    rng = np.random.default_rng(seed)
-    components = _SHAPES[kind]
-    counts = apportion(n, [share for _, share, _ in components])
-    chunks = []
-    labels = []
-    for label, ((_, _, prims), count) in enumerate(zip(components, counts)):
-        sub = apportion(count, [w for w, _, _ in prims])
-        for (_, sampler, args), c in zip(prims, sub):
-            if c:
-                chunks.append(globals()[f"_sample_{sampler}"](rng, c, *args))
-        labels.append(np.full(count, label, dtype=np.int64))
-    points = normalize(np.concatenate(chunks, axis=0))
-    return PointCloud(points=points, labels=np.concatenate(labels), shape_class=kind)
+        raise InvalidArgument(f"make_corpus needs n >= 64, got {n}")
+    for kind, seed in pairs:
+        if kind not in _SHAPES:
+            raise InvalidArgument(f"pair ({kind!r}, {seed!r}): unknown shape kind "
+                                  f"(have {', '.join(SHAPE_KINDS)})")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidArgument(f"pair ({kind!r}, {seed!r}): seed must be an integer >= 0")
 
 
 def make_corpus(pairs: list[tuple[str, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, n, 3) points and (B, n) labels: one ``make_shape`` call per (kind, seed) pair."""
-    clouds = [make_shape(kind, n, seed) for kind, seed in pairs]
-    return np.stack([c.points for c in clouds]), np.stack([c.labels for c in clouds])
+    """(B, n, 3) points and (B, n) int64 labels, one cloud per (kind, seed) pair.
+
+    Points are grouped per component: component i's points carry label i in
+    the order listed by ``SHAPE_COMPONENTS[kind]``.  Each cloud is normalised
+    to centroid zero and maximum radius one.  The clouds of one kind are
+    drawn together, one uniform row per cloud, and land in pair order.
+    """
+    _check_corpus(pairs, n)
+    points = np.empty((len(pairs), n, 3))
+    labels = np.empty((len(pairs), n), dtype=np.int64)
+    for kind in dict.fromkeys(kind for kind, _ in pairs):
+        rows = [b for b, (k, _) in enumerate(pairs) if k == kind]
+        components = _SHAPES[kind]
+        counts = apportion(n, [share for _, share, _ in components])
+        layout = []
+        for (_, _, prims), count in zip(components, counts):
+            sub = apportion(count, [w for w, _, _ in prims])
+            layout += [(*_SAMPLERS[name], c, args) for (_, name, args), c in zip(prims, sub) if c]
+        total = sum(draws * c for _, draws, c, _ in layout)
+        u = np.stack([np.random.default_rng(pairs[b][1]).random(total) for b in rows])
+        chunks, lo = [], 0
+        for sampler, draws, c, args in layout:
+            chunks.append(sampler(u[:, lo:lo + draws * c].reshape(len(rows), draws, c), *args))
+            lo += draws * c
+        points[rows] = normalize(np.concatenate(chunks, axis=1))
+        labels[rows] = np.repeat(np.arange(len(counts)), counts)
+    return points, labels

@@ -251,9 +251,21 @@ def test_normalize_centroid_and_radius():
     assert radii.max() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_normalize_batch_is_per_cloud_normalize_bit_for_bit():
+    clouds = RNG.normal(size=(2, 3, 40, 3)) * 5.0 + 2.0
+    out = geo.normalize(clouds)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[idx].view(np.int64),
+                                      geo.normalize(clouds[idx]).view(np.int64))
+
+
 def test_normalize_degenerate_cloud():
     with pytest.raises(InvalidArgument):
         geo.normalize(np.ones((4, 3)))
+    with pytest.raises(InvalidArgument, match="degenerate"):
+        geo.normalize(np.stack([RNG.normal(size=(4, 3)), np.ones((4, 3))]))
+    with pytest.raises(InvalidArgument):
+        geo.normalize(np.ones((2, 0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +314,12 @@ def test_shape_table_invariants():
         for name, _, prims in components:
             assert abs(sum(w for w, _, _ in prims) - 1.0) <= 1e-12, (kind, name)
             for _, sampler, args in prims:
-                fn = getattr(shapes, f"_sample_{sampler}", None)
-                assert callable(fn), (kind, name, sampler)
-                inspect.signature(fn).bind(None, 1, *args)
+                fn, _ = shapes._SAMPLERS[sampler]
+                inspect.signature(fn).bind(None, *args)
 
 
 def reference_sample_box(rng, count, center, half):
-    """The per-face loop that ``shapes._sample_box`` replaced."""
+    """Per-face loop over one ``rng.choice`` and two ``rng.uniform`` calls."""
     hx, hy, hz = half
     areas = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy])
     faces = rng.choice(6, size=count, p=areas / areas.sum())
@@ -328,8 +339,12 @@ def reference_sample_box(rng, count, center, half):
     return pts + np.asarray(center)
 
 
+def reference_orient(local, axis):
+    return local[:, {0: (2, 0, 1), 1: (1, 2, 0), 2: (0, 1, 2)}[axis]]
+
+
 def reference_sample_cylinder(rng, count, center, axis, radius, height, caps=True):
-    """The per-region loop that ``shapes._sample_cylinder`` replaced."""
+    """Per-region loop over one ``rng.choice`` and two ``rng.uniform`` calls."""
     lateral = 2.0 * np.pi * radius * height
     cap = np.pi * radius * radius
     weights = np.array([lateral, cap, cap]) if caps else np.array([1.0])
@@ -349,20 +364,54 @@ def reference_sample_cylinder(rng, count, center, axis, radius, height, caps=Tru
         local[m, 0] = r * np.cos(theta[m])
         local[m, 1] = r * np.sin(theta[m])
         local[m, 2] = zc
-    return shapes._orient(local, axis) + np.asarray(center)
+    return reference_orient(local, axis) + np.asarray(center)
 
 
-def test_make_shape_bit_identical_to_per_face_and_per_region_samplers(monkeypatch):
-    sizes = (64, 65, 100, 256, 1024, 2048)
-    fast = {(kind, n, seed): shapes.make_shape(kind, n, seed)
-            for kind in shapes.SHAPE_KINDS for n in sizes for seed in range(20)}
-    monkeypatch.setattr(shapes, "_sample_box", reference_sample_box)
-    monkeypatch.setattr(shapes, "_sample_cylinder", reference_sample_cylinder)
-    for (kind, n, seed), cloud in fast.items():
-        ref = shapes.make_shape(kind, n, seed)
-        np.testing.assert_array_equal(cloud.points.view(np.int64), ref.points.view(np.int64),
+def reference_sample_cone(rng, count, base_center, axis, radius, height):
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    t = np.sqrt(rng.uniform(0.0, 1.0, size=count))
+    local = np.empty((count, 3))
+    local[:, 0] = radius * t * np.cos(theta)
+    local[:, 1] = radius * t * np.sin(theta)
+    local[:, 2] = height * (1.0 - t)
+    return reference_orient(local, axis) + np.asarray(base_center)
+
+
+REFERENCE_SAMPLERS = {"box": reference_sample_box, "cylinder": reference_sample_cylinder,
+                      "cone": reference_sample_cone}
+
+
+def reference_make_shape(kind, n, seed):
+    """One cloud at a time, with ``rng.choice``/``rng.uniform`` calls per
+    primitive: the corpus ``shapes.make_corpus`` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    components = shapes._SHAPES[kind]
+    counts = shapes.apportion(n, [share for _, share, _ in components])
+    chunks, labels = [], []
+    for label, ((_, _, prims), count) in enumerate(zip(components, counts)):
+        sub = shapes.apportion(count, [w for w, _, _ in prims])
+        for (_, sampler, args), c in zip(prims, sub):
+            if c:
+                chunks.append(REFERENCE_SAMPLERS[sampler](rng, c, *args))
+        labels.append(np.full(count, label, dtype=np.int64))
+    pts = np.concatenate(chunks, axis=0)
+    centred = pts - pts.mean(axis=0)
+    return centred / np.linalg.norm(centred, axis=1).max(), np.concatenate(labels)
+
+
+def assert_matches_reference(points, labels, pairs, n):
+    for b, (kind, seed) in enumerate(pairs):
+        ref_points, ref_labels = reference_make_shape(kind, n, seed)
+        np.testing.assert_array_equal(points[b].view(np.int64), ref_points.view(np.int64),
                                       err_msg=f"{kind} n={n} seed={seed}")
-        np.testing.assert_array_equal(cloud.labels, ref.labels)
+        np.testing.assert_array_equal(labels[b], ref_labels)
+
+
+def test_make_corpus_bit_identical_to_per_primitive_generator():
+    for kind in shapes.SHAPE_KINDS:
+        for n in (64, 65, 100, 256, 257, 1024, 2048):
+            pairs = [(kind, seed) for seed in range(20)]
+            assert_matches_reference(*shapes.make_corpus(pairs, n), pairs, n)
 
 
 def test_synthetic_corpus_matches_golden_digest():
@@ -380,22 +429,33 @@ def test_synthetic_corpus_matches_golden_digest():
         "d702f5c76d838ea4cc7f0427dec11a3f09a318939ea48eaa1b466b6035b5997d"
 
 
-def test_make_corpus_stacks_make_shape_per_pair(monkeypatch):
-    pairs = [("rocket", 4), ("plane", 0), ("rocket", 4), ("chair", 1_000_000)]
+def test_make_corpus_keeps_pair_order_for_mixed_repeated_pairs():
+    pairs = [("rocket", 4), ("plane", 0), ("rocket", 4), ("chair", 1_000_000),
+             ("table", 9), ("plane", np.int64(3)), ("rocket", 2), ("chair", 0)]
     points, labels = shapes.make_corpus(pairs, 100)
-    assert points.shape == (4, 100, 3) and labels.shape == (4, 100)
+    assert points.shape == (8, 100, 3) and labels.shape == (8, 100)
     assert points.dtype == np.float64 and labels.dtype == np.int64
-    for b, (kind, seed) in enumerate(pairs):
-        cloud = shapes.make_shape(kind, 100, seed)
-        np.testing.assert_array_equal(points[b].view(np.int64), cloud.points.view(np.int64))
-        np.testing.assert_array_equal(labels[b], cloud.labels)
-    # one generator call per cloud, through the module attribute
-    calls = []
-    real = shapes.make_shape
-    monkeypatch.setattr(shapes, "make_shape",
-                        lambda kind, n, seed: calls.append((kind, seed)) or real(kind, n, seed))
-    shapes.make_corpus(pairs, 100)
-    assert calls == pairs
+    assert_matches_reference(points, labels, pairs, 100)
+    cloud = shapes.make_shape("chair", 100, 1_000_000)
+    np.testing.assert_array_equal(cloud.points.view(np.int64), points[3].view(np.int64))
+    np.testing.assert_array_equal(cloud.labels, labels[3])
+    assert cloud.shape_class == "chair"
+
+
+@pytest.mark.parametrize("pairs, n, match", [
+    ([], 128, "at least one"),
+    ([("plane", 0), ("boat", 1)], 128, r"\('boat', 1\): unknown shape kind"),
+    ([("plane", 0), ("chair", -1)], 128, r"\('chair', -1\): seed must be an integer >= 0"),
+    ([("plane", 0), ("chair", 1.5)], 128, r"\('chair', 1.5\): seed must be an integer >= 0"),
+    ([("plane", 0)], 63, "n >= 64, got 63"),
+], ids=["empty", "unknown-kind", "negative-seed", "non-integer-seed", "small-n"])
+def test_make_corpus_rejects_bad_input_before_any_draw(monkeypatch, pairs, n, match):
+    def no_draws(seed):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(shapes.np.random, "default_rng", no_draws)
+    with pytest.raises(InvalidArgument, match=match):
+        shapes.make_corpus(pairs, n)
 
 
 def test_make_shape_rejects_small_n_and_bad_kind():

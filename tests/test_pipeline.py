@@ -18,7 +18,6 @@ from protomae import autodiff as ad
 from protomae import backbone, checkpoint, heads, pcsm, pipeline, shapes
 from protomae.config import preset
 from protomae.errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
-from protomae.geometry import PointCloud
 
 
 def tiny_cfg(**overrides):
@@ -182,14 +181,13 @@ def test_labels_influence_metrics_but_never_losses(monkeypatch):
     cfg = tiny_cfg()
     base = pipeline.pretrain(cfg)
 
-    real = shapes.make_shape
+    real = shapes.make_corpus
 
-    def unlabeled_world(kind, n, seed):
-        c = real(kind, n, seed=seed)
-        return PointCloud(points=c.points, labels=np.zeros_like(c.labels),
-                          shape_class=c.shape_class)
+    def unlabeled_world(pairs, n):
+        points, labels = real(pairs, n)
+        return points, np.zeros_like(labels)
 
-    monkeypatch.setattr(pipeline.shapes, "make_shape", unlabeled_world)
+    monkeypatch.setattr(pipeline.shapes, "make_corpus", unlabeled_world)
     mangled = pipeline.pretrain(cfg)
 
     for ours, theirs in zip(base.metrics, mangled.metrics):
