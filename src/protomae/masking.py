@@ -190,10 +190,17 @@ def component_coverage(plan: MaskPlan, assignment: np.ndarray) -> tuple[float | 
     number for strategies that never select components.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.shape != plan.masked.shape:
+        raise InvalidArgument(f"assignment of shape {assignment.shape} for a plan over "
+                              f"{plan.masked.shape[0]} tokens")
     ids = np.unique(assignment)
     fractions = {int(c): float(plan.masked[assignment == c].mean()) for c in ids}
     best = max(fractions.values())
     if plan.fully_masked_components:
+        missing = set(plan.fully_masked_components) - fractions.keys()
+        if missing:
+            raise InvalidArgument(f"plan selects components {sorted(missing)} "
+                                  f"absent from the assignment")
         sel = min(fractions[c] for c in plan.fully_masked_components)
         return sel, best
     return None, best

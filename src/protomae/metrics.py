@@ -91,6 +91,8 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
     if n_groups < 1:
         raise InvalidArgument(f"random_nmi_baseline needs n_groups >= 1, got {n_groups}")
     _, truth_ids = np.unique(np.asarray(truth, dtype=np.int64), return_inverse=True)
+    if truth_ids.size == 0:
+        raise InvalidArgument("random_nmi_baseline over an empty truth")
     n, width = truth_ids.size, int(truth_ids.max()) + 1
     picks = rng.integers(0, n_groups, (draws, n))
     cells = (np.arange(draws)[:, None] * n_groups + picks) * width + truth_ids

@@ -3,6 +3,7 @@ finite differences, plus the hand-checkable optimizer and attention cases."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -363,19 +364,52 @@ def test_no_two_gradients_share_memory_after_backward():
                          ad.sum_all(ad.logsumexp_rows(ad.softmax_rows(rows)))),
                   ad.chamfer_batch(ad.mul_const(seq, np.full(seq.shape, 0.5)),
                                    RNG.normal(size=(2, 3, 4))))
-    loss.backward()
-
+    # backward drops the tape's links, so collect every node before it runs
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
+    loss.backward()
+
     grads = [n.grad for n in nodes.values() if n.grad is not None]
     assert len(grads) > 30
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_second_backward_of_a_consumed_tape_raises():
+    x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    loss = ad.sum_all(ad.scale(x, 3.0))
+    loss.backward()
+    with pytest.raises(InvalidArgument, match="op 'sum_all'"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+
+def test_new_loss_on_a_consumed_interior_node_names_its_op():
+    x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    h = ad.scale(x, 2.0)
+    ad.sum_all(h).backward()
+    with pytest.raises(InvalidArgument, match="op 'scale'"):
+        ad.sum_all(ad.relu(h)).backward()
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+    np.testing.assert_array_equal(h.grad, [[1.0, 1.0]])
+
+
+def test_backward_frees_the_tape_it_walks():
+    x = ad.Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    w = ad.Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
+    h = ad.gelu(ad.linear(x, w))
+    activation = weakref.ref(h.values)
+    loss = ad.sum_all(h)
+    del h
+    loss.backward()
+    assert activation() is None
+    assert x.grad is not None and np.any(x.grad != 0.0)
+    assert w.grad is not None and np.any(w.grad != 0.0)
 
 
 def test_non_finite_forward_raises_with_op_name():

@@ -201,6 +201,19 @@ def test_component_coverage_values():
     assert 0.0 <= best <= 1.0
 
 
+@pytest.mark.parametrize("size", [0, 63, 65])
+def test_component_coverage_rejects_a_wrongly_sized_assignment(size):
+    plan = random_mask(64, 0.6, np.random.default_rng(11))
+    with pytest.raises(InvalidArgument, match=f"shape \\({size},\\) for a plan over 64"):
+        component_coverage(plan, np.zeros(size, dtype=np.int64))
+
+
+def test_component_coverage_rejects_selected_components_absent_from_the_assignment():
+    plan = csem_mask(np.repeat([0, 1, 2, 3], 16), 1, 0.6, np.random.default_rng(11))
+    with pytest.raises(InvalidArgument, match=r"components \[0\] absent"):
+        component_coverage(plan, np.full(64, 5, dtype=np.int64))
+
+
 def test_masked_and_visible_partition():
     rng = np.random.default_rng(9)
     for _ in range(50):

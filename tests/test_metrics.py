@@ -164,6 +164,9 @@ def test_random_baseline_rejects_degenerate_arguments():
         metrics.random_nmi_baseline(labels, 4, draws=0, rng=np.random.default_rng(0))
     with pytest.raises(InvalidArgument, match="n_groups"):
         metrics.random_nmi_baseline(labels, 0, draws=5, rng=np.random.default_rng(0))
+    with pytest.raises(InvalidArgument, match="empty truth"):
+        metrics.random_nmi_baseline(np.array([], dtype=np.int64), 4, draws=5,
+                                    rng=np.random.default_rng(0))
 
 
 def test_contingency_equals_add_at_table():

@@ -9,6 +9,9 @@ and the on-disk artifacts.
 
 import dataclasses
 import json
+import os
+import resource
+import statistics
 import weakref
 
 import numpy as np
@@ -159,6 +162,34 @@ def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):
     cfg = tiny_cfg()
     pipeline.pretrain(cfg)
     assert len(losses) == cfg.epochs * (len(pipeline.build_dataset(cfg).points) // cfg.batch_size)
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap policy is set on glibc only")
+def test_warm_pretrain_steps_fault_in_no_memory(monkeypatch):
+    # a warm step allocates what the previous one freed; with glibc keeping
+    # its heap (autodiff's heap policy) that memory is reused in place, where
+    # returning it to the kernel costs thousands of minor faults per step
+    faults = []
+    train_step = pipeline.train_step
+
+    def counting_step(*args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = train_step(*args, **kwargs)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return out
+
+    monkeypatch.setattr(pipeline, "train_step", counting_step)
+    pipeline.pretrain(dataclasses.replace(preset("test-small"), clouds_per_kind=8,
+                                          epochs=2).validate())
+    assert len(faults) == 8
+    assert statistics.median(faults[2:]) < 64, faults
 
 
 def test_one_call_fps_starts_equal_per_cloud_draws():
