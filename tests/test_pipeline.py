@@ -10,7 +10,6 @@ and the on-disk artifacts.
 import dataclasses
 import json
 import os
-import resource
 import statistics
 import weakref
 
@@ -176,6 +175,8 @@ def test_warm_pretrain_steps_fault_in_no_memory(monkeypatch):
     # a warm step allocates what the previous one freed; with glibc keeping
     # its heap (autodiff's heap policy) that memory is reused in place, where
     # returning it to the kernel costs thousands of minor faults per step
+    import resource
+
     faults = []
     train_step = pipeline.train_step
 
