@@ -20,7 +20,8 @@ model in memory.  A float32 store is widened one tensor at a time.  The file
 stays float64 whatever the compute dtype: widening is exact, so a float32
 store saves and loads back bit for bit, and its dtype travels in the config
 text (``dtype = float32``).  ``load`` keeps each tensor a read-only view of
-the one buffer it reads the file into.  Loading (``load_into``) needs every
+the one buffer it reads the file into, and rejects a tensor holding a NaN
+or an infinity as corrupt.  Loading (``load_into``) needs every
 tensor of the receiving store, shape included, casts into the store's dtype
 and ignores the rest, so a run builds the store it trains or reads and
 creates anything fresh (a classification head) after loading.
@@ -161,6 +162,8 @@ def load(path: str | Path) -> Checkpoint:
             raise ConfigError(f"{path}: tensor '{name}' has a bad shape: {exc}") from None
         if name in tensors:
             raise ConfigError(f"{path}: duplicate tensor '{name}'")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{path}: tensor '{name}' holds non-finite values")
         tensors[name] = arr
     if r.off != len(data):
         raise ConfigError(f"{path}: {len(data) - r.off} trailing bytes")

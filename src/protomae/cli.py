@@ -131,10 +131,12 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
     store = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
     checkpoint.load_into(store, ck)
     if args.cloud:
-        points = geometry.load_cloud(args.cloud).points
+        points, _ = geometry.load_cloud(args.cloud)
+        if len(points) < max(cfg.n_patches, cfg.knn_k):
+            raise InvalidArgument(f"{args.cloud}: cloud of {len(points)} points cannot supply "
+                                  f"{cfg.n_patches} patches of {cfg.knn_k} members")
     else:
-        points = shapes.make_shape(args.kind, cfg.n_points,
-                                   seed=args.cloud_seed).points
+        points, _ = shapes.make_shape(args.kind, cfg.n_points, seed=args.cloud_seed)
     out_path = Path(args.out) / "groups.txt"
     labels = pipeline.export_groups(store, points, cfg, out_path)
     print(f"wrote {labels.size} points, {np.unique(labels).size} distinct "

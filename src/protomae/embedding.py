@@ -38,7 +38,6 @@ class TokenBatch:
     Every field carries the leading batch axes of the input cloud array.
     """
 
-    center_indices: np.ndarray      # (..., G) into the source cloud
     centers: np.ndarray             # (..., G, 3)
     member_indices: np.ndarray      # (..., G, k)
     local_coords: np.ndarray        # (..., G, k, 3) member minus centre
@@ -77,16 +76,10 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
         raise InvalidArgument(
             f"cloud of {n} points cannot supply {cfg.n_patches} patches of {cfg.knn_k} members")
     center_idx = geo.fps(pts, cfg.n_patches, start=start)
-    patches = geo.knn(pts, center_idx, cfg.knn_k)
+    members, local = geo.knn(pts, center_idx, cfg.knn_k)
     centers = np.take_along_axis(pts, center_idx[..., None], axis=-2)
-    return TokenBatch(
-        center_indices=center_idx,
-        centers=centers,
-        member_indices=patches.member_indices,
-        local_coords=patches.local_coords,
-        tokens=mini_pointnet(patches.local_coords, params, cfg),
-        pos=pos_embed(centers, params),
-    )
+    return TokenBatch(centers=centers, member_indices=members, local_coords=local,
+                      tokens=mini_pointnet(local, params, cfg), pos=pos_embed(centers, params))
 
 
 def mini_pointnet(local_coords: np.ndarray, params: Mapping[str, Tensor],

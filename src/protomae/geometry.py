@@ -3,55 +3,20 @@
 Everything here is plain float64 numpy with deterministic tie-breaking
 (lowest index wins), so the same inputs always produce the same outputs
 bit for bit.  The sampling and neighbourhood kernels take any leading batch
-axes and treat each leading entry as an independent cloud.  The chamfer
-kernel here is the one behind the reconstruction losses: ``autodiff``
-differentiates it rather than keeping its own.
+axes and treat each leading entry as an independent cloud.  A cloud is
+plain arrays: (..., N, 3) points and, where known, (..., N) int64 component
+labels.  The chamfer kernel here is the one behind the reconstruction
+losses: ``autodiff`` differentiates it rather than keeping its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidArgument
-
-# ---------------------------------------------------------------------------
-# containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PointCloud:
-    """N points with optional per-point integer component labels."""
-
-    points: np.ndarray                      # (N, 3) float64
-    labels: np.ndarray | None = None        # (N,) int64 or None
-    shape_class: str | None = None
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise InvalidArgument(f"points must be (N, 3), got {self.points.shape}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.points.shape[0],):
-                raise InvalidArgument("labels must be one integer per point")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
-class Neighborhoods:
-    """G local patches as arrays, with the leading batch axes of the cloud."""
-
-    member_indices: np.ndarray              # (..., G, k) int64, sorted by (distance, index)
-    local_coords: np.ndarray                # (..., G, k, 3) member minus centre
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -124,17 +89,18 @@ def fps(points: np.ndarray, count: int, start=0) -> np.ndarray:
     return picks.reshape(lead + (count,))
 
 
-def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods:
-    """k nearest neighbours of each centre, self included.
+def knn(points: np.ndarray, center_indices: np.ndarray,
+        k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest neighbours of each centre, self included: (members, local coordinates).
 
     ``points`` is (..., N, 3) and ``center_indices`` (..., G), or (G,) for
     the same centres in every leading entry.  Members are ordered by
     (Euclidean distance, index): ``argpartition`` keeps the k nearest of
     each row of the (G, N) distance matrices, and a stable sort orders
     them.  A row where points tie at the k-th distance is sorted whole
-    instead, so ties always keep the lowest indices.  ``local_coords`` are
-    member coordinates minus the centre coordinate, computed by exact
-    subtraction.
+    instead, so ties always keep the lowest indices.  Returns the
+    (..., G, k) int64 member indices and their (..., G, k, 3) coordinates
+    minus the centre coordinate, computed by exact subtraction.
     """
     pts = _clouds(points, "knn")
     lead, n = pts.shape[:-2], pts.shape[-2]
@@ -156,8 +122,7 @@ def knn(points: np.ndarray, center_indices: np.ndarray, k: int) -> Neighborhoods
     if tied.any():
         members[tied] = np.argsort(d[tied], axis=-1, kind="stable")[:, :k]
     local = flat[rows[..., None], members] - origin[:, :, None, :]
-    return Neighborhoods(member_indices=members.reshape(lead + (g, k)),
-                         local_coords=local.reshape(lead + (g, k, 3)))
+    return members.reshape(lead + (g, k)), local.reshape(lead + (g, k, 3))
 
 
 def chamfer_nearest(a: np.ndarray, b: np.ndarray):
@@ -203,7 +168,8 @@ def save_cloud(path: str | Path, points: np.ndarray, labels: np.ndarray | None =
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_cloud(path: str | Path) -> PointCloud:
+def load_cloud(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
+    """(N, 3) float64 points and (N,) int64 labels, or None for a 3-column file."""
     points: list[list[float]] = []
     labels: list[int] = []
     saw_label = None
@@ -237,7 +203,5 @@ def load_cloud(path: str | Path) -> PointCloud:
         points.append(xyz)
     if not points:
         raise InvalidArgument(f"{path}: no points")
-    return PointCloud(
-        points=np.array(points, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if saw_label else None,
-    )
+    return (np.array(points, dtype=np.float64),
+            np.array(labels, dtype=np.int64) if saw_label else None)

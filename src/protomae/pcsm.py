@@ -23,7 +23,6 @@ batched losses are means over clouds of the per-cloud losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -79,7 +78,7 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
         raise InvalidArgument(f"tokens {tokens.shape} and centres {centers.shape} differ")
     if not 1 <= k <= g:
         raise InvalidArgument(f"knorm k={k} out of range for {g} tokens")
-    members = geo.knn(centers, np.arange(g), k).member_indices.reshape(-1, g, k)
+    members = geo.knn(centers, np.arange(g), k)[0].reshape(-1, g, k)
     flat = tokens.reshape(-1, g, c)
     gathered = flat[np.arange(flat.shape[0])[:, None, None], members]   # (L, G, k, C)
     mu = gathered.mean(axis=-2)
@@ -189,61 +188,47 @@ def refresh(tb: TokenBatch, params: Mapping[str, Tensor],
     return te, update_prototypes(params["pcsm.prototypes"], Tensor(te))
 
 
-@dataclass
-class Grouping:
-    """The grouping pass over a cloud or a batch; arrays keep its leading axes."""
-
-    tokens_encoded: np.ndarray      # (..., G, C) stop-gradient encoder output (post k-norm)
-    prototypes_hat: Tensor          # (..., Q, C)
-    assignment: np.ndarray          # (..., G) int64
-
-
-def group(tb: TokenBatch, params: Mapping[str, Tensor], cfg: RunConfig) -> Grouping:
+def group(tb: TokenBatch, params: Mapping[str, Tensor],
+          cfg: RunConfig) -> tuple[np.ndarray, Tensor, np.ndarray]:
     """``refresh``, then enhancement, similarity and the hard assignment.
 
-    The enhancement reads a frozen view of ``params``: its output feeds only
-    the argmax, so no loss could differentiate through it.  Given a frozen
-    view, the pass records no gradient tape.
+    Returns (tokens_encoded, prototypes_hat, assignment): the (..., G, C)
+    stop-gradient encoder output after k-norm, the (..., Q, C) refreshed
+    bank and the (..., G) int64 assignment.  The enhancement reads a frozen
+    view of ``params``: its output feeds only the argmax, so no loss could
+    differentiate through it.  Given a frozen view, the pass records no
+    gradient tape.
     """
     te, p_hat = refresh(tb, params, cfg)
     detached = p_hat.detach()
     _, assignment = similarity(enhance_tokens(Tensor(te), detached, ad.frozen(params), cfg),
                                detached)
-    return Grouping(tokens_encoded=te, prototypes_hat=p_hat, assignment=assignment)
+    return te, p_hat, assignment
 
 
 def cloud_assignment(points: np.ndarray, params: Mapping[str, Tensor],
-                     cfg: RunConfig) -> tuple[TokenBatch, Grouping]:
+                     cfg: RunConfig) -> tuple[TokenBatch, np.ndarray]:
     """The frozen assignment pass: tokenize and ``group`` on a frozen view of ``params``.
 
     ``points`` is one (N, 3) cloud or a (B, N, 3) batch, tokenized from its
-    first point.  The pass builds no losses and no gradient tape.
+    first point.  Returns the token batch and its (..., G) assignment; the
+    pass builds no losses and no gradient tape.
     """
     frozen = ad.frozen(params)
     tb = embedding.tokenize(points, frozen, cfg, start=0)
-    return tb, group(tb, frozen, cfg)
-
-
-@dataclass
-class PCSMOutput(Grouping):
-    """The grouping pass plus the branch's two losses, means over clouds."""
-
-    loss_proto: Tensor
-    loss_cont: Tensor
+    return tb, group(tb, frozen, cfg)[2]
 
 
 def pcsm_forward(tb: TokenBatch, cloud_points: np.ndarray, params: Mapping[str, Tensor],
-                 cfg: RunConfig) -> PCSMOutput:
+                 cfg: RunConfig) -> tuple[np.ndarray, Tensor, Tensor]:
     """Full component-grouping pass on a complete cloud, or a batch of them.
 
-    ``tb`` is read only as constants, so it may come from a tokenize on a
-    frozen view.  The grouping runs as in ``group``; given the store, the
-    trainable inputs of the two losses are the prototype bank and the
-    reconstruction head.
+    Returns (assignment, loss_proto, loss_cont), the losses as means over
+    clouds.  ``tb`` is read only as constants, so it may come from a
+    tokenize on a frozen view.  The grouping runs as in ``group``; given the
+    store, the trainable inputs of the two losses are the prototype bank and
+    the reconstruction head.
     """
-    grouping = group(tb, params, cfg)
-    p_hat = grouping.prototypes_hat
-    loss_proto = ppr_reconstruct(p_hat, tb.pos.detach(), grouping.assignment,
-                                 cloud_points, params, cfg)
-    return PCSMOutput(**vars(grouping), loss_proto=loss_proto,
-                      loss_cont=l_cont(p_hat, cfg.cont_temperature))
+    _, p_hat, assignment = group(tb, params, cfg)
+    loss_proto = ppr_reconstruct(p_hat, tb.pos.detach(), assignment, cloud_points, params, cfg)
+    return assignment, loss_proto, l_cont(p_hat, cfg.cont_temperature)

@@ -122,21 +122,21 @@ def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generato
     and the (B, G, k) patch members: no Tensor, so the step's tape dies with it.
     """
     tb = embedding.tokenize(points, ad.frozen(store), cfg, start=starts)
-    out = pcsm.pcsm_forward(tb, points, store, cfg)
-    plans = [masking.make_plan(cfg.mask_strategy, out.assignment[j], tb.centers[j],
+    assignment, loss_proto, loss_cont = pcsm.pcsm_forward(tb, points, store, cfg)
+    plans = [masking.make_plan(cfg.mask_strategy, assignment[j], tb.centers[j],
                                cfg.mask_ratio, cfg.full_mask_components, mask_rng)
              for j in range(len(points))]
     vis = np.stack([plan.visible_indices() for plan in plans])
     msk = np.stack([plan.masked_indices() for plan in plans])
     losses = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
-              "l_proto": out.loss_proto, "l_cont": out.loss_cont}
+              "l_proto": loss_proto, "l_cont": loss_cont}
     losses["total"] = ad.add(losses["l_3d"],
                              ad.add(ad.scale(losses["l_proto"], cfg.lambda_proto),
                                     ad.scale(losses["l_cont"], cfg.lambda_cont)))
     losses["total"].backward()
     opt.step()
     return ({name: float(t.values) for name, t in losses.items()}, plans,
-            out.assignment, tb.member_indices)
+            assignment, tb.member_indices)
 
 
 @dataclass
@@ -462,9 +462,9 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
         [(kind, seed_base + s) for s in range(n_clouds)], cfg.n_points)
     scores, baselines = [], []
     for lo in range(0, n_clouds, cfg.batch_size):
-        tb, grouping = pcsm.cloud_assignment(points[lo:lo + cfg.batch_size], store, cfg)
+        tb, assignment = pcsm.cloud_assignment(points[lo:lo + cfg.batch_size], store, cfg)
         truths = token_truth(labels[lo:lo + cfg.batch_size], tb.member_indices)
-        for tokens, truth in zip(grouping.assignment, truths):
+        for tokens, truth in zip(assignment, truths):
             scores.append(metrics.nmi(tokens, truth))
             baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
                                                          draws, rng))
@@ -483,8 +483,7 @@ def export_groups(store: ad.ParamStore, points: np.ndarray, cfg: RunConfig,
     """
     _out_dir(Path(out_path).parent)
     points = np.asarray(points, dtype=np.float64)
-    tb, grouping = pcsm.cloud_assignment(points, store, cfg)
-    point_labels = grouping.assignment[sq_dists(points[:, None, :],
-                                                tb.centers[None, :, :]).argmin(axis=-1)]
+    tb, assignment = pcsm.cloud_assignment(points, store, cfg)
+    point_labels = assignment[sq_dists(points[:, None, :], tb.centers[None, :, :]).argmin(axis=-1)]
     save_cloud(out_path, points, point_labels)
     return point_labels

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgument
-from .geometry import PointCloud, normalize
+from .geometry import normalize
 
 # ---------------------------------------------------------------------------
 # surface samplers (local frames; axis = 0/1/2 picks the long direction)
@@ -162,10 +162,10 @@ def apportion(total: int, weights: list[float]) -> list[int]:
     return [int(b) for b in base]
 
 
-def make_shape(kind: str, n: int, seed: int) -> PointCloud:
-    """Sample a labelled ``kind`` shape with exactly ``n`` points: ``make_corpus`` of one pair."""
+def make_shape(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) points and (n,) labels of a ``kind`` shape: ``make_corpus`` of one pair."""
     points, labels = make_corpus([(kind, seed)], n)
-    return PointCloud(points=points[0], labels=labels[0], shape_class=kind)
+    return points[0], labels[0]
 
 
 def _check_corpus(pairs, n: int) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import backbone, geometry, heads, pcsm, pipeline, shapes
+from . import backbone, embedding, geometry, heads, pcsm, pipeline, shapes
 from .autodiff import Tensor
 from .config import RunConfig, preset
 from .masking import csem_mask
@@ -95,7 +95,7 @@ def oracle_suite(instances: int = 200, seed: int = 0) -> list[OracleReport]:
         pts = rng.normal(size=(n, 3))
         k = int(rng.integers(1, n + 1))
         center = int(rng.integers(n))
-        got = geometry.knn(pts, np.array([center]), k).member_indices[0]
+        got = geometry.knn(pts, np.array([center]), k)[0][0]
         if not np.array_equal(got, _knn_oracle(pts, center, k)):
             mism += 1
     reports.append(OracleReport("knn", instances, mism, 0.0))
@@ -197,24 +197,26 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     kinds = cfg.kinds()
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)
     heads.init_head_params(store, cfg, len(kinds), csep=False)
-    points = shapes.make_shape(kinds[0], cfg.n_points, seed=3).points
+    points, _ = shapes.make_shape(kinds[0], cfg.n_points, seed=3)
 
     # fixed masking plan, token features and assignment from the initial
-    # weights, by the frozen pass; l_3d re-embeds the visible patches of the
-    # same token batch on the tape
-    tb0, out0 = pcsm.cloud_assignment(points, store, cfg)
-    plan = csem_mask(out0.assignment, cfg.full_mask_components, cfg.mask_ratio,
+    # weights, by the frozen pass of ``pcsm.cloud_assignment``; l_3d re-embeds
+    # the visible patches of the same token batch on the tape
+    frozen = ad.frozen(store)
+    tb0 = embedding.tokenize(points, frozen, cfg, start=0)
+    tokens_encoded, _, assignment = pcsm.group(tb0, frozen, cfg)
+    plan = csem_mask(assignment, cfg.full_mask_components, cfg.mask_ratio,
                      np.random.default_rng(5))
     vis, msk = plan.visible_indices(), plan.masked_indices()
 
     def l3d_fn():
         return backbone.reconstruction_loss(tb0, vis, msk, store, cfg)
 
-    te = Tensor(out0.tokens_encoded)
+    te = Tensor(tokens_encoded)
 
     def proto_fn():
         p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], te)
-        return pcsm.ppr_reconstruct(p_hat, tb0.pos, out0.assignment, points, store, cfg)
+        return pcsm.ppr_reconstruct(p_hat, tb0.pos, assignment, points, store, cfg)
 
     def cont_fn():
         p_hat = pcsm.update_prototypes(store["pcsm.prototypes"], te)

@@ -151,7 +151,7 @@ def _readout_block_equality_gap():
             if name.endswith(".attn.wo") or name.endswith(".mlp.w1"):
                 store[name].values[:] = 0.0
     from protomae import shapes
-    pts = shapes.make_shape("chair", cfg.n_points, seed=5).points
+    pts, _ = shapes.make_shape("chair", cfg.n_points, seed=5)
     base = heads.classify_baseline(pts, plain, cfg)
     zeros = np.zeros((cfg.n_prototypes, c))
     got = heads.classify_csep(pts, prompted, cfg, prompt_rows=zeros)

@@ -21,7 +21,7 @@ def setup():
     cfg = preset("toy")
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)
     heads.init_head_params(store, cfg, 4, csep=True)
-    points = np.stack([shapes.make_shape(kind, cfg.n_points, seed=i).points
+    points = np.stack([shapes.make_shape(kind, cfg.n_points, seed=i)[0]
                        for i, kind in enumerate(("chair", "plane", "rocket"))])
     starts = np.array([0, 11, 40])
     return cfg, store, points, starts
@@ -33,7 +33,7 @@ def test_tokenize_batch_equals_per_cloud(setup):
     assert tb.tokens.values.shape == (B, cfg.n_patches, cfg.dim)
     for i in range(B):
         one = embedding.tokenize(points[i], store, cfg, start=int(starts[i]))
-        np.testing.assert_array_equal(tb.center_indices[i], one.center_indices)
+        np.testing.assert_array_equal(tb.centers[i], one.centers)
         np.testing.assert_array_equal(tb.member_indices[i], one.member_indices)
         np.testing.assert_array_equal(tb.local_coords[i], one.local_coords)
         np.testing.assert_allclose(tb.tokens.values[i], one.tokens.values, **TOL)
@@ -52,33 +52,35 @@ def test_encode_batch_equals_per_cloud(setup):
 def _one_cloud(tb, i):
     """Cloud ``i`` of a token batch, as a batch of its own with the same values."""
     return embedding.TokenBatch(
-        center_indices=tb.center_indices[i], centers=tb.centers[i],
-        member_indices=tb.member_indices[i], local_coords=tb.local_coords[i],
+        centers=tb.centers[i], member_indices=tb.member_indices[i],
+        local_coords=tb.local_coords[i],
         tokens=Tensor(tb.tokens.values[i]), pos=Tensor(tb.pos.values[i]))
 
 
-def _similarity(out, store, cfg):
-    """The row-stochastic similarity behind ``out.assignment``."""
-    bank = out.prototypes_hat.detach()
-    enhanced = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, ad.frozen(store), cfg)
+def _similarity(tokens_encoded, prototypes_hat, store, cfg):
+    """The row-stochastic similarity behind ``pcsm.group``'s assignment."""
+    bank = prototypes_hat.detach()
+    enhanced = pcsm.enhance_tokens(Tensor(tokens_encoded), bank, ad.frozen(store), cfg)
     return pcsm.similarity(enhanced, bank)[0].values
 
 
 def test_pcsm_forward_batch_equals_per_cloud(setup):
     cfg, store, points, starts = setup
     tb = embedding.tokenize(points, store, cfg, start=starts)
+    te, p_hat, _ = pcsm.group(tb, store, cfg)
     out = pcsm.pcsm_forward(tb, points, store, cfg)
-    singles = [pcsm.pcsm_forward(_one_cloud(tb, i), points[i], store, cfg) for i in range(B)]
-    similarity = _similarity(out, store, cfg)
-    for i, one in enumerate(singles):
-        np.testing.assert_allclose(out.tokens_encoded[i], one.tokens_encoded, **TOL)
-        np.testing.assert_allclose(out.prototypes_hat.values[i], one.prototypes_hat.values,
+    singles = [(pcsm.group(_one_cloud(tb, i), store, cfg),
+                pcsm.pcsm_forward(_one_cloud(tb, i), points[i], store, cfg)) for i in range(B)]
+    similarity = _similarity(te, p_hat, store, cfg)
+    for i, ((te_one, p_hat_one, _), one) in enumerate(singles):
+        np.testing.assert_allclose(te[i], te_one, **TOL)
+        np.testing.assert_allclose(p_hat.values[i], p_hat_one.values, **TOL)
+        np.testing.assert_allclose(similarity[i], _similarity(te_one, p_hat_one, store, cfg),
                                    **TOL)
-        np.testing.assert_allclose(similarity[i], _similarity(one, store, cfg), **TOL)
-        np.testing.assert_array_equal(out.assignment[i], one.assignment)
-    for name in ("loss_proto", "loss_cont"):
-        mean = np.mean([float(getattr(one, name).values) for one in singles])
-        assert float(getattr(out, name).values) == pytest.approx(mean, abs=1e-12), name
+        np.testing.assert_array_equal(out[0][i], one[0])
+    for j, name in ((1, "loss_proto"), (2, "loss_cont")):
+        mean = np.mean([float(one[j].values) for _, one in singles])
+        assert float(out[j].values) == pytest.approx(mean, abs=1e-12), name
 
 
 def test_classify_csep_batch_equals_per_cloud(setup):
@@ -143,8 +145,7 @@ def test_cloud_assignment_is_pcsm_forward_assignment_without_a_tape(setup, monke
         return out
 
     monkeypatch.setattr(ad, "_node", recording_node)
-    _, grouping = pcsm.cloud_assignment(points, store, cfg)
-    assignment = grouping.assignment
+    _, assignment = pcsm.cloud_assignment(points, store, cfg)
     monkeypatch.undo()
     assert tracked and not any(tracked)
     for name, t in store.items():
@@ -152,7 +153,7 @@ def test_cloud_assignment_is_pcsm_forward_assignment_without_a_tape(setup, monke
     tb = embedding.tokenize(points, store, cfg, start=0)
     out = pcsm.pcsm_forward(tb, points, store, cfg)
     assert assignment.shape == (B, cfg.n_patches)
-    np.testing.assert_array_equal(assignment, out.assignment)
+    np.testing.assert_array_equal(assignment, out[0])
 
 
 def test_classify_csep_prompts_are_the_refreshed_bank(setup):

@@ -274,6 +274,11 @@ def test_undecodable_text_and_bad_shape_are_reported(tmp_path):
     path.write_bytes(blob[:ndim_at] + tail)
     with pytest.raises(ConfigError, match="tensor 'a' has a bad shape"):
         checkpoint.load(path)
+    # the last value of the last tensor, 'b.bias'
+    for bad in (np.nan, np.inf):
+        path.write_bytes(blob[:-8] + struct.pack("<d", bad))
+        with pytest.raises(ConfigError, match=r"tensor 'b\.bias' holds non-finite values"):
+            checkpoint.load(path)
 
 
 def test_corrupted_bytes_fuzz_raise_only_config_error(tmp_path):

@@ -142,6 +142,23 @@ def test_finetune_from_checkpoint_missing_encoder_tensors_exits_two(
     assert "'embed.pos.w', 'enc.block00.attn.wq'" in err
 
 
+def test_finetune_from_a_non_finite_checkpoint_exits_two(toy_config_file, tmp_path, capsys):
+    from protomae import checkpoint, pipeline
+
+    cfg = preset("toy")
+    ck = checkpoint.from_store(pipeline.init_model(cfg), cfg, np.random.default_rng(0))
+    ck.tensors["enc.block00.attn.wq"][0, 0] = np.nan
+    path = tmp_path / "pre.bin"
+    checkpoint.write(path, ck)
+    assert cli.main(["--config", toy_config_file, "--out", str(tmp_path),
+                     "finetune", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: {path}: tensor 'enc.block00.attn.wq' holds non-finite values"
+            in err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "finetune").exists()
+
+
 def test_export_groups_from_baseline_finetune_checkpoint_exits_two(tmp_path, capsys):
     from protomae import checkpoint, heads, pipeline
 
@@ -168,7 +185,8 @@ def test_pretrain_finetune_export_chain(toy_config_file, tmp_path, capsys):
 
     assert cli.main(["--config", toy_config_file, "--out", out, "finetune",
                      "--checkpoint", str(ckpt), "--csep"]) == 0
-    assert (tmp_path / "runs" / "finetune" / "finetune-csep.bin").exists()
+    csep = tmp_path / "runs" / "finetune" / "finetune-csep.bin"
+    assert csep.exists()
 
     # export falls back to the config embedded in the checkpoint
     assert cli.main(["--out", out, "export-groups", "--checkpoint",
@@ -176,6 +194,11 @@ def test_pretrain_finetune_export_chain(toy_config_file, tmp_path, capsys):
     groups = tmp_path / "runs" / "groups.txt"
     cfg = preset("toy")
     assert len(groups.read_text().splitlines()) == cfg.n_points
+
+    # the prompted fine-tune's store holds the grouping branch too
+    assert cli.main(["--out", str(tmp_path / "csep"), "export-groups",
+                     "--checkpoint", str(csep)]) == 0
+    assert len((tmp_path / "csep" / "groups.txt").read_text().splitlines()) == cfg.n_points
 
 
 def test_export_groups_reads_cloud_file(toy_config_file, tmp_path):
@@ -213,6 +236,7 @@ def test_export_groups_bad_cloud_file_exits_two(tmp_path, capsys, rows, message)
                      "--checkpoint", str(ckpt), "--cloud", str(cloud)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and message in err and "Traceback" not in err
+    assert str(cloud) in err
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "config-not-utf8"])

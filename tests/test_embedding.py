@@ -5,6 +5,7 @@ import pytest
 
 from protomae import autodiff as ad
 from protomae import embedding
+from protomae import geometry as geo
 from protomae.config import preset
 from protomae.errors import InvalidArgument
 
@@ -32,7 +33,7 @@ def test_patch_geometry_bookkeeping():
     cfg, store = toy_setup()
     pts = np.random.default_rng(1).normal(size=(40, 3))
     tb = embedding.tokenize(pts, store, cfg)
-    assert np.array_equal(tb.centers, pts[tb.center_indices])
+    assert np.array_equal(tb.centers, pts[geo.fps(pts, cfg.n_patches)])
     gathered = pts[tb.member_indices] - tb.centers[:, None, :]
     assert np.array_equal(tb.local_coords, gathered)
 
@@ -62,9 +63,12 @@ def test_tokens_invariant_to_point_order():
 def test_tokens_nearly_invariant_to_translation():
     cfg, store = toy_setup()
     pts = np.random.default_rng(4).normal(size=(40, 3))
+    shift = np.array([10.0, -3.0, 0.5])
     a = embedding.tokenize(pts, store, cfg)
-    b = embedding.tokenize(pts + np.array([10.0, -3.0, 0.5]), store, cfg)
-    assert np.array_equal(a.center_indices, b.center_indices)
+    b = embedding.tokenize(pts + shift, store, cfg)
+    picks = geo.fps(pts, cfg.n_patches)
+    assert np.array_equal(a.centers, pts[picks])
+    assert np.array_equal(b.centers, (pts + shift)[picks])
     assert np.allclose(a.tokens.values, b.tokens.values, atol=1e-9)
 
 

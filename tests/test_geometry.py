@@ -122,21 +122,21 @@ def test_fps_bad_args():
 def test_knn_includes_self_first():
     pts = RNG.normal(size=(20, 3))
     centers = np.array([0, 7, 19])
-    nb = geo.knn(pts, centers, 5)
-    np.testing.assert_array_equal(nb.member_indices[:, 0], centers)
-    np.testing.assert_array_equal(nb.local_coords[:, 0], np.zeros((3, 3)))
+    members, local = geo.knn(pts, centers, 5)
+    np.testing.assert_array_equal(members[:, 0], centers)
+    np.testing.assert_array_equal(local[:, 0], np.zeros((3, 3)))
 
 
 def test_knn_sorted_by_distance_then_index():
     pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0], [1.0, 0, 0]])
-    members = geo.knn(pts, np.array([0]), 4).member_indices[0]
+    members = geo.knn(pts, np.array([0]), 4)[0][0]
     # distances: self 0, idx3 1, idx1 4, idx2 4 -> tie between 1 and 2 keeps index order
     assert members.tolist() == [0, 3, 1, 2]
 
 
 def test_knn_k_equals_n():
     pts = RNG.normal(size=(9, 3))
-    members = geo.knn(pts, np.array([4]), 9).member_indices[0]
+    members = geo.knn(pts, np.array([4]), 9)[0][0]
     assert sorted(members.tolist()) == list(range(9))
 
 
@@ -147,10 +147,9 @@ def test_knn_against_oracle_random_instances():
         pts = rng.normal(size=(n, 3))
         k = int(rng.integers(1, n + 1))
         c = int(rng.integers(n))
-        nb = geo.knn(pts, np.array([c]), k)
-        members = nb.member_indices[0]
-        assert members.tolist() == oracle_knn(pts, c, k)
-        np.testing.assert_array_equal(nb.local_coords[0], pts[members] - pts[c])
+        members, local = geo.knn(pts, np.array([c]), k)
+        assert members[0].tolist() == oracle_knn(pts, c, k)
+        np.testing.assert_array_equal(local[0], pts[members[0]] - pts[c])
 
 
 def test_knn_ties_at_the_kth_place_keep_the_lowest_indices():
@@ -161,7 +160,7 @@ def test_knn_ties_at_the_kth_place_keep_the_lowest_indices():
     clouds = np.stack([grid, grid[::-1]])
     centers = np.arange(grid.shape[0])
     for k in range(1, grid.shape[0] + 1):
-        members = geo.knn(clouds, centers, k).member_indices
+        members, _ = geo.knn(clouds, centers, k)
         for b in range(2):
             for c in centers:
                 assert members[b, c].tolist() == oracle_knn(clouds[b], c, k), (b, c, k)
@@ -169,10 +168,11 @@ def test_knn_ties_at_the_kth_place_keep_the_lowest_indices():
 
 def test_knn_local_coords_translation_invariant():
     pts = RNG.normal(size=(30, 3))
-    base = geo.knn(pts, np.array([3, 11]), 6)
-    moved = geo.knn(pts + np.array([10.0, -4.0, 2.5]), np.array([3, 11]), 6)
-    np.testing.assert_array_equal(base.member_indices, moved.member_indices)
-    np.testing.assert_allclose(base.local_coords, moved.local_coords, atol=1e-9)
+    centers = np.array([3, 11])
+    base_members, base_local = geo.knn(pts, centers, 6)
+    moved_members, moved_local = geo.knn(pts + np.array([10.0, -4.0, 2.5]), centers, 6)
+    np.testing.assert_array_equal(base_members, moved_members)
+    np.testing.assert_allclose(base_local, moved_local, atol=1e-9)
 
 
 def test_knn_bad_k():
@@ -274,36 +274,36 @@ def test_normalize_degenerate_cloud():
 
 
 def test_make_shape_deterministic_bit_identical():
-    a = shapes.make_shape("plane", 512, seed=33)
-    b = shapes.make_shape("plane", 512, seed=33)
-    np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.labels, b.labels)
-    c = shapes.make_shape("plane", 512, seed=34)
-    assert not np.array_equal(a.points, c.points)
+    a_points, a_labels = shapes.make_shape("plane", 512, seed=33)
+    b_points, b_labels = shapes.make_shape("plane", 512, seed=33)
+    np.testing.assert_array_equal(a_points, b_points)
+    np.testing.assert_array_equal(a_labels, b_labels)
+    c_points, _ = shapes.make_shape("plane", 512, seed=34)
+    assert not np.array_equal(a_points, c_points)
 
 
 def test_make_shape_normalized_output():
     for kind in shapes.SHAPE_KINDS:
-        cloud = shapes.make_shape(kind, 256, seed=7)
-        assert cloud.n == 256
-        assert np.abs(cloud.points.mean(axis=0)).max() <= 1e-6
-        assert np.linalg.norm(cloud.points, axis=1).max() <= 1.0 + 1e-6
+        points, labels = shapes.make_shape(kind, 256, seed=7)
+        assert points.shape == (256, 3) and labels.shape == (256,)
+        assert np.abs(points.mean(axis=0)).max() <= 1e-6
+        assert np.linalg.norm(points, axis=1).max() <= 1.0 + 1e-6
 
 
 def test_make_shape_chair_component_floor():
-    cloud = shapes.make_shape("chair", 512, seed=0)
+    _, labels = shapes.make_shape("chair", 512, seed=0)
     n_components = len(shapes.SHAPE_COMPONENTS["chair"])
-    counts = np.bincount(cloud.labels, minlength=n_components)
+    counts = np.bincount(labels, minlength=n_components)
     assert len(counts) == n_components
     assert counts.min() >= 0.05 * 512
 
 
 def test_make_shape_every_kind_labels_contiguous():
     for kind in shapes.SHAPE_KINDS:
-        cloud = shapes.make_shape(kind, 128, seed=11)
+        _, labels = shapes.make_shape(kind, 128, seed=11)
         names = shapes.SHAPE_COMPONENTS[kind]
         assert 3 <= len(names) <= 5
-        assert set(np.unique(cloud.labels)) == set(range(len(names)))
+        assert set(np.unique(labels)) == set(range(len(names)))
 
 
 def test_shape_table_invariants():
@@ -422,9 +422,9 @@ def test_synthetic_corpus_matches_golden_digest():
     for kind in shapes.SHAPE_KINDS:
         for seed in (0, 7, HELD_OUT_SEED_BASE):
             for n in (256, 1024):
-                cloud = shapes.make_shape(kind, n, seed)
-                digest.update(cloud.points.astype("<f8").tobytes())
-                digest.update(cloud.labels.astype("<i8").tobytes())
+                points, labels = shapes.make_shape(kind, n, seed)
+                digest.update(points.astype("<f8").tobytes())
+                digest.update(labels.astype("<i8").tobytes())
     assert digest.hexdigest() == \
         "d702f5c76d838ea4cc7f0427dec11a3f09a318939ea48eaa1b466b6035b5997d"
 
@@ -436,10 +436,9 @@ def test_make_corpus_keeps_pair_order_for_mixed_repeated_pairs():
     assert points.shape == (8, 100, 3) and labels.shape == (8, 100)
     assert points.dtype == np.float64 and labels.dtype == np.int64
     assert_matches_reference(points, labels, pairs, 100)
-    cloud = shapes.make_shape("chair", 100, 1_000_000)
-    np.testing.assert_array_equal(cloud.points.view(np.int64), points[3].view(np.int64))
-    np.testing.assert_array_equal(cloud.labels, labels[3])
-    assert cloud.shape_class == "chair"
+    one_points, one_labels = shapes.make_shape("chair", 100, 1_000_000)
+    np.testing.assert_array_equal(one_points.view(np.int64), points[3].view(np.int64))
+    np.testing.assert_array_equal(one_labels, labels[3])
 
 
 @pytest.mark.parametrize("pairs, n, match", [
@@ -471,29 +470,29 @@ def test_make_shape_rejects_small_n_and_bad_kind():
 
 
 def test_cloud_roundtrip_with_labels(tmp_path):
-    cloud = shapes.make_shape("table", 128, seed=3)
+    points, labels = shapes.make_shape("table", 128, seed=3)
     path = tmp_path / "cloud.txt"
-    geo.save_cloud(path, cloud.points, cloud.labels)
-    back = geo.load_cloud(path)
-    np.testing.assert_array_equal(back.points, cloud.points)
-    np.testing.assert_array_equal(back.labels, cloud.labels)
+    geo.save_cloud(path, points, labels)
+    back_points, back_labels = geo.load_cloud(path)
+    np.testing.assert_array_equal(back_points, points)
+    np.testing.assert_array_equal(back_labels, labels)
 
 
 def test_cloud_roundtrip_without_labels(tmp_path):
     pts = RNG.normal(size=(17, 3))
     path = tmp_path / "plain.txt"
     geo.save_cloud(path, pts)
-    back = geo.load_cloud(path)
-    assert back.labels is None
-    np.testing.assert_array_equal(back.points, pts)
+    back_points, back_labels = geo.load_cloud(path)
+    assert back_labels is None
+    np.testing.assert_array_equal(back_points, pts)
 
 
 def test_cloud_load_ignores_comments_and_blanks(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# header\n\n1.0 2.0 3.0 0\n  # indented comment\n4.0 5.0 6.0 1  # trailing\n")
-    cloud = geo.load_cloud(path)
-    assert cloud.n == 2
-    np.testing.assert_array_equal(cloud.labels, [0, 1])
+    points, labels = geo.load_cloud(path)
+    np.testing.assert_array_equal(points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    np.testing.assert_array_equal(labels, [0, 1])
 
 
 def test_cloud_load_errors(tmp_path):
@@ -519,14 +518,14 @@ def test_fps_and_knn_batch_equal_per_cloud():
     pts = rng.normal(size=(3, 30, 3))
     starts = np.array([0, 17, 29])
     picks = geo.fps(pts, 8, start=starts)
-    patches = geo.knn(pts, picks, 5)
-    assert picks.shape == (3, 8) and patches.member_indices.shape == (3, 8, 5)
+    members, local = geo.knn(pts, picks, 5)
+    assert picks.shape == (3, 8) and members.shape == (3, 8, 5)
     for i in range(3):
         single = geo.fps(pts[i], 8, start=int(starts[i]))
         np.testing.assert_array_equal(picks[i], single)
-        nb = geo.knn(pts[i], single, 5)
-        np.testing.assert_array_equal(patches.member_indices[i], nb.member_indices)
-        np.testing.assert_array_equal(patches.local_coords[i], nb.local_coords)
+        one_members, one_local = geo.knn(pts[i], single, 5)
+        np.testing.assert_array_equal(members[i], one_members)
+        np.testing.assert_array_equal(local[i], one_local)
 
 
 def test_cloud_load_rejects_non_finite_coordinates(tmp_path):

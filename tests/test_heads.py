@@ -33,7 +33,7 @@ def zero_projections(store):
 
 def cloud(seed=0, cfg=None):
     cfg = cfg or preset("toy")
-    return shapes.make_shape("chair", cfg.n_points, seed=seed).points
+    return shapes.make_shape("chair", cfg.n_points, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -316,22 +316,22 @@ def forward_toy(seed=16):
     rng = np.random.default_rng(seed)
     cloud = rng.normal(size=(cfg.n_points, 3))
     tb = embedding.tokenize(cloud, store, cfg)
-    out = pcsm.pcsm_forward(tb, cloud, store, cfg)
-    return cfg, store, out
+    return cfg, store, pcsm.group(tb, store, cfg), pcsm.pcsm_forward(tb, cloud, store, cfg)
 
 
 def test_pcsm_forward_shapes():
-    cfg, store, out = forward_toy()
+    cfg, store, (te, p_hat, grouped), (assignment, _, _) = forward_toy()
     g, q = cfg.n_patches, cfg.n_prototypes
-    assert out.tokens_encoded.shape == (g, cfg.dim)
-    assert out.prototypes_hat.values.shape == (q, cfg.dim)
-    bank = out.prototypes_hat.detach()
-    tokens_hat = pcsm.enhance_tokens(Tensor(out.tokens_encoded), bank, ad.frozen(store), cfg)
+    assert te.shape == (g, cfg.dim)
+    assert p_hat.values.shape == (q, cfg.dim)
+    bank = p_hat.detach()
+    tokens_hat = pcsm.enhance_tokens(Tensor(te), bank, ad.frozen(store), cfg)
     assert tokens_hat.values.shape == (g, cfg.dim)
-    similarity, assignment = pcsm.similarity(tokens_hat, bank)
+    similarity, expected = pcsm.similarity(tokens_hat, bank)
     assert similarity.values.shape == (g, q)
-    assert out.assignment.shape == (g,)
-    assert np.array_equal(out.assignment, assignment)
+    assert assignment.shape == (g,)
+    assert np.array_equal(assignment, expected)
+    assert np.array_equal(grouped, expected)
     assert np.allclose(similarity.values.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -339,8 +339,8 @@ def test_pcsm_losses_leave_encoder_untouched():
     # the complete-cloud pass is frozen: only the prototype bank, the
     # enhancement attention, and the reconstruction head may accumulate
     # gradient from the two branch losses
-    cfg, store, out = forward_toy()
-    ad.add(out.loss_proto, out.loss_cont).backward()
+    _, store, _, (_, loss_proto, loss_cont) = forward_toy()
+    ad.add(loss_proto, loss_cont).backward()
     assert np.abs(store["pcsm.prototypes"].grad).max() > 0.0
     assert np.abs(store["pcsm.ppr.w1"].grad).max() > 0.0
     for name in ("enc.block00.attn.wq", "embed.mlp1.w0", "embed.pos.w",
@@ -352,16 +352,16 @@ def test_pcsm_enhancement_gradient_is_structurally_zero():
     # the enhanced tokens only feed the hard argmax, which no loss
     # differentiates through, so the enhancement attention sits at exactly
     # zero gradient; it is trained in no run, only exercised
-    cfg, store, out = forward_toy()
-    ad.add(out.loss_proto, out.loss_cont).backward()
+    _, store, _, (_, loss_proto, loss_cont) = forward_toy()
+    ad.add(loss_proto, loss_cont).backward()
     assert np.abs(store["pcsm.enhance.wq"].grad).max() == 0.0
 
 
 def test_pcsm_forward_deterministic():
-    _, _, a = forward_toy(seed=17)
-    _, _, b = forward_toy(seed=17)
-    assert np.array_equal(a.tokens_encoded, b.tokens_encoded)
-    assert np.array_equal(a.prototypes_hat.values, b.prototypes_hat.values)
-    assert np.array_equal(a.assignment, b.assignment)
-    assert float(a.loss_proto.values) == float(b.loss_proto.values)
-    assert float(a.loss_cont.values) == float(b.loss_cont.values)
+    _, _, (te_a, p_hat_a, _), a = forward_toy(seed=17)
+    _, _, (te_b, p_hat_b, _), b = forward_toy(seed=17)
+    assert np.array_equal(te_a, te_b)
+    assert np.array_equal(p_hat_a.values, p_hat_b.values)
+    assert np.array_equal(a[0], b[0])
+    assert float(a[1].values) == float(b[1].values)
+    assert float(a[2].values) == float(b[2].values)

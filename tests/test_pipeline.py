@@ -423,10 +423,10 @@ def test_ablate_rejects_repeated_strategy(monkeypatch):
 def test_cloud_assignment_shapes_and_ranges(tmp_path):
     cfg = tiny_cfg()
     store = pipeline.init_model(cfg)
-    cloud = shapes.make_shape("plane", cfg.n_points, seed=0)
-    tb, grouping = pcsm.cloud_assignment(cloud.points, store, cfg)
-    assignment, members = grouping.assignment, tb.member_indices
-    point_labels = pipeline.export_groups(store, cloud.points, cfg, tmp_path / "groups.txt")
+    points, _ = shapes.make_shape("plane", cfg.n_points, seed=0)
+    tb, assignment = pcsm.cloud_assignment(points, store, cfg)
+    members = tb.member_indices
+    point_labels = pipeline.export_groups(store, points, cfg, tmp_path / "groups.txt")
     assert point_labels.shape == (cfg.n_points,)
     assert assignment.shape == (cfg.n_patches,)
     assert members.shape == (cfg.n_patches, cfg.knn_k)
@@ -460,7 +460,7 @@ def test_evaluate_grouping_rejects_degenerate_arguments():
 def test_export_groups_file_contract(tmp_path):
     cfg = tiny_cfg()
     store = pipeline.init_model(cfg)
-    points = shapes.make_shape("chair", cfg.n_points, seed=3).points
+    points, _ = shapes.make_shape("chair", cfg.n_points, seed=3)
     out = tmp_path / "groups.txt"
     labels = pipeline.export_groups(store, points, cfg, out)
 

@@ -62,7 +62,7 @@ def test_float32_pipeline_stays_float32(tmp_path, optimizers):
     store = pipeline.init_model(cfg, decoder=False)
     checkpoint.load_into(store, checkpoint.load(ckpt))
     assert_float32(store)
-    points = shapes.make_shape("plane", cfg.n_points, seed=pipeline.HELD_OUT_SEED_BASE).points
+    points, _ = shapes.make_shape("plane", cfg.n_points, seed=pipeline.HELD_OUT_SEED_BASE)
     labels = pipeline.export_groups(store, points, cfg, tmp_path / "groups.txt")
     assert (tmp_path / "groups.txt").read_text() == \
         (tmp_path / "export" / "groups.txt").read_text()
