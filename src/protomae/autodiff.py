@@ -304,8 +304,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy matmul semantics over operands of 2+ dims.
 
     Leading (batch) axes broadcast against each other; a 2-d operand is
-    shared by every batch entry and its gradient sums over them.  A 2-d
-    ``b`` (a weight) is applied to all leading rows of ``a`` as one GEMM.
+    shared by every batch entry and its gradient sums over them.  A weight
+    shared by all rows goes through ``linear`` instead.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
@@ -317,30 +317,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
     except ValueError:
         raise InvalidArgument(f"matmul batch axes differ: {av.shape} @ {bv.shape}") from None
-    shared_b = bv.ndim == 2
-    values = _flat_matmul(av, bv) if shared_b else av @ bv
 
     def backward(out: Tensor) -> None:
         g = out.grad
         if a.requires_grad:
-            ga = _flat_matmul(g, bv.T) if shared_b else g @ np.swapaxes(bv, -1, -2)
-            _accum(a, _sum_to_shape(ga, av.shape), fresh=True)
+            _accum(a, _sum_to_shape(g @ np.swapaxes(bv, -1, -2), av.shape), fresh=True)
         if b.requires_grad:
-            if shared_b:
-                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(av, -1, -2) @ g
-            _accum(b, _sum_to_shape(gb, bv.shape), fresh=True)
+            _accum(b, _sum_to_shape(np.swapaxes(av, -1, -2) @ g, bv.shape), fresh=True)
 
-    return _node("matmul", values, (a, b), backward)
+    return _node("matmul", av @ bv, (a, b), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight + bias`` for a 2-d ``weight`` and a (C_out,) ``bias``, as one node.
 
-    All leading rows of ``x`` go through one GEMM, as in ``matmul``; the
-    bias is added in place into the fresh product, and its gradient sums
-    over those rows.
+    All leading rows of ``x`` go through one GEMM; the bias is added in
+    place into the fresh product, and its gradient sums over those rows.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     xv, wv = x.values, weight.values

@@ -135,6 +135,10 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
         if len(points) < max(cfg.n_patches, cfg.knn_k):
             raise InvalidArgument(f"{args.cloud}: cloud of {len(points)} points cannot supply "
                                   f"{cfg.n_patches} patches of {cfg.knn_k} members")
+        try:
+            geometry.normalize(points)
+        except InvalidArgument as exc:
+            raise InvalidArgument(f"{args.cloud}: {exc}") from None
     else:
         points, _ = shapes.make_shape(args.kind, cfg.n_points, seed=args.cloud_seed)
     out_path = Path(args.out) / "groups.txt"

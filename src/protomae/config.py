@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .autodiff import DTYPES
 from .errors import ConfigError
-from .masking import STRATEGIES
+from .masking import STRATEGIES, round_half_up
 from .shapes import SHAPE_KINDS
 
 
@@ -106,10 +106,13 @@ class RunConfig:
             (c.embed_hidden1 >= 1 and c.embed_hidden2 >= 1, "embed widths must be positive"),
             (c.n_prototypes >= 2, "n_prototypes must be >= 2"),
             (1 <= c.knorm_k <= c.n_patches, "knorm_k must be in [1, n_patches]"),
-            (0.0 < c.mask_ratio < 1.0, "mask_ratio must be in (0, 1)"),
+            (0.0 < c.mask_ratio < 1.0
+             and 0 < round_half_up(c.mask_ratio * c.n_patches) < c.n_patches,
+             f"mask_ratio must mask 1..n_patches-1 of {c.n_patches} patches, got {c.mask_ratio}"),
             (c.mask_strategy in STRATEGIES,
              f"mask_strategy must be one of {', '.join(STRATEGIES)}"),
-            (c.full_mask_components >= 0, "full_mask_components must be >= 0"),
+            (0 <= c.full_mask_components < c.n_prototypes,
+             f"full_mask_components must be in [0, n_prototypes), got {c.full_mask_components}"),
             (0 < c.proto_lr_decay <= 1.0, "proto_lr_decay must be in (0, 1]"),
             (0 <= c.beta1 < 1 and 0 <= c.beta2 < 1, "betas must be in [0, 1)"),
             (c.epochs >= 1 and c.finetune_epochs >= 1, "epoch counts must be >= 1"),

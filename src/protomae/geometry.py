@@ -45,8 +45,11 @@ def normalize(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim < 2 or pts.shape[-1] != 3 or pts.shape[-2] == 0:
         raise InvalidArgument(f"normalize expects nonempty (..., N, 3) points, got {pts.shape}")
-    centred = pts - pts.mean(axis=-2, keepdims=True)
-    radius = np.linalg.norm(centred, axis=-1).max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = pts - pts.mean(axis=-2, keepdims=True)
+        radius = np.linalg.norm(centred, axis=-1).max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(radius)):
+        raise InvalidArgument("normalize of a cloud whose extent overflows float64")
     if np.any(radius == 0.0):
         raise InvalidArgument("normalize of a degenerate single-location cloud")
     return centred / radius[..., None]

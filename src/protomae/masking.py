@@ -1,23 +1,23 @@
 """Token masking strategies: uniform random, spatial block, component-aware.
 
-All three produce a ``MaskPlan`` over G tokens with exactly
-round_half_up(ratio * G) masked entries, at least one token masked and at
-least one visible.  The component-aware strategy masks a few whole components
-and spreads the remaining budget across the other components in proportion to
-their size, so every component is partially visible and partially hidden in a
-controlled way.
+All three produce a (G,) bool mask with exactly round_half_up(ratio * G)
+masked entries, at least one token masked and at least one visible.  The
+component-aware strategy masks a few whole components (and returns their
+ids) and spreads the remaining budget across the other components in
+proportion to their size, so every component is partially visible and
+partially hidden in a controlled way.  A batch's masks are one (B, G) array.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgument
 from .geometry import sq_dists
+from .metrics import bincount_rows
 from .shapes import apportion
 
 log = logging.getLogger(__name__)
@@ -29,45 +29,6 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass
-class MaskPlan:
-    """Which tokens are hidden, plus the components a component-aware plan
-    masked whole."""
-
-    masked: np.ndarray                                   # (G,) bool
-    fully_masked_components: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        self.masked = np.asarray(self.masked, dtype=bool)
-        g = self.masked.size
-        n = int(self.masked.sum())
-        if not (1 <= n <= g - 1):
-            raise InvalidArgument(f"mask plan must hide between 1 and G-1 of {g} tokens, hides {n}")
-
-    @property
-    def g(self) -> int:
-        return self.masked.size
-
-    @property
-    def n_masked(self) -> int:
-        return int(self.masked.sum())
-
-    def masked_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.masked)
-
-    def visible_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.masked)
-
-    def bitstring(self) -> str:
-        return "".join("1" if m else "0" for m in self.masked)
-
-    @classmethod
-    def from_bitstring(cls, bits: str) -> "MaskPlan":
-        if not bits or set(bits) - {"0", "1"}:
-            raise InvalidArgument(f"bad mask bitstring '{bits}'")
-        return cls(masked=np.array([b == "1" for b in bits]))
-
-
 def _target(g: int, ratio: float) -> int:
     if not 0.0 < ratio < 1.0:
         raise InvalidArgument(f"mask ratio must be in (0, 1), got {ratio}")
@@ -77,16 +38,15 @@ def _target(g: int, ratio: float) -> int:
     return n
 
 
-def random_mask(g: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
-    """Uniform masking without replacement."""
-    n = _target(g, ratio)
+def random_mask(g: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """(G,) bool mask: uniform masking without replacement."""
     masked = np.zeros(g, dtype=bool)
-    masked[rng.choice(g, size=n, replace=False)] = True
-    return MaskPlan(masked=masked)
+    masked[rng.choice(g, size=_target(g, ratio), replace=False)] = True
+    return masked
 
 
-def block_mask(centers: np.ndarray, ratio: float, rng: np.random.Generator) -> MaskPlan:
-    """Mask a spatially contiguous block around a random anchor token."""
+def block_mask(centers: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """(G,) bool mask of a spatially contiguous block around a random anchor token."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise InvalidArgument(f"block_mask expects (G, 3) centres, got {centers.shape}")
@@ -97,12 +57,13 @@ def block_mask(centers: np.ndarray, ratio: float, rng: np.random.Generator) -> M
     order = np.lexsort((np.arange(g), d))
     masked = np.zeros(g, dtype=bool)
     masked[order[:n]] = True
-    return MaskPlan(masked=masked)
+    return masked
 
 
 def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
-              rng: np.random.Generator) -> MaskPlan:
-    """Component-aware masking.
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Component-aware masking: a (G,) bool mask and the ascending ids of
+    the components it masked whole.
 
     Mask all tokens of ``full_components`` uniformly chosen nonempty
     components whose combined size fits the budget (rejection sampling with a
@@ -111,10 +72,10 @@ def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
     to their sizes by largest-remainder apportionment (remainder ties to the
     lowest component id) and mask uniformly inside each.
 
-    If every token sits in one component, falls back to ``random_mask`` with a
-    logged warning.  With two or more nonempty components the caller must
-    leave at least one component unselected (``full_components`` < number of
-    nonempty components).
+    At least one nonempty component always stays partly visible: the count
+    is capped at the number of nonempty components minus one.  If every token
+    sits in one component, falls back to ``random_mask`` with a logged
+    warning.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.ndim != 1 or assignment.size == 0:
@@ -130,77 +91,76 @@ def csem_mask(assignment: np.ndarray, full_components: int, ratio: float,
         if full_components >= 1:
             log.warning("all %d tokens share component %d; falling back to random masking",
                         g, int(ids[0]))
-        return random_mask(g, ratio, rng)
-    if full_components >= q_ne:
-        raise InvalidArgument(
-            f"cannot fully mask {full_components} of {q_ne} nonempty components")
+        return random_mask(g, ratio, rng), ids[:0]
 
-    size_of = {int(i): int(s) for i, s in zip(ids, sizes)}
-
-    selected: list[int] = []
-    m_c = full_components
-    while m_c > 0:
-        found = False
-        for _ in range(q_ne * 10):
-            pick = rng.choice(ids, size=m_c, replace=False)
-            if sum(size_of[int(c)] for c in pick) <= target:
-                selected = sorted(int(c) for c in pick)
-                found = True
-                break
-        if found:
+    selected = ids[:0]
+    for m_c in range(min(full_components, q_ne - 1), 0, -1):
+        picks = (rng.choice(q_ne, size=m_c, replace=False) for _ in range(q_ne * 10))
+        fit = next((pick for pick in picks if sizes[pick].sum() <= target), None)
+        if fit is not None:
+            selected = np.sort(ids[fit])
             break
-        m_c -= 1
 
-    masked = np.zeros(g, dtype=bool)
-    for comp in selected:
-        masked[assignment == comp] = True
-    deficit = target - int(masked.sum())
-
-    remaining = [int(c) for c in ids if int(c) not in selected]
-    takes = apportion(deficit, [size_of[c] for c in remaining])
-    for comp, take in zip(remaining, takes):  # ascending id: deterministic RNG consumption
+    masked = np.isin(assignment, selected)
+    rest = ~np.isin(ids, selected)
+    takes = apportion(target - int(masked.sum()), sizes[rest])
+    for comp, take in zip(ids[rest], takes):  # ascending id: deterministic RNG consumption
         if take:
-            tokens = np.flatnonzero(assignment == comp)
-            masked[rng.choice(tokens, size=take, replace=False)] = True
-    return MaskPlan(masked=masked, fully_masked_components=tuple(selected))
+            masked[rng.choice(np.flatnonzero(assignment == comp), size=take, replace=False)] = True
+    return masked, selected
 
 
-def make_plan(strategy: str, assignment: np.ndarray, centers: np.ndarray, ratio: float,
-              full_components: int, rng: np.random.Generator) -> MaskPlan:
-    """One cloud's plan under ``strategy``, one of ``STRATEGIES``.
+def make_plans(strategy: str, assignment: np.ndarray, centers: np.ndarray, ratio: float,
+               full_components: int, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(B, G) bool ``masked`` and (B, Q) bool ``selected`` (the components
+    masked whole, Q the largest id plus one) of a (B, G) assignment with
+    (B, G, 3) centres under ``strategy``, one of ``STRATEGIES``.
 
-    The strategy function is looked up in this module when called, so a
-    wrapper set on ``masking.csem_mask`` (say) sees every plan.
+    Clouds are planned in batch order, which fixes the order of the draws
+    from ``rng``.  The strategy function is looked up in this module when
+    called, so a wrapper set on ``masking.csem_mask`` (say) sees every plan.
     """
-    if strategy == "randm":
-        return random_mask(assignment.size, ratio, rng)
-    if strategy == "randbm":
-        return block_mask(centers, ratio, rng)
-    if strategy == "csem":
-        return csem_mask(assignment, full_components, ratio, rng)
-    raise InvalidArgument(f"unknown mask strategy '{strategy}' (have {', '.join(STRATEGIES)})")
-
-
-def component_coverage(plan: MaskPlan, assignment: np.ndarray) -> tuple[float | None, float]:
-    """(coverage of the plan's selected components, best coverage overall).
-
-    The first value is the minimum masked fraction over the components the
-    plan claims to have fully masked (None when it selected none); the second
-    is the maximum masked fraction over all nonempty components, a comparable
-    number for strategies that never select components.
-    """
+    if strategy not in STRATEGIES:
+        raise InvalidArgument(f"unknown mask strategy '{strategy}' (have {', '.join(STRATEGIES)})")
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != plan.masked.shape:
-        raise InvalidArgument(f"assignment of shape {assignment.shape} for a plan over "
-                              f"{plan.masked.shape[0]} tokens")
-    ids = np.unique(assignment)
-    fractions = {int(c): float(plan.masked[assignment == c].mean()) for c in ids}
-    best = max(fractions.values())
-    if plan.fully_masked_components:
-        missing = set(plan.fully_masked_components) - fractions.keys()
-        if missing:
-            raise InvalidArgument(f"plan selects components {sorted(missing)} "
-                                  f"absent from the assignment")
-        sel = min(fractions[c] for c in plan.fully_masked_components)
-        return sel, best
-    return None, best
+    b, g = assignment.shape
+    masked = np.zeros((b, g), dtype=bool)
+    selected = np.zeros((b, int(assignment.max()) + 1), dtype=bool)
+    for j in range(b):
+        if strategy == "randm":
+            masked[j] = random_mask(g, ratio, rng)
+        elif strategy == "randbm":
+            masked[j] = block_mask(centers[j], ratio, rng)
+        else:
+            masked[j], ids = csem_mask(assignment[j], full_components, ratio, rng)
+            selected[j, ids] = True
+    return masked, selected
+
+
+def component_coverage(masked: np.ndarray, selected: np.ndarray,
+                       assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per plan of ``make_plans``, (coverage of its selected components, best coverage).
+
+    The first is the minimum masked fraction over the selected components
+    (NaN where a plan selected none); the second is the maximum masked
+    fraction over all nonempty components, a comparable number for
+    strategies that never select components.
+    """
+    masked = np.asarray(masked, dtype=bool)
+    selected = np.asarray(selected, dtype=bool)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.shape != masked.shape or selected.shape[:-1] != masked.shape[:-1]:
+        raise InvalidArgument(f"assignment of shape {assignment.shape} and selection of shape "
+                              f"{selected.shape} for masks of shape {masked.shape}")
+    width = selected.shape[-1]
+    if assignment.size == 0 or assignment.min() < 0 or assignment.max() >= width:
+        raise InvalidArgument(f"assignment ids outside [0, {width})")
+    sizes = bincount_rows(assignment, width)
+    absent = np.unique(np.nonzero(selected & (sizes == 0))[-1]).tolist()
+    if absent:
+        raise InvalidArgument(f"plans select components {absent} absent from the assignment")
+    fractions = np.divide(bincount_rows(assignment, width, weights=masked), sizes,
+                          where=sizes > 0, out=np.zeros(sizes.shape))
+    covered = np.min(fractions, axis=-1, where=selected, initial=np.inf)
+    return np.where(selected.any(axis=-1), covered, np.nan), fractions.max(axis=-1)

@@ -55,14 +55,31 @@ def nmi(a: np.ndarray, b: np.ndarray) -> float:
     return float(_nmi(table / n, table.sum(axis=1) / n, table.sum(axis=0) / n))
 
 
-def purity(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of elements whose cluster's majority truth label matches."""
-    table = _contingency(pred, truth)
-    return float(table.max(axis=1).sum() / table.sum())
+def bincount_rows(ids: np.ndarray, width: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """(..., width) count (or ``weights`` sum) of each id in [0, width) in
+    each row of (..., G) ids: one ``bincount`` over rows offset by ``width``."""
+    rows = np.arange(ids[..., 0].size).reshape(ids.shape[:-1] + (1,)) * width
+    weights = None if weights is None else np.ravel(weights)
+    counts = np.bincount((rows + ids).ravel(), weights, minlength=rows.size * width)
+    return counts.reshape(ids.shape[:-1] + (width,))
 
 
-def group_entropy(assignment: np.ndarray, n_groups: int) -> float:
-    """Shannon entropy (nats) of the group-size distribution.
+def purity(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per row of (..., G) assignments, the fraction of elements whose
+    cluster's majority truth label matches."""
+    pred, truth = (np.unique(np.asarray(a, dtype=np.int64), return_inverse=True)[1]
+                   for a in (pred, truth))
+    if pred.shape != truth.shape or pred.size == 0:
+        raise InvalidArgument(f"assignments must have equal nonempty shapes (..., G), "
+                              f"got {pred.shape} and {truth.shape}")
+    width = int(truth.max()) + 1
+    table = bincount_rows(pred * width + truth, (int(pred.max()) + 1) * width)
+    table = table.reshape(pred.shape[:-1] + (-1, width))
+    return table.max(axis=-1).sum(axis=-1) / pred.shape[-1]
+
+
+def group_entropy(assignment: np.ndarray, n_groups: int) -> np.ndarray:
+    """Shannon entropy (nats) of the group-size distribution of each row of (..., G) ids.
 
     0 means collapse onto one group; log(n_groups) is a perfectly even split.
     """
@@ -71,7 +88,7 @@ def group_entropy(assignment: np.ndarray, n_groups: int) -> float:
         raise InvalidArgument("empty assignment")
     if assignment.min() < 0 or assignment.max() >= n_groups:
         raise InvalidArgument(f"assignment ids outside [0, {n_groups})")
-    return float(_entropy(np.bincount(assignment, minlength=n_groups) / assignment.size))
+    return _entropy(bincount_rows(assignment, n_groups) / assignment.shape[-1])
 
 
 def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,

@@ -11,10 +11,10 @@ order - the ablation harness checks exactly that.
 
 The corpus is two arrays, (n, N, 3) points and (n, N) labels.  Each step
 indexes its (B, N, 3) batch out of them and runs one batched forward and
-backward over (B, G, C) tokens.  Every mask plan hides the same
-number of tokens, so the visible and masked sets stack too.  Mask plans,
-their log rows and the metric draws still go cloud by cloud, in batch order,
-so every random stream is consumed exactly as a per-cloud loop would.
+backward over (B, G, C) tokens.  Its masks are one (B, G) bool array that
+hides the same number of tokens in every cloud.  Only the mask draws go
+cloud by cloud, in batch order, so the masking stream is consumed exactly
+as a per-cloud loop would; the metrics score the whole batch at once.
 
 Ground-truth component labels exist only in the synthetic dataset and are
 consumed exclusively by metrics; the loss builders receive bare point arrays.
@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
-from .geometry import save_cloud, sq_dists
+from .geometry import normalize, save_cloud, sq_dists
 
 LOGGER = logging.getLogger("protomae.pipeline")
 
@@ -68,10 +68,7 @@ def build_dataset(cfg: RunConfig) -> Dataset:
 def token_truth(labels: np.ndarray, member_indices: np.ndarray) -> np.ndarray:
     """Majority label of each (..., G, k) patch of (..., N) labels (ties to the lowest)."""
     member_labels = np.take_along_axis(labels[..., None, :], member_indices, axis=-1)
-    width = int(labels.max()) + 1
-    rows = np.arange(member_labels[..., 0].size).reshape(member_labels.shape[:-1] + (1,)) * width
-    counts = np.bincount((rows + member_labels).ravel(), minlength=rows.size * width)
-    return counts.reshape(rows.shape[:-1] + (width,)).argmax(axis=-1).astype(np.int64)
+    return metrics.bincount_rows(member_labels, int(labels.max()) + 1).argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +112,19 @@ _CLOUD_COLUMNS = ("grouping_entropy", "component_purity")
 
 def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generator,
                points: np.ndarray, starts: np.ndarray, cfg: RunConfig
-               ) -> tuple[dict[str, float], list[masking.MaskPlan], np.ndarray, np.ndarray]:
+               ) -> tuple[dict[str, float], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pre-training step on a (B, N, 3) batch, as the module docstring describes.
 
-    Returns the four losses as floats, the B mask plans, the (B, G) assignment
-    and the (B, G, k) patch members: no Tensor, so the step's tape dies with it.
+    Returns the four losses as floats, the (B, G) ``masked`` and (B, Q)
+    ``selected`` arrays of ``masking.make_plans``, the (B, G) assignment and
+    the (B, G, k) patch members: no Tensor, so the step's tape dies with it.
     """
     tb = embedding.tokenize(points, ad.frozen(store), cfg, start=starts)
     assignment, loss_proto, loss_cont = pcsm.pcsm_forward(tb, points, store, cfg)
-    plans = [masking.make_plan(cfg.mask_strategy, assignment[j], tb.centers[j],
-                               cfg.mask_ratio, cfg.full_mask_components, mask_rng)
-             for j in range(len(points))]
-    vis = np.stack([plan.visible_indices() for plan in plans])
-    msk = np.stack([plan.masked_indices() for plan in plans])
+    masked, selected = masking.make_plans(cfg.mask_strategy, assignment, tb.centers,
+                                          cfg.mask_ratio, cfg.full_mask_components, mask_rng)
+    vis = np.nonzero(~masked)[1].reshape(len(points), -1)
+    msk = np.nonzero(masked)[1].reshape(len(points), -1)
     losses = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
               "l_proto": loss_proto, "l_cont": loss_cont}
     losses["total"] = ad.add(losses["l_3d"],
@@ -135,7 +132,7 @@ def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generato
                                     ad.scale(losses["l_cont"], cfg.lambda_cont)))
     losses["total"].backward()
     opt.step()
-    return ({name: float(t.values) for name, t in losses.items()}, plans,
+    return ({name: float(t.values) for name, t in losses.items()}, masked, selected,
             assignment, tb.member_indices)
 
 
@@ -189,23 +186,28 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
             if epoch == 0 and step == 0:
                 data_hash = _batch_hash(points, starts)
             try:
-                losses, plans, assignment, members = train_step(
+                losses, masked, selected, assignment, members = train_step(
                     store, opt, mask_rng, points, starts, cfg)
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch + 1} step {step + 1}: {exc}") from None
-            truths = token_truth(ds.labels[batch], members)
-            for ci, plan, groups, truth in zip(batch, plans, assignment, truths):
-                sums["grouping_entropy"] += metrics.group_entropy(groups, cfg.n_prototypes)
-                sums["component_purity"] += metrics.purity(groups, truth)
-                cov_sel, cov_max = masking.component_coverage(plan, groups)
+            entropy = metrics.group_entropy(assignment, cfg.n_prototypes)
+            purity = metrics.purity(assignment, token_truth(ds.labels[batch], members))
+            cov_sel, cov_max = masking.component_coverage(masked, selected, assignment)
+            bits = (masked + ord("0")).astype(np.uint8)  # ASCII "0"/"1" per token
+            # one float add per cloud, in batch order: a sum over the batch would
+            # reassociate the epoch sums and move the bytes of metrics.jsonl
+            for j, ci in enumerate(batch.tolist()):
+                sums["grouping_entropy"] += float(entropy[j])
+                sums["component_purity"] += float(purity[j])
+                ids = np.flatnonzero(selected[j]).tolist()
                 mask_log.append({
-                    "epoch": epoch + 1, "step": step + 1, "cloud": int(ci),
+                    "epoch": epoch + 1, "step": step + 1, "cloud": ci,
                     "strategy": cfg.mask_strategy,
-                    "bits": plan.bitstring(),
-                    "selected": [int(c) for c in plan.fully_masked_components],
-                    "coverage_selected": cov_sel,
-                    "coverage_max": cov_max,
+                    "bits": bits[j].tobytes().decode(),
+                    "selected": ids,
+                    "coverage_selected": float(cov_sel[j]) if ids else None,
+                    "coverage_max": float(cov_max[j]),
                 })
             for name, value in losses.items():
                 sums[name] += value
@@ -478,12 +480,15 @@ def export_groups(store: ad.ParamStore, points: np.ndarray, cfg: RunConfig,
                   out_path: str | Path) -> np.ndarray:
     """Write one ``x y z component`` line per point of one cloud; returns the labels.
 
-    Each point inherits the assignment of the token whose patch centre is
-    nearest (ties to the lowest token index).
+    The cloud is grouped after ``geometry.normalize``, as the corpus is, so
+    its labels do not depend on the units of its file; the file keeps the
+    given coordinates.  Each point inherits the assignment of the token
+    whose patch centre is nearest (ties to the lowest token index).
     """
-    _out_dir(Path(out_path).parent)
     points = np.asarray(points, dtype=np.float64)
-    tb, assignment = pcsm.cloud_assignment(points, store, cfg)
-    point_labels = assignment[sq_dists(points[:, None, :], tb.centers[None, :, :]).argmin(axis=-1)]
+    unit = normalize(points)
+    _out_dir(Path(out_path).parent)
+    tb, assignment = pcsm.cloud_assignment(unit, store, cfg)
+    point_labels = assignment[sq_dists(unit[:, None, :], tb.centers[None, :, :]).argmin(axis=-1)]
     save_cloud(out_path, points, point_labels)
     return point_labels

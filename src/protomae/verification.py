@@ -205,9 +205,9 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     frozen = ad.frozen(store)
     tb0 = embedding.tokenize(points, frozen, cfg, start=0)
     tokens_encoded, _, assignment = pcsm.group(tb0, frozen, cfg)
-    plan = csem_mask(assignment, cfg.full_mask_components, cfg.mask_ratio,
-                     np.random.default_rng(5))
-    vis, msk = plan.visible_indices(), plan.masked_indices()
+    masked, _ = csem_mask(assignment, cfg.full_mask_components, cfg.mask_ratio,
+                          np.random.default_rng(5))
+    vis, msk = np.flatnonzero(~masked), np.flatnonzero(masked)
 
     def l3d_fn():
         return backbone.reconstruction_loss(tb0, vis, msk, store, cfg)

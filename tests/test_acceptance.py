@@ -66,22 +66,22 @@ def test_criterion_3_masking_invariants():
         target = round_half_up(ratio * g)
         if not 1 <= target <= g - 1 or np.unique(assignment).size < 2:
             continue
-        plan = csem_mask(assignment, 1, ratio, np.random.default_rng(seed))
-        again = csem_mask(assignment, 1, ratio, np.random.default_rng(seed))
-        assert np.array_equal(plan.masked, again.masked)
-        assert plan.n_masked == target
-        for comp in plan.fully_masked_components:
-            assert plan.masked[assignment == comp].all()
+        masked, selected = csem_mask(assignment, 1, ratio, np.random.default_rng(seed))
+        again, again_selected = csem_mask(assignment, 1, ratio, np.random.default_rng(seed))
+        assert np.array_equal(masked, again)
+        assert np.array_equal(selected, again_selected)
+        assert masked.sum() == target and 1 <= masked.sum() <= g - 1
+        full = selected.tolist()
+        for comp in full:
+            assert masked[assignment == comp].all()
         ids, sizes = np.unique(assignment, return_counts=True)
         size_of = {int(i): int(s) for i, s in zip(ids, sizes)}
-        deficit = target - sum(size_of[c] for c in plan.fully_masked_components)
-        pool = sum(s for c, s in size_of.items()
-                   if c not in plan.fully_masked_components)
+        deficit = target - sum(size_of[c] for c in full)
+        pool = sum(s for c, s in size_of.items() if c not in full)
         for c, s in size_of.items():
-            if c in plan.fully_masked_components:
+            if c in full:
                 continue
-            assert abs(plan.masked[assignment == c].sum()
-                       - deficit * s / pool) < 1.0
+            assert abs(masked[assignment == c].sum() - deficit * s / pool) < 1.0
         checked += 1
     print("PASS criterion 3: 1000 instances (count, full components, "
           "stratification, determinism)")

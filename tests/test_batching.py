@@ -190,10 +190,9 @@ def _value_and_grads(loss_fn, store, names):
 
 
 def _mask_indices(cfg, seed):
-    rng = np.random.default_rng(seed)
-    plans = [masking.random_mask(cfg.n_patches, cfg.mask_ratio, rng) for _ in range(B)]
-    return (np.stack([plan.visible_indices() for plan in plans]),
-            np.stack([plan.masked_indices() for plan in plans]))
+    masked, _ = masking.make_plans("randm", np.zeros((B, cfg.n_patches), dtype=np.int64), None,
+                                   cfg.mask_ratio, 0, np.random.default_rng(seed))
+    return np.nonzero(~masked)[1].reshape(B, -1), np.nonzero(masked)[1].reshape(B, -1)
 
 
 def test_visible_only_reconstruction_matches_full_tokenize(setup):
@@ -227,8 +226,7 @@ def test_pretrain_step_tapes_only_the_visible_patches(monkeypatch):
     cfg = dataclasses.replace(toy, epochs=1, clouds_per_kind=2, mask_ratio=0.6,
                               batch_size=2 * len(toy.kinds())).validate()
     g = cfg.n_patches
-    n_visible = masking.random_mask(g, cfg.mask_ratio,
-                                    np.random.default_rng(0)).visible_indices().size
+    n_visible = g - masking.random_mask(g, cfg.mask_ratio, np.random.default_rng(0)).sum()
     assert 0 < n_visible < g
     nodes, inside = [], [0]
     real_node, real_pointnet = ad._node, embedding.mini_pointnet

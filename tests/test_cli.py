@@ -7,6 +7,7 @@ training quality.
 """
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,9 +221,33 @@ def test_export_groups_reads_cloud_file(toy_config_file, tmp_path):
     assert (tmp_path / "groups.txt").exists()
 
 
+def test_export_groups_labels_do_not_depend_on_the_file_units(tmp_path):
+    from protomae import geometry, pipeline, shapes
+
+    cfg = preset("toy")
+    ckpt = pipeline.pretrain(cfg, tmp_path / "pre").checkpoint_path
+    points, _ = shapes.make_shape("chair", cfg.n_points, seed=pipeline.HELD_OUT_SEED_BASE)
+    labels = {}
+    for scale in (1.0, 1024.0):
+        cloud = tmp_path / f"chair-{scale:g}.txt"
+        geometry.save_cloud(cloud, points * scale)
+        out = tmp_path / f"groups-{scale:g}"
+        assert cli.main(["--out", str(out), "export-groups", "--checkpoint", str(ckpt),
+                         "--cloud", str(cloud)]) == 0
+        written, labels[scale] = geometry.load_cloud(out / "groups.txt")
+        assert np.array_equal(written, points * scale)  # the file's own coordinates
+    assert np.array_equal(labels[1024.0], labels[1.0])
+    assert np.unique(labels[1.0]).size > 1
+
+
 @pytest.mark.parametrize("rows, message", [
     ("0 0 0\n1 1 1\n", "cannot supply"),
     ("0 0 0\nnan 1 1\n", "cloud.txt:2: non-finite"),
+    pytest.param("".join(f"{i % 5}e200 -{i % 3}e200 1e200\n" for i in range(16)),
+                 "cloud.txt: normalize of a cloud whose extent overflows float64",
+                 id="extent-overflows"),
+    pytest.param("1 2 3\n" * 16, "cloud.txt: normalize of a degenerate single-location cloud",
+                 id="single-location"),
 ])
 def test_export_groups_bad_cloud_file_exits_two(tmp_path, capsys, rows, message):
     from protomae import checkpoint, pipeline
@@ -232,8 +257,10 @@ def test_export_groups_bad_cloud_file_exits_two(tmp_path, capsys, rows, message)
     checkpoint.save(ckpt, pipeline.init_model(cfg), cfg, np.random.default_rng(0))
     cloud = tmp_path / "cloud.txt"
     cloud.write_text(rows)
-    assert cli.main(["--out", str(tmp_path), "export-groups",
-                     "--checkpoint", str(ckpt), "--cloud", str(cloud)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        assert cli.main(["--out", str(tmp_path), "export-groups",
+                         "--checkpoint", str(ckpt), "--cloud", str(cloud)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and message in err and "Traceback" not in err
     assert str(cloud) in err

@@ -114,3 +114,30 @@ def test_unknown_dtype_names_the_key(value):
 def test_negative_seed_is_rejected_naming_the_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got {value}$"):
         RunConfig.from_text(f"preset = toy\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "preset = test-small\nfull_mask_components = 4\n",   # n_prototypes = 4
+    "preset = toy\nfull_mask_components = 9\n",
+    "preset = toy\nfull_mask_components = -1\n",
+])
+def test_full_mask_components_must_leave_a_prototype_unselected(text):
+    with pytest.raises(ConfigError, match=r"^full_mask_components must be in \[0, n_prototypes\)"):
+        RunConfig.from_text(text)
+
+
+@pytest.mark.parametrize("preset_name, value", [
+    ("toy", "0.05"),        # round_half_up(0.4) = 0 of 8 patches
+    ("toy", "0.95"),        # round_half_up(7.6) = 8 of 8 patches
+    ("test-small", "0.01"), # round_half_up(0.32) = 0 of 32 patches
+    ("toy", "0"), ("toy", "1"), ("toy", "nan"), ("toy", "inf"),
+])
+def test_mask_ratio_must_hide_some_but_not_all_patches(preset_name, value):
+    with pytest.raises(ConfigError, match=r"^mask_ratio must mask 1\.\.n_patches-1 of"):
+        RunConfig.from_text(f"preset = {preset_name}\nmask_ratio = {value}\n")
+
+
+def test_the_extreme_masking_settings_that_fit_are_accepted():
+    cfg = RunConfig.from_text("preset = toy\nmask_ratio = 0.07\nfull_mask_components = 3\n")
+    assert (cfg.mask_ratio, cfg.full_mask_components) == (0.07, 3)  # masks 1 of 8
+    assert RunConfig.from_text("preset = toy\nmask_ratio = 0.93\n").mask_ratio == 0.93  # 7 of 8

@@ -1,8 +1,9 @@
 """The tape kernels against the plain expressions they replace.
 
-Each reference below is the straightforward formula: ``matmul`` plus ``add``
-for ``linear``, ``np.where`` for ``relu``, the value at the first argmax for
-``max_over_rows``, and the out-of-place ``gelu``, ``layer_norm``,
+Each reference below is the straightforward formula: a 2-d ``matmul`` over
+the flattened rows plus ``add`` for ``linear``, ``np.where`` for ``relu``,
+the value at the first argmax for ``max_over_rows``, and the out-of-place
+``gelu``, ``layer_norm``,
 ``softmax_rows`` and ``logsumexp_rows`` expressions.  The kernels compute
 in place and derive backward-only state inside backward; their values and
 gradients must match the references bit for bit, in float32 and float64.
@@ -95,8 +96,10 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 
 def ref_linear(x, w, b=None):
-    """The parent's composite: a matmul node, then an add node for the bias."""
-    out = ad.matmul(x, w)
+    """The composite: the leading rows flattened, a 2-d matmul node, the
+    rows restored, then an add node for the bias."""
+    lead = x.values.shape[:-1]
+    out = ad.reshape(ad.matmul(ad.reshape(x, (-1, x.values.shape[-1])), w), lead + (-1,))
     return out if b is None else ad.add(out, b)
 
 

@@ -11,11 +11,10 @@ from protomae.config import preset
 from protomae.errors import InvalidArgument
 from protomae.masking import (
     STRATEGIES,
-    MaskPlan,
     block_mask,
     component_coverage,
     csem_mask,
-    make_plan,
+    make_plans,
     random_mask,
     round_half_up,
 )
@@ -30,25 +29,9 @@ def test_round_half_up():
     assert round_half_up(38.4) == 38
 
 
-def test_plan_rejects_degenerate_masks():
-    with pytest.raises(InvalidArgument):
-        MaskPlan(masked=np.ones(8, dtype=bool))
-    with pytest.raises(InvalidArgument):
-        MaskPlan(masked=np.zeros(8, dtype=bool))
-
-
-def test_bitstring_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        plan = random_mask(17, 0.4, rng)
-        again = MaskPlan.from_bitstring(plan.bitstring())
-        assert np.array_equal(again.masked, plan.masked)
-
-
-def test_bad_bitstrings_rejected():
-    for bits in ("", "01x", "2"):
-        with pytest.raises(InvalidArgument):
-            MaskPlan.from_bitstring(bits)
+def random_batch(seed, b=6, g=24, q=5):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, q, size=(b, g)), rng.normal(size=(b, g, 3))
 
 
 def test_random_mask_exact_count_and_determinism():
@@ -57,15 +40,16 @@ def test_random_mask_exact_count_and_determinism():
         ratio = (0.15, 0.5, 0.6, 0.85)[seed % 4]
         a = random_mask(g, ratio, np.random.default_rng(seed))
         b = random_mask(g, ratio, np.random.default_rng(seed))
-        assert a.n_masked == round_half_up(ratio * g)
-        assert np.array_equal(a.masked, b.masked)
+        assert a.dtype == bool and a.shape == (g,)
+        assert a.sum() == round_half_up(ratio * g)
+        assert np.array_equal(a, b)
 
 
 def test_random_mask_touches_every_index():
     rng = np.random.default_rng(0)
     hits = np.zeros(10)
     for _ in range(2000):
-        hits += random_mask(10, 0.5, rng).masked
+        hits += random_mask(10, 0.5, rng)
     assert hits.min() > 0
 
 
@@ -83,14 +67,14 @@ def test_block_mask_is_a_nearest_neighbourhood():
     rng = np.random.default_rng(3)
     for trial in range(40):
         centers = np.random.default_rng(trial).normal(size=(24, 3))
-        plan = block_mask(centers, 0.5, rng)
-        n = plan.n_masked
+        masked = block_mask(centers, 0.5, rng)
+        n = int(masked.sum())
         assert n == 12
         ok = False
-        for anchor in plan.masked_indices():
+        for anchor in np.flatnonzero(masked):
             d = ((centers - centers[anchor]) ** 2).sum(axis=1)
             nearest = np.lexsort((np.arange(24), d))[:n]
-            if np.array_equal(np.sort(nearest), plan.masked_indices()):
+            if np.array_equal(np.sort(nearest), np.flatnonzero(masked)):
                 ok = True
                 break
         assert ok, "masked set is not any anchor's nearest neighbourhood"
@@ -106,23 +90,23 @@ def test_csem_four_equal_components():
     # (16) plus 22 spread as 8/7/7, the extra token on the lowest id.
     assignment = np.repeat([0, 1, 2, 3], 16)
     for seed in range(100):
-        plan = csem_mask(assignment, 1, 0.6, np.random.default_rng(seed))
-        assert plan.n_masked == 38
-        assert len(plan.fully_masked_components) == 1
-        sel = plan.fully_masked_components[0]
-        assert plan.masked[assignment == sel].all()
+        masked, selected = csem_mask(assignment, 1, 0.6, np.random.default_rng(seed))
+        assert masked.sum() == 38
+        assert selected.shape == (1,)
+        sel = int(selected[0])
+        assert masked[assignment == sel].all()
         rest = sorted(c for c in range(4) if c != sel)
-        got = [int(plan.masked[assignment == c].sum()) for c in rest]
+        got = [int(masked[assignment == c].sum()) for c in rest]
         assert got == [8, 7, 7]
-        assert plan.masked[assignment == sel].sum() == 16
+        assert masked[assignment == sel].sum() == 16
 
 
 def test_csem_selection_is_uniform():
     assignment = np.repeat([0, 1, 2, 3], 8)
     counts = np.zeros(4)
     for seed in range(10000):
-        plan = csem_mask(assignment, 1, 0.6, np.random.default_rng(seed))
-        counts[plan.fully_masked_components[0]] += 1
+        _, selected = csem_mask(assignment, 1, 0.6, np.random.default_rng(seed))
+        counts[selected[0]] += 1
     # binomial(10000, 1/4): sd ~ 43.3, allow 3 sigma
     assert np.all(np.abs(counts - 2500) < 130), counts
 
@@ -140,99 +124,177 @@ def test_csem_invariants_random_instances():
         ids, sizes = np.unique(assignment, return_counts=True)
         if ids.size < 2:
             continue
-        plan = csem_mask(assignment, 1, ratio, np.random.default_rng(seed + 1))
-        again = csem_mask(assignment, 1, ratio, np.random.default_rng(seed + 1))
-        assert np.array_equal(plan.masked, again.masked)
-        assert plan.n_masked == target
-        for comp in plan.fully_masked_components:
-            assert plan.masked[assignment == comp].all()
+        masked, selected = csem_mask(assignment, 1, ratio, np.random.default_rng(seed + 1))
+        again, again_selected = csem_mask(assignment, 1, ratio, np.random.default_rng(seed + 1))
+        assert np.array_equal(masked, again)
+        assert np.array_equal(selected, again_selected)
+        assert masked.sum() == target
+        for comp in selected:
+            assert masked[assignment == comp].all()
         # within-component counts follow the proportional quota to < 1 token
-        deficit = target - sum(int(sizes[list(ids).index(c)])
-                               for c in plan.fully_masked_components)
-        pool = sum(int(s) for i, s in zip(ids, sizes)
-                   if int(i) not in plan.fully_masked_components)
-        for i, s in zip(ids, sizes):
-            c = int(i)
-            if c in plan.fully_masked_components:
+        size_of = dict(zip(ids.tolist(), sizes.tolist()))
+        deficit = target - sum(size_of[c] for c in selected.tolist())
+        pool = sum(s for c, s in size_of.items() if c not in selected)
+        for c, s in size_of.items():
+            if c in selected:
                 continue
-            quota = deficit * int(s) / pool
-            assert abs(plan.masked[assignment == c].sum() - quota) < 1.0
+            quota = deficit * s / pool
+            assert abs(masked[assignment == c].sum() - quota) < 1.0
 
 
 def test_csem_single_component_falls_back(caplog):
     assignment = np.zeros(20, dtype=np.int64)
     with caplog.at_level(logging.WARNING, logger="protomae.masking"):
-        plan = csem_mask(assignment, 1, 0.6, np.random.default_rng(4))
-    assert plan.n_masked == 12
-    assert plan.fully_masked_components == ()
+        masked, selected = csem_mask(assignment, 1, 0.6, np.random.default_rng(4))
+    assert masked.sum() == 12
+    assert selected.size == 0
     assert any("falling back" in r.message for r in caplog.records)
 
 
-def test_csem_rejects_masking_every_component():
-    assignment = np.repeat([0, 1], 10)
-    with pytest.raises(InvalidArgument):
-        csem_mask(assignment, 2, 0.6, np.random.default_rng(0))
+@pytest.mark.parametrize("seed", range(20))
+def test_csem_keeps_one_component_partly_visible(seed):
+    # two nonempty components (ids 1 and 3 of 4) and three asked for: one is
+    # masked whole, the other partly, and the budget holds exactly
+    assignment = np.repeat([1, 3], [7, 9])
+    target = round_half_up(0.6 * assignment.size)
+    masked, selected = csem_mask(assignment, 3, 0.6, np.random.default_rng(seed))
+    assert masked.sum() == target
+    assert selected.size == 1 and int(selected[0]) in (1, 3)
+    assert masked[assignment == selected[0]].all()
+    other = assignment != selected[0]
+    assert 0 < masked[other].sum() < other.sum()
 
 
 def test_csem_noncontiguous_component_ids():
     assignment = np.repeat([2, 9, 40], 10)
-    plan = csem_mask(assignment, 1, 0.5, np.random.default_rng(8))
-    assert plan.n_masked == 15
-    assert plan.fully_masked_components[0] in (2, 9, 40)
-    assert set(assignment[plan.masked].tolist()) == {2, 9, 40}
+    masked, selected = csem_mask(assignment, 1, 0.5, np.random.default_rng(8))
+    assert masked.sum() == 15
+    assert int(selected[0]) in (2, 9, 40)
+    assert set(assignment[masked].tolist()) == {2, 9, 40}
 
 
 def test_csem_zero_full_components_is_pure_stratification():
     assignment = np.repeat([0, 1, 2, 3], 16)
-    plan = csem_mask(assignment, 0, 0.5, np.random.default_rng(2))
-    assert plan.n_masked == 32
-    assert plan.fully_masked_components == ()
-    assert [int(plan.masked[assignment == c].sum()) for c in range(4)] == [8, 8, 8, 8]
+    masked, selected = csem_mask(assignment, 0, 0.5, np.random.default_rng(2))
+    assert masked.sum() == 32
+    assert selected.size == 0
+    assert [int(masked[assignment == c].sum()) for c in range(4)] == [8, 8, 8, 8]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_make_plans_hide_the_exact_budget_in_every_row(strategy):
+    for seed in range(30):
+        assignment, centers = random_batch(seed)
+        ratio = (0.3, 0.5, 0.6, 0.8)[seed % 4]
+        target = round_half_up(ratio * assignment.shape[1])
+        masked, selected = make_plans(strategy, assignment, centers, ratio, 1,
+                                      np.random.default_rng(seed))
+        assert masked.dtype == bool and masked.shape == assignment.shape
+        assert selected.dtype == bool
+        assert selected.shape == (len(assignment), assignment.max() + 1)
+        assert np.all(masked.sum(axis=1) == target)
+        assert 1 <= target <= assignment.shape[1] - 1
+        if strategy != "csem":
+            assert not selected.any()
+        for row, chosen, groups in zip(masked, selected, assignment):
+            assert row[np.isin(groups, np.flatnonzero(chosen))].all()
+        again = make_plans(strategy, assignment, centers, ratio, 1, np.random.default_rng(seed))
+        assert np.array_equal(again[0], masked) and np.array_equal(again[1], selected)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_make_plans_draw_cloud_by_cloud_in_batch_order(strategy):
+    assignment, centers = random_batch(7)
+    masked, selected = make_plans(strategy, assignment, centers, 0.6, 1,
+                                  np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for j in range(len(assignment)):
+        if strategy == "randm":
+            want, want_ids = random_mask(assignment.shape[1], 0.6, rng), []
+        elif strategy == "randbm":
+            want, want_ids = block_mask(centers[j], 0.6, rng), []
+        else:
+            want, want_ids = csem_mask(assignment[j], 1, 0.6, rng)
+        assert np.array_equal(masked[j], want)
+        assert np.flatnonzero(selected[j]).tolist() == list(want_ids)
+
+
+def test_visible_and_masked_indices_partition_every_row():
+    assignment, centers = random_batch(9, b=5, g=33)
+    masked, _ = make_plans("randm", assignment, centers, 0.6, 1, np.random.default_rng(9))
+    vis = np.nonzero(~masked)[1].reshape(5, -1)
+    msk = np.nonzero(masked)[1].reshape(5, -1)
+    assert vis.shape == (5, 13) and msk.shape == (5, 20)
+    for j in range(5):
+        assert np.array_equal(np.sort(np.concatenate([msk[j], vis[j]])), np.arange(33))
+        assert np.array_equal(msk[j], np.flatnonzero(masked[j]))
+
+
+def test_make_plans_rejects_an_unknown_strategy():
+    assignment, centers = random_batch(0)
+    with pytest.raises(InvalidArgument, match="blockwise"):
+        make_plans("blockwise", assignment, centers, 0.5, 1, np.random.default_rng(1))
 
 
 def test_component_coverage_values():
-    assignment = np.repeat([0, 1, 2, 3], 16)
-    plan = csem_mask(assignment, 1, 0.6, np.random.default_rng(11))
-    sel, best = component_coverage(plan, assignment)
-    assert sel == 1.0 and best == 1.0
-    rnd = random_mask(64, 0.6, np.random.default_rng(11))
-    sel, best = component_coverage(rnd, assignment)
-    assert sel is None
-    assert 0.0 <= best <= 1.0
+    assignment = np.repeat([0, 1, 2, 3], 16)[None]
+    masked, selected = make_plans("csem", assignment, None, 0.6, 1, np.random.default_rng(11))
+    sel, best = component_coverage(masked, selected, assignment)
+    assert sel.tolist() == [1.0] and best.tolist() == [1.0]
+    masked, selected = make_plans("randm", assignment, None, 0.6, 1, np.random.default_rng(11))
+    sel, best = component_coverage(masked, selected, assignment)
+    assert np.isnan(sel[0])
+    assert 0.0 <= best[0] <= 1.0
 
 
-@pytest.mark.parametrize("size", [0, 63, 65])
-def test_component_coverage_rejects_a_wrongly_sized_assignment(size):
-    plan = random_mask(64, 0.6, np.random.default_rng(11))
-    with pytest.raises(InvalidArgument, match=f"shape \\({size},\\) for a plan over 64"):
-        component_coverage(plan, np.zeros(size, dtype=np.int64))
+def test_component_coverage_of_a_stack_equals_each_row():
+    # the per-cloud formula the mask log used before batching, on stacks
+    # with absent components and plans that select nothing
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        assignment = rng.integers(0, 3, size=(6, 20)) * 2 + 1  # ids 0, 2 and 4 never occur
+        masked = rng.random((6, 20)) < 0.5
+        selected = np.zeros((6, 6), dtype=bool)
+        for j in range(1, 6):
+            chosen = rng.choice(np.unique(assignment[j]), size=1 + j % 2, replace=False)
+            masked[j, np.isin(assignment[j], chosen)] = True
+            selected[j, chosen] = True
+        sel, best = component_coverage(masked, selected, assignment)
+        for j in range(6):
+            fractions = {c: float(masked[j][assignment[j] == c].mean())
+                         for c in np.unique(assignment[j]).tolist()}
+            assert best[j] == max(fractions.values())
+            chosen = np.flatnonzero(selected[j]).tolist()
+            if chosen:
+                assert sel[j] == min(fractions[c] for c in chosen) == 1.0
+            else:
+                assert np.isnan(sel[j])
+            row_sel, row_best = component_coverage(masked[j], selected[j], assignment[j])
+            assert row_best == best[j] and np.array_equal(row_sel, sel[j], equal_nan=True)
+    partial = masked.copy()
+    partial[1, np.flatnonzero(np.isin(assignment[1], np.flatnonzero(selected[1])))[0]] = False
+    assert component_coverage(partial, selected, assignment)[0][1] < 1.0
+
+
+@pytest.mark.parametrize("shape", [(2, 63), (2, 65), (3, 64)])
+def test_component_coverage_rejects_a_wrongly_shaped_assignment(shape):
+    masked = np.zeros((2, 64), dtype=bool)
+    selected = np.zeros((2, 4), dtype=bool)
+    with pytest.raises(InvalidArgument, match=f"assignment of shape \\({shape[0]}, {shape[1]}\\)"):
+        component_coverage(masked, selected, np.zeros(shape, dtype=np.int64))
 
 
 def test_component_coverage_rejects_selected_components_absent_from_the_assignment():
-    plan = csem_mask(np.repeat([0, 1, 2, 3], 16), 1, 0.6, np.random.default_rng(11))
-    with pytest.raises(InvalidArgument, match=r"components \[0\] absent"):
-        component_coverage(plan, np.full(64, 5, dtype=np.int64))
+    assignment = np.array([[0, 0, 1, 1, 2, 2, 0, 1]])
+    masked = np.repeat([[True, False]], 4, axis=1)
+    selected = np.array([[False, True, False, True]])
+    with pytest.raises(InvalidArgument, match=r"components \[3\] absent"):
+        component_coverage(masked, selected, assignment)
+    with pytest.raises(InvalidArgument, match=r"assignment ids outside \[0, 4\)"):
+        component_coverage(masked, selected, assignment + 2)
 
 
-def test_masked_and_visible_partition():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        plan = random_mask(33, 0.6, rng)
-        both = np.concatenate([plan.masked_indices(), plan.visible_indices()])
-        assert np.array_equal(np.sort(both), np.arange(33))
-
-
-def test_make_plan_dispatches_every_strategy_and_rejects_unknown():
-    assignment = np.array([0, 0, 0, 1, 1, 1, 2, 2])
-    centers = np.random.default_rng(0).normal(size=(8, 3))
-    for strategy in STRATEGIES:
-        plan = make_plan(strategy, assignment, centers, 0.5, 1, np.random.default_rng(1))
-        assert plan.n_masked == 4, strategy
-    with pytest.raises(InvalidArgument, match="blockwise"):
-        make_plan("blockwise", assignment, centers, 0.5, 1, np.random.default_rng(1))
-
-
-def test_make_plan_resolves_strategies_at_call_time(monkeypatch):
+def test_make_plans_resolves_strategies_at_call_time(monkeypatch):
     # a wrapper set on the module attribute (as a profiler would set it)
     # must see every plan a pretrain run draws
     calls = []
@@ -245,3 +307,40 @@ def test_make_plan_resolves_strategies_at_call_time(monkeypatch):
     cfg = dataclasses.replace(preset("toy"), mask_strategy="csem").validate()
     res = pipeline.pretrain(cfg)
     assert len(calls) == len(res.mask_log) > 0
+
+
+def test_mask_log_rows_spell_out_the_step_arrays(monkeypatch):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(make_plans(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(masking, "make_plans", recording)
+    cfg = dataclasses.replace(preset("toy"), mask_strategy="csem").validate()
+    rows = pipeline.pretrain(cfg).mask_log
+    masked = np.concatenate([m for m, _ in drawn])
+    selected = [np.flatnonzero(row).tolist() for _, sel in drawn for row in sel]
+    assert len(rows) == len(masked) == len(selected)
+    for row, bits, ids in zip(rows, masked, selected):
+        assert row["bits"] == "".join("1" if b else "0" for b in bits)
+        assert row["selected"] == ids
+        assert (row["coverage_selected"] == 1.0) if ids else row["coverage_selected"] is None
+
+
+def test_a_plan_that_selects_nothing_logs_no_selected_coverage():
+    cfg = dataclasses.replace(preset("toy"), full_mask_components=0).validate()
+    rows = pipeline.pretrain(cfg).mask_log
+    assert rows and all(r["selected"] == [] and r["coverage_selected"] is None for r in rows)
+    assert all(0.0 < r["coverage_max"] <= 1.0 for r in rows)
+
+
+def test_pretrain_with_more_whole_components_than_a_cloud_holds():
+    # a toy cloud often groups into two or three nonempty components; three
+    # whole components are then capped so one stays partly visible
+    cfg = dataclasses.replace(preset("toy"), full_mask_components=3).validate()
+    rows = pipeline.pretrain(cfg).mask_log
+    target = round_half_up(cfg.mask_ratio * cfg.n_patches)
+    assert all(r["bits"].count("1") == target for r in rows)
+    assert all(r["coverage_selected"] == 1.0 for r in rows if r["selected"])
+    assert any(r["selected"] for r in rows)

@@ -108,6 +108,58 @@ def test_group_entropy_rejects_out_of_range():
         metrics.group_entropy(np.array([-1, 0]), 4)
 
 
+# ------------------------------------------------------ batched rows
+
+def stacked_assignments(seed, b=9, g=32, q=6):
+    """(B, G) ids with a collapsed row and rows that leave some ids empty."""
+    rng = np.random.default_rng(seed)
+    pred = rng.integers(0, q, size=(b, g))
+    pred[0] = 2
+    pred[1] = rng.integers(0, 2, size=g) * 3
+    truth = rng.integers(0, 4, size=(b, g)) * 5 - 3
+    truth[2] = 7
+    return pred, truth
+
+
+def test_batched_group_entropy_equals_each_row_bit_for_bit():
+    for seed in range(20):
+        pred, _ = stacked_assignments(seed)
+        got = metrics.group_entropy(pred, 6)
+        assert got.shape == (len(pred),)
+        for row, value in zip(pred, got):
+            # the per-cloud formula the training loop used before batching
+            p = np.bincount(row, minlength=6) / row.size
+            assert value == float(-np.sum(p * np.log(p, where=p > 0, out=np.zeros_like(p))))
+            assert value == metrics.group_entropy(row, 6)
+        assert got[0] == 0.0
+
+
+def test_batched_purity_equals_each_row_bit_for_bit():
+    for seed in range(20):
+        pred, truth = stacked_assignments(seed)
+        got = metrics.purity(pred, truth)
+        assert got.shape == (len(pred),)
+        for row, labels, value in zip(pred, truth, got):
+            table = metrics._contingency(row, labels)
+            assert value == float(table.max(axis=1).sum() / table.sum())
+            assert value == metrics.purity(row, labels)
+        assert got[2] == 1.0
+
+
+def test_purity_rejects_mismatched_or_empty_assignments():
+    with pytest.raises(InvalidArgument, match="equal nonempty shapes"):
+        metrics.purity(np.zeros((2, 4), dtype=int), np.zeros((2, 5), dtype=int))
+    with pytest.raises(InvalidArgument, match="empty"):
+        metrics.purity(np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+
+
+def test_bincount_rows_counts_and_weighs_each_row():
+    ids = np.array([[0, 2, 2, 1], [3, 3, 3, 3]])
+    assert metrics.bincount_rows(ids, 4).tolist() == [[1, 1, 2, 0], [0, 0, 0, 4]]
+    weights = np.array([[True, True, False, False], [True, False, True, False]])
+    assert metrics.bincount_rows(ids, 4, weights).tolist() == [[1, 0, 1, 0], [0, 0, 0, 2]]
+
+
 # ----------------------------------------------------------- baseline
 
 def test_random_baseline_deterministic_and_bounded():
