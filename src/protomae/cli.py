@@ -130,19 +130,20 @@ def _cmd_export_groups(args: argparse.Namespace) -> int:
     cfg = _load_config(args, ck)
     store = pipeline.init_model(cfg, decoder=False, pcsm_branch=True)
     checkpoint.load_into(store, ck)
+    coords = None
     if args.cloud:
-        points, _ = geometry.load_cloud(args.cloud)
-        if len(points) < max(cfg.n_patches, cfg.knn_k):
-            raise InvalidArgument(f"{args.cloud}: cloud of {len(points)} points cannot supply "
+        coords, _ = geometry.load_cloud(args.cloud)
+        if len(coords) < max(cfg.n_patches, cfg.knn_k):
+            raise InvalidArgument(f"{args.cloud}: cloud of {len(coords)} points cannot supply "
                                   f"{cfg.n_patches} patches of {cfg.knn_k} members")
-        try:
-            geometry.normalize(points)
+        try:  # group the cloud at the corpus's scale, whatever the file's units
+            points = geometry.normalize(coords)
         except InvalidArgument as exc:
             raise InvalidArgument(f"{args.cloud}: {exc}") from None
-    else:
+    else:  # already normalized, as make_corpus draws it
         points, _ = shapes.make_shape(args.kind, cfg.n_points, seed=args.cloud_seed)
     out_path = Path(args.out) / "groups.txt"
-    labels = pipeline.export_groups(store, points, cfg, out_path)
+    labels = pipeline.export_groups(store, points, cfg, out_path, coords=coords)
     print(f"wrote {labels.size} points, {np.unique(labels).size} distinct "
           f"components: {out_path}")
     return 0

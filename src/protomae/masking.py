@@ -153,8 +153,10 @@ def component_coverage(masked: np.ndarray, selected: np.ndarray,
     if assignment.shape != masked.shape or selected.shape[:-1] != masked.shape[:-1]:
         raise InvalidArgument(f"assignment of shape {assignment.shape} and selection of shape "
                               f"{selected.shape} for masks of shape {masked.shape}")
+    if assignment.size == 0:
+        raise InvalidArgument(f"empty assignment of shape {assignment.shape}")
     width = selected.shape[-1]
-    if assignment.size == 0 or assignment.min() < 0 or assignment.max() >= width:
+    if assignment.min() < 0 or assignment.max() >= width:
         raise InvalidArgument(f"assignment ids outside [0, {width})")
     sizes = bincount_rows(assignment, width)
     absent = np.unique(np.nonzero(selected & (sizes == 0))[-1]).tolist()

@@ -67,8 +67,9 @@ def bincount_rows(ids: np.ndarray, width: int, weights: np.ndarray | None = None
 def purity(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per row of (..., G) assignments, the fraction of elements whose
     cluster's majority truth label matches."""
-    pred, truth = (np.unique(np.asarray(a, dtype=np.int64), return_inverse=True)[1]
-                   for a in (pred, truth))
+    pred, truth = (np.asarray(a, dtype=np.int64) for a in (pred, truth))
+    # NumPy < 2 returns the inverse flat, whatever the input's shape
+    pred, truth = (np.unique(a, return_inverse=True)[1].reshape(a.shape) for a in (pred, truth))
     if pred.shape != truth.shape or pred.size == 0:
         raise InvalidArgument(f"assignments must have equal nonempty shapes (..., G), "
                               f"got {pred.shape} and {truth.shape}")
@@ -112,7 +113,6 @@ def random_nmi_baseline(truth: np.ndarray, n_groups: int, draws: int,
         raise InvalidArgument("random_nmi_baseline over an empty truth")
     n, width = truth_ids.size, int(truth_ids.max()) + 1
     picks = rng.integers(0, n_groups, (draws, n))
-    cells = (np.arange(draws)[:, None] * n_groups + picks) * width + truth_ids
-    counts = np.bincount(cells.reshape(-1), minlength=draws * n_groups * width)
+    counts = bincount_rows(picks * width + truth_ids, n_groups * width)
     counts = counts.reshape(draws, n_groups, width)
     return float(np.mean(_nmi(counts / n, counts.sum(axis=2) / n, counts.sum(axis=1) / n)))

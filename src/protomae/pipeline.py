@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import backbone, checkpoint, embedding, heads, masking, metrics, pcsm, shapes
 from .config import RunConfig
 from .errors import ConfigError, InvalidArgument, InvariantViolation, NumericError
-from .geometry import normalize, save_cloud, sq_dists
+from .geometry import save_cloud, sq_dists
 
 LOGGER = logging.getLogger("protomae.pipeline")
 
@@ -477,18 +477,21 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
 
 
 def export_groups(store: ad.ParamStore, points: np.ndarray, cfg: RunConfig,
-                  out_path: str | Path) -> np.ndarray:
+                  out_path: str | Path, *, coords: np.ndarray | None = None) -> np.ndarray:
     """Write one ``x y z component`` line per point of one cloud; returns the labels.
 
-    The cloud is grouped after ``geometry.normalize``, as the corpus is, so
-    its labels do not depend on the units of its file; the file keeps the
-    given coordinates.  Each point inherits the assignment of the token
-    whose patch centre is nearest (ties to the lowest token index).
+    ``points`` is grouped as given, so it should be normalized as the corpus
+    is (``geometry.normalize``).  The file gets ``coords``, the same cloud
+    in its own units (default ``points``).  Each point inherits the
+    assignment of the token whose patch centre is nearest (ties to the
+    lowest token index).
     """
     points = np.asarray(points, dtype=np.float64)
-    unit = normalize(points)
+    coords = points if coords is None else np.asarray(coords, dtype=np.float64)
+    if coords.shape != points.shape:
+        raise InvalidArgument(f"coords of shape {coords.shape} for points of shape {points.shape}")
     _out_dir(Path(out_path).parent)
-    tb, assignment = pcsm.cloud_assignment(unit, store, cfg)
-    point_labels = assignment[sq_dists(unit[:, None, :], tb.centers[None, :, :]).argmin(axis=-1)]
-    save_cloud(out_path, points, point_labels)
+    tb, assignment = pcsm.cloud_assignment(points, store, cfg)
+    point_labels = assignment[sq_dists(points[:, None, :], tb.centers[None, :, :]).argmin(axis=-1)]
+    save_cloud(out_path, coords, point_labels)
     return point_labels

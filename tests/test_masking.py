@@ -276,12 +276,21 @@ def test_component_coverage_of_a_stack_equals_each_row():
     assert component_coverage(partial, selected, assignment)[0][1] < 1.0
 
 
-@pytest.mark.parametrize("shape", [(2, 63), (2, 65), (3, 64)])
+@pytest.mark.parametrize("shape", [(2, 0), (2, 63), (2, 65), (3, 64)])
 def test_component_coverage_rejects_a_wrongly_shaped_assignment(shape):
     masked = np.zeros((2, 64), dtype=bool)
     selected = np.zeros((2, 4), dtype=bool)
     with pytest.raises(InvalidArgument, match=f"assignment of shape \\({shape[0]}, {shape[1]}\\)"):
         component_coverage(masked, selected, np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("masks, components", [((2, 0), 4), ((2, 0), 0), ((0, 64), 4)])
+def test_component_coverage_rejects_an_empty_assignment(masks, components):
+    # masks, selection and assignment agree in shape but hold no token
+    masked = np.zeros(masks, dtype=bool)
+    selected = np.zeros((masks[0], components), dtype=bool)
+    with pytest.raises(InvalidArgument, match=f"empty assignment of shape \\({masks[0]}, {masks[1]}\\)"):
+        component_coverage(masked, selected, np.zeros(masks, dtype=np.int64))
 
 
 def test_component_coverage_rejects_selected_components_absent_from_the_assignment():

@@ -472,3 +472,17 @@ def test_export_groups_file_contract(tmp_path):
     assert np.array_equal(parsed[:, :3], points)  # %.17g round-trips exactly
     assert np.array_equal(parsed[:, 3].astype(np.int64), labels)
     assert np.unique(labels).size <= cfg.n_prototypes
+
+
+def test_export_groups_writes_coords_but_groups_points(tmp_path):
+    cfg = tiny_cfg()
+    store = pipeline.init_model(cfg)
+    points, _ = shapes.make_shape("chair", cfg.n_points, seed=3)
+    labels = pipeline.export_groups(store, points, cfg, tmp_path / "a.txt")
+    coords = points * 1000.0 + 7.0
+    scaled = pipeline.export_groups(store, points, cfg, tmp_path / "b.txt", coords=coords)
+    assert np.array_equal(scaled, labels)
+    written = np.loadtxt(tmp_path / "b.txt")
+    assert np.array_equal(written[:, :3], coords) and np.array_equal(written[:, 3], labels)
+    with pytest.raises(InvalidArgument, match=rf"coords of shape \({cfg.n_points - 1}, 3\)"):
+        pipeline.export_groups(store, points, cfg, tmp_path / "c.txt", coords=coords[:-1])
