@@ -50,7 +50,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -207,10 +207,6 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[Tensor], None] | None) -> Tensor:
     """Create an interior tape node, checking the dtype and finiteness of its value.
@@ -260,7 +256,6 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast against ``a`` (bias rows etc.)."""
-    a, b = _as_tensor(a), _as_tensor(b)
     values = a.values + b.values
 
     def backward(out: Tensor) -> None:
@@ -273,7 +268,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
     s = float(s)
 
     def backward(out: Tensor) -> None:
@@ -284,7 +278,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def mul_const(a: Tensor, c) -> Tensor:
     """Elementwise product with a constant array (masks, one-hot rows) of ``a``'s dtype."""
-    a = _as_tensor(a)
     c = np.asarray(c)
     if c.shape != a.values.shape:
         raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
@@ -307,7 +300,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shared by every batch entry and its gradient sums over them.  A weight
     shared by all rows goes through ``linear`` instead.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim < 2:
         raise InvalidArgument(f"matmul needs 2+ dims, got {av.ndim}-d @ {bv.ndim}-d")
@@ -334,7 +326,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     All leading rows of ``x`` go through one GEMM; the bias is added in
     place into the fresh product, and its gradient sums over those rows.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
     xv, wv = x.values, weight.values
     if xv.ndim < 2 or wv.ndim != 2:
         raise InvalidArgument(f"linear needs a 2+ dim input and a 2-d weight, "
@@ -344,7 +335,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     parents = (x, weight)
     values = _flat_matmul(xv, wv)
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.values.shape != wv.shape[1:]:
             raise InvalidArgument(f"linear bias must have shape {wv.shape[1:]}, "
                                   f"got {bias.values.shape}")
@@ -366,7 +356,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute axes; by default swap the last two."""
-    a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("transpose needs at least 2 dimensions")
     if axes is None:
@@ -380,7 +369,6 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
     old = a.values.shape
 
     def backward(out: Tensor) -> None:
@@ -389,14 +377,13 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node("reshape", a.values.reshape(shape), (a,), backward)
 
 
-def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis``, counted from the end (-1 channels, -2 rows).
 
     The axes before ``axis`` broadcast, so a shared (n, C) row block such
     as a class token joins every sequence of a (B, m, C) batch, and a
     (..., G, 1, C) pooled row joins every member of a (..., G, k, C) patch.
     """
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise InvalidArgument("concat of zero tensors")
     if not -min(p.values.ndim for p in parts) <= axis <= -1:
@@ -423,7 +410,6 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows ``start:stop`` of the row axis (-2)."""
-    a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("slice_rows needs a (..., rows, C) tensor")
     n = a.values.shape[-2]
@@ -445,7 +431,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     batch entry; an index shaped like the leading axes plus (n,) selects
     per entry.  Duplicate indices sum their gradients.
     """
-    a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("gather_rows needs a (..., rows, C) tensor")
     lead, (n, c) = a.values.shape[:-2], a.values.shape[-2:]
@@ -470,7 +455,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def broadcast(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Broadcast to ``shape`` under numpy rules (a mask token tiled into rows)."""
-    a = _as_tensor(a)
     try:
         values = np.broadcast_to(a.values, shape)
     except ValueError:
@@ -484,7 +468,6 @@ def broadcast(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def max_over_rows(a: Tensor) -> Tensor:
     """Max-reduce the second-to-last axis; gradient goes to the first argmax."""
-    a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("max_over_rows needs at least 2 dimensions")
 
@@ -500,8 +483,6 @@ def max_over_rows(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
     def backward(out: Tensor) -> None:
         _accum(a, np.full_like(a.values, out.grad), fresh=True)
 
@@ -510,7 +491,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis with row-max subtraction."""
-    a = _as_tensor(a)
     e = a.values - a.values.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
@@ -527,7 +507,6 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def logsumexp_rows(a: Tensor) -> Tensor:
     """log(sum(exp)) over the last axis, max-shifted for stability."""
-    a = _as_tensor(a)
     m = a.values.max(axis=-1, keepdims=True)
     e = np.exp(a.values - m)
     s = e.sum(axis=-1, keepdims=True)
@@ -543,7 +522,6 @@ def logsumexp_rows(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0), with +0 for every x <= 0; the gradient flows where x > 0."""
-    a = _as_tensor(a)
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad * (out.values > 0), fresh=True)
@@ -557,7 +535,6 @@ _GELU_A = 0.044715
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
-    a = _as_tensor(a)
     x = a.values
     t = x * x                       # t = tanh(C * (x + A * x^3))
     t *= x
@@ -588,7 +565,6 @@ def gelu(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean, unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     c = x.values.shape[-1]
     if gain.values.shape != (c,) or bias.values.shape != (c,):
         raise InvalidArgument(f"layer_norm gain/bias must have shape ({c},)")
@@ -620,7 +596,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit L2 norm; norms below ``floor`` divide by ``floor``."""
-    a = _as_tensor(a)
     if a.values.ndim < 2:
         raise InvalidArgument("l2_normalize_rows expects a (..., rows, C) tensor")
     norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
@@ -661,7 +636,6 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
     Every leading entry is one pair, so a 2-d input is a single pair and a
     (B, G, k, 3) input is B·G per-patch pairs.
     """
-    pred = _as_tensor(pred)
     pv = pred.values
     tgt = np.asarray(target, dtype=pv.dtype)
     if pv.ndim < 2 or tgt.ndim != pv.ndim or tgt.shape[:-2] != pv.shape[:-2] \
@@ -715,7 +689,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     entries) in one batched matmul, and the heads are concatenated.  With a
     single head this is exactly the prototype-update attention form.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     c = q.values.shape[-1]
     if k.values.shape[-1] != c or v.values.shape[-1] != c:
         raise InvalidArgument("q/k/v widths differ")
@@ -738,7 +711,6 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     ``logits`` is (..., n); ``target`` is one class id, or one per row
     (shaped like the leading axes).  A single row gives that row's loss.
     """
-    logits = _as_tensor(logits)
     n = logits.values.shape[-1]
     rows = reshape(logits, (-1, n))
     r = rows.values.shape[0]

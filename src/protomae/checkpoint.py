@@ -192,12 +192,3 @@ def load_into(store: ad.ParamStore, ckpt: Checkpoint) -> None:
             raise ConfigError(f"tensor '{name}': checkpoint shape "
                               f"{arr.shape} != expected {expected}")
         store[name].values[...] = arr
-
-
-def restore_rng(ckpt: Checkpoint) -> np.random.Generator:
-    rng = np.random.default_rng()
-    try:
-        rng.bit_generator.state = ckpt.rng_state
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint RNG state not restorable: {exc}") from None
-    return rng

@@ -450,10 +450,11 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
     """Token-level grouping NMI on held-out clouds vs a random baseline.
 
     The held-out clouds use seeds far outside the training range and are
-    grouped ``cfg.batch_size`` at a time.  The random baseline is the mean
-    NMI of ``draws`` uniform Q-way assignments against the same ground
-    truth, freshly drawn in-run, cloud by cloud.  ``n_clouds`` and ``draws``
-    must be at least 1.
+    grouped ``cfg.batch_size`` at a time; the whole set is then scored at
+    once, so the report does not depend on the batch size.  The random
+    baseline is the mean NMI of ``draws`` uniform Q-way assignments against
+    the same ground truth, freshly drawn in-run, cloud by cloud.
+    ``n_clouds`` and ``draws`` must be at least 1.
     """
     if n_clouds < 1:
         raise InvalidArgument(f"evaluate_grouping needs n_clouds >= 1, got {n_clouds}")
@@ -462,17 +463,17 @@ def evaluate_grouping(store: ad.ParamStore, cfg: RunConfig, kind: str = "plane",
     rng = np.random.default_rng([cfg.seed, 101])
     points, labels = shapes.make_corpus(
         [(kind, seed_base + s) for s in range(n_clouds)], cfg.n_points)
-    scores, baselines = [], []
+    assignments, members = [], []
     for lo in range(0, n_clouds, cfg.batch_size):
         tb, assignment = pcsm.cloud_assignment(points[lo:lo + cfg.batch_size], store, cfg)
-        truths = token_truth(labels[lo:lo + cfg.batch_size], tb.member_indices)
-        for tokens, truth in zip(assignment, truths):
-            scores.append(metrics.nmi(tokens, truth))
-            baselines.append(metrics.random_nmi_baseline(truth, cfg.n_prototypes,
-                                                         draws, rng))
+        assignments.append(assignment)
+        members.append(tb.member_indices)
+    truth = token_truth(labels, np.concatenate(members))
+    scores = metrics.nmi(np.concatenate(assignments), truth)
+    baselines = metrics.random_nmi_baseline(truth, cfg.n_prototypes, draws, rng)
     return {"kind": kind, "n_clouds": n_clouds,
             "nmi_mean": float(np.mean(scores)),
-            "nmi_per_cloud": [float(x) for x in scores],
+            "nmi_per_cloud": scores.tolist(),
             "random_mean": float(np.mean(baselines))}
 
 

@@ -61,12 +61,12 @@ def test_add_broadcast_bias_grad():
 
 
 def test_matmul_2d_grads():
-    check_op(lambda t: ad.sum_all(ad.mul_const(ad.matmul(t, W2), PROBE2[:, :4][:3])), (3, 5))
+    check_op(lambda t: ad.sum_all(ad.mul_const(ad.matmul(t, ad.Tensor(W2)), PROBE2[:, :4][:3])), (3, 5))
 
 
 def test_matmul_3d_by_2d_grads():
     probe = RNG.normal(size=(2, 3, 4))
-    check_op(lambda t: ad.sum_all(ad.mul_const(ad.matmul(t, W2), probe)), (2, 3, 5))
+    check_op(lambda t: ad.sum_all(ad.mul_const(ad.matmul(t, ad.Tensor(W2)), probe)), (2, 3, 5))
 
 
 def test_matmul_weight_grad_batched():
@@ -538,7 +538,7 @@ def test_adamw_deterministic_across_runs():
         w = store.create("w", (4, 4))
         opt = ad.AdamW(store, lr=1e-3, weight_decay=0.01)
         for _ in range(5):
-            loss = ad.sum_all(ad.matmul(w, w.values.T.copy()))
+            loss = ad.sum_all(ad.matmul(w, ad.Tensor(w.values.T.copy())))
             loss.backward()
             opt.step()
         return w.values.copy()

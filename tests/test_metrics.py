@@ -121,6 +121,47 @@ def stacked_assignments(seed, b=9, g=32, q=6):
     return pred, truth
 
 
+def add_at_table(a, b):
+    """The contingency table of two id vectors, one ``np.add.at`` per element."""
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    table = np.zeros((ua.size, ub.size))
+    np.add.at(table, (ia, ib), 1.0)
+    return table
+
+
+def textbook_nmi(a, b):
+    """2·MI/(H(a)+H(b)) of an ``add_at_table``, term by term; 0 for a degenerate side."""
+    table = add_at_table(a, b)
+    n = table.sum()
+    pa, pb = table.sum(axis=1) / n, table.sum(axis=0) / n
+    ha = -sum(p * math.log(p) for p in pa)
+    hb = -sum(p * math.log(p) for p in pb)
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    mi = sum(table[i, j] / n * math.log(table[i, j] / n / (pa[i] * pb[j]))
+             for i, j in zip(*np.nonzero(table)))
+    return 2.0 * mi / (ha + hb)
+
+
+def test_batched_nmi_rows_equal_each_row_scored_alone():
+    # ids compacted over the whole stack leave empty rows and columns in a
+    # row's table; they change the summation order only
+    for seed in range(20):
+        pred, truth = stacked_assignments(seed)
+        got = metrics.nmi(pred, truth)
+        assert got.shape == (len(pred),)
+        for row, labels, value in zip(pred, truth, got):
+            assert abs(value - metrics.nmi(row, labels)) <= 1e-15, seed
+        assert got[0] == 0.0 and got[2] == 0.0
+        # leading axes broadcast: two stacks of predictions against one of truths
+        both = metrics.nmi(np.stack([pred, pred[::-1]]), truth)
+        alone = [[metrics.nmi(row, labels) for row, labels in zip(stack, truth)]
+                 for stack in (pred, pred[::-1])]
+        assert both.shape == (2, len(pred))
+        assert np.all(np.abs(both - alone) <= 1e-15), seed
+
+
 def test_batched_group_entropy_equals_each_row_bit_for_bit():
     for seed in range(20):
         pred, _ = stacked_assignments(seed)
@@ -140,7 +181,7 @@ def test_batched_purity_equals_each_row_bit_for_bit():
         got = metrics.purity(pred, truth)
         assert got.shape == (len(pred),)
         for row, labels, value in zip(pred, truth, got):
-            table = metrics._contingency(row, labels)
+            table = add_at_table(row, labels)
             assert value == float(table.max(axis=1).sum() / table.sum())
             assert value == metrics.purity(row, labels)
         assert got[2] == 1.0
@@ -215,6 +256,27 @@ def test_random_baseline_equals_mean_of_per_draw_nmi():
         assert one_call.bit_generator.state == loop.bit_generator.state, seed
 
 
+def test_stacked_random_baseline_equals_one_call_per_row():
+    # one (B, draws, G) draw picks what B per-row calls pick, in row order
+    for seed in range(12):
+        _, truth = stacked_assignments(seed)
+        groups, draws = (1, 2, 3, 4, 6, 8)[seed % 6], 1 + 3 * seed
+        one_call = np.random.default_rng(seed)
+        got = metrics.random_nmi_baseline(truth, groups, draws, one_call)
+        assert got.shape == (len(truth),)
+        per_row = np.random.default_rng(seed)
+        for labels, value in zip(truth, got):
+            assert abs(value - metrics.random_nmi_baseline(labels, groups, draws, per_row)) <= 1e-12
+        assert one_call.bit_generator.state == per_row.bit_generator.state, seed
+
+
+def test_metrics_reject_a_scalar_id():
+    with pytest.raises(InvalidArgument, match="scalar"):
+        metrics.random_nmi_baseline(np.int64(3), 4, draws=5, rng=np.random.default_rng(0))
+    with pytest.raises(InvalidArgument, match=r"\(\) and \(4,\)"):
+        metrics.nmi(0, np.zeros(4, dtype=int))
+
+
 def test_random_baseline_single_group_is_exactly_zero():
     # a one-group draw has zero entropy, so it scores exactly 0 as in nmi;
     # marginals summed from the rounded joint table miss that by ulps
@@ -235,16 +297,10 @@ def test_random_baseline_rejects_degenerate_arguments():
                                     rng=np.random.default_rng(0))
 
 
-def test_contingency_equals_add_at_table():
+def test_nmi_of_negative_and_sparse_labels_equals_textbook_formula():
     rng = np.random.default_rng(4)
     for _ in range(30):
         n = int(rng.integers(1, 200))
         a = rng.integers(-3, int(rng.integers(-2, 12)), n)
         b = rng.choice([-7, 0, 2, 5, 40], n)
-        ua, ia = np.unique(a, return_inverse=True)
-        ub, ib = np.unique(b, return_inverse=True)
-        expected = np.zeros((ua.size, ub.size))
-        np.add.at(expected, (ia, ib), 1.0)
-        got = metrics._contingency(a, b)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, expected)
+        assert abs(metrics.nmi(a, b) - textbook_nmi(a, b)) <= 1e-12

@@ -447,6 +447,18 @@ def test_evaluate_grouping_structure_and_determinism():
     assert a["nmi_mean"] == pytest.approx(np.mean(a["nmi_per_cloud"]))
 
 
+def test_evaluate_grouping_report_does_not_depend_on_batch_size(tmp_path):
+    # the frozen pass runs batch_size clouds at a time, but the whole
+    # held-out set is scored at once, so every batch size gives the same bytes
+    cfg = tiny_cfg()
+    store = pipeline.pretrain(cfg, tmp_path).store
+    reports = {json.dumps(pipeline.evaluate_grouping(
+        store, dataclasses.replace(cfg, batch_size=b), kind="chair", n_clouds=8, draws=7),
+        sort_keys=True) for b in (1, 3, 8)}
+    assert len(reports) == 1
+    assert len(set(json.loads(reports.pop())["nmi_per_cloud"])) > 1
+
+
 def test_evaluate_grouping_rejects_degenerate_arguments():
     cfg = tiny_cfg()
     store = pipeline.init_model(cfg)
