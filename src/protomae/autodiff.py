@@ -99,10 +99,9 @@ _keep_heap()
 class Tensor:
     """A float32 or float64 array with an optional gradient accumulator.
 
-    A float32 array stays float32; anything else becomes float64.  Leaf
-    tensors created with ``requires_grad=True`` get a zero-initialised
-    ``grad`` of the same shape and dtype immediately.  Interior nodes
-    allocate their gradient lazily during backward.
+    A float32 array stays float32; anything else becomes float64.  Every
+    tensor, leaf or interior, starts with ``grad`` None and gets its
+    gradient from the first contribution a backward pass makes to it.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -115,7 +114,7 @@ class Tensor:
             raise InvalidArgument(f"tensors are limited to {_MAX_NDIM} dimensions, got {arr.ndim}")
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Tensor], None] | None = None
         self._op = "leaf"
@@ -191,18 +190,22 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.
+    """Add ``g`` into ``t.grad``, allocating it on the first contribution.
 
     The first contribution is copied, since it may be a view of another
     node's gradient (or the caller's seed); ``fresh`` marks an array the
     backward function just allocated and owns nothing else, which ``t``
-    then takes over as its accumulator without a copy.  ``g`` must have
+    then takes over as its accumulator without a copy.  A leaf's gradient
+    is C-contiguous, as ``AdamW`` walks it flat, so a leaf copies a fresh
+    array that is not; a node's copy keeps ``g``'s layout.  ``g`` must have
     ``t``'s dtype; ``Tensor.backward`` names the op when it does not.
     """
     if g.dtype != t.values.dtype:
         raise InvariantViolation(f"{g.dtype} gradient for a {t.values.dtype} tensor")
     if t.grad is None:
-        t.grad = g if fresh else g.copy(order="K")
+        leaf = t._op == "leaf"
+        keep = fresh and (g.flags.c_contiguous or not leaf)
+        t.grad = g if keep else g.copy(order="C" if leaf else "K")
     else:
         t.grad += g
 
@@ -806,25 +809,25 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for t in self._params.values():
-            t.grad[...] = 0.0
+            t.grad = None
 
 
 class AdamW:
     """Decoupled-weight-decay Adam over a ParamStore.
 
-    Parameters are visited in lexicographic name order; gradients are zeroed
-    after each step.  A parameter whose gradient accumulator is missing is an
-    invariant violation (a backward pass never ran for it).
+    Parameters are visited in lexicographic name order.  A step sets each
+    ``grad`` back to None once it has used it; a parameter no backward reached
+    (``grad`` None) is stepped as with a zero gradient, so it still decays.
 
     ``overrides`` maps a parameter name to its own (lr, weight_decay) pair;
     everything else uses the shared values.  The dict is consulted live on
     every step, so a schedule can mutate an entry between steps.
 
     The step streams through memory once and allocates nothing: the moments
-    ``_m``/``_v`` are created once per parameter (kept by name), and each
-    parameter is walked in blocks of ``_CHUNK`` elements through scratch
-    rows allocated with the optimizer.  Moments and scratch rows have the
-    store's dtype, and a parameter or gradient of another dtype is an
+    ``_m``/``_v`` (kept by name) and the scratch rows are allocated with the
+    optimizer, for the parameters the store holds then, and each parameter
+    is walked in blocks of ``_CHUNK`` elements.  Moments and scratch rows
+    have the store's dtype, and a parameter or gradient of another dtype is an
     invariant violation.  Within a block the ufuncs run in the order of the
     whole-array update, so every value is bit-identical to it.  A non-finite
     gradient raises ``NumericError`` before its block is written; blocks
@@ -841,8 +844,8 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.overrides = dict(overrides or {})
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = {name: np.zeros_like(p.values) for name, p in store.items()}
+        self._v = {name: np.zeros_like(p.values) for name, p in store.items()}
         self._scratch = (np.empty(_CHUNK, dtype=store.dtype), np.empty(_CHUNK, dtype=store.dtype),
                          np.empty(_CHUNK, dtype=bool))
 
@@ -853,18 +856,15 @@ class AdamW:
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.store.items():
             g = p.grad
-            if g is None:
-                raise InvariantViolation(f"parameter '{name}' has no gradient accumulator")
+            if not (p.values.flags.c_contiguous and (g is None or g.flags.c_contiguous)):
+                raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
+            if g is None:                 # backward did not reach p: a zero gradient
+                g = np.broadcast_to(np.zeros((), self.store.dtype), p.values.shape)
             if g.shape != p.values.shape:
                 raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
-            if not (g.flags.c_contiguous and p.values.flags.c_contiguous):
-                raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
             if not p.values.dtype == g.dtype == self.store.dtype:
                 raise InvariantViolation(f"parameter '{name}' or its gradient is not "
                                          f"{self.store.dtype}")
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p.values)
-                self._v[name] = np.zeros_like(p.values)
             lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
             flat = [x.reshape(-1) for x in (p.values, g, self._m[name], self._v[name])]
             for lo in range(0, g.size, _CHUNK):
@@ -880,4 +880,4 @@ class AdamW:
                 np.divide(np.divide(mc, bc1, out=a), b, out=a)   # (m/bc1) / (sqrt(v/bc2)+eps)
                 a += np.multiply(pc, wd, out=b)   # p -= lr*(update + wd*p)
                 pc -= np.multiply(a, lr, out=a)
-                gc.fill(0.0)
+            p.grad = None

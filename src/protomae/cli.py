@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--cloud", metavar="PATH",
                    help="input cloud file (x y z per line); omit to generate")
-    p.add_argument("--kind", default="plane",
+    p.add_argument("--kind", default="plane", choices=shapes.SHAPE_KINDS,
                    help="generated shape kind when --cloud is omitted")
     p.add_argument("--cloud-seed", type=int, default=pipeline.HELD_OUT_SEED_BASE,
                    help="generation seed when --cloud is omitted")

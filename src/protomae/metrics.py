@@ -41,8 +41,10 @@ def _tables(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     if min(pred.ndim, truth.ndim) == 0 or pred.shape[-1] != truth.shape[-1] or 0 in shape:
         raise InvalidArgument(f"assignments must have equal nonempty shapes (..., G) up to "
                               f"broadcasting, got {pred.shape} and {truth.shape}")
-    # NumPy < 2 returns the inverse flat, whatever the input's shape
-    pred, truth = (np.unique(a, return_inverse=True)[1].reshape(a.shape) for a in (pred, truth))
+    # each id's rank among its stack's distinct ids (np.unique's inverse): offset
+    # by the minimum, mark the ids present, count the marks up to each id
+    pred, truth = (a - a.min() for a in (pred, truth))
+    pred, truth = ((np.cumsum(np.bincount(a.ravel()) > 0) - 1)[a] for a in (pred, truth))
     width = int(truth.max()) + 1
     table = bincount_rows(pred * width + truth, (int(pred.max()) + 1) * width)
     return table.reshape(table.shape[:-1] + (-1, width))

@@ -176,6 +176,16 @@ def test_export_groups_from_baseline_finetune_checkpoint_exits_two(tmp_path, cap
     assert not (tmp_path / "groups.txt").exists()
 
 
+def test_export_groups_unknown_kind_exits_two_naming_the_choices(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "export-groups", "--checkpoint",
+                  str(tmp_path / "unread.bin"), "--kind", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--kind: invalid choice: 'bogus'" in err and "plane" in err and "pair" not in err
+    assert not (tmp_path / "groups.txt").exists()
+
+
 def test_pretrain_finetune_export_chain(toy_config_file, tmp_path, capsys):
     out = str(tmp_path / "runs")
     assert cli.main(["--config", toy_config_file, "--out", out,

@@ -178,8 +178,8 @@ def test_csep_gradient_reaches_prompt_path():
         assert np.abs(store[name].grad).max() > 0.0, name
     # the enhancement attention and reconstruction head play no role in
     # classification
-    assert np.abs(store["pcsm.enhance.wq"].grad).max() == 0.0
-    assert np.abs(store["pcsm.ppr.w0"].grad).max() == 0.0
+    assert store["pcsm.enhance.wq"].grad is None
+    assert store["pcsm.ppr.w0"].grad is None
 
 
 def _fd_smooth_grad_check(store, loss_fn, names, rng):

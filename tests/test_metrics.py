@@ -187,20 +187,6 @@ def test_batched_purity_equals_each_row_bit_for_bit():
         assert got[2] == 1.0
 
 
-def test_batched_purity_does_not_rely_on_a_shaped_unique_inverse(monkeypatch):
-    # NumPy < 2 returns np.unique's inverse flat for a (B, G) input
-    pred, truth = stacked_assignments(0)
-    expected = metrics.purity(pred, truth)
-    unique = np.unique
-
-    def flat_inverse(a, return_inverse=False):
-        ids, inverse = unique(a, return_inverse=True)
-        return (ids, inverse.ravel()) if return_inverse else ids
-
-    monkeypatch.setattr(np, "unique", flat_inverse)
-    assert np.array_equal(metrics.purity(pred, truth), expected)
-
-
 def test_purity_rejects_mismatched_or_empty_assignments():
     with pytest.raises(InvalidArgument, match="equal nonempty shapes"):
         metrics.purity(np.zeros((2, 4), dtype=int), np.zeros((2, 5), dtype=int))

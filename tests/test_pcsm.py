@@ -345,7 +345,7 @@ def test_pcsm_losses_leave_encoder_untouched():
     assert np.abs(store["pcsm.ppr.w1"].grad).max() > 0.0
     for name in ("enc.block00.attn.wq", "embed.mlp1.w0", "embed.pos.w",
                  "dec.block00.attn.wq", "recon.w"):
-        assert np.abs(store[name].grad).max() == 0.0, name
+        assert store[name].grad is None, name
 
 
 def test_pcsm_enhancement_gradient_is_structurally_zero():
@@ -354,7 +354,9 @@ def test_pcsm_enhancement_gradient_is_structurally_zero():
     # zero gradient; it is trained in no run, only exercised
     _, store, _, (_, loss_proto, loss_cont) = forward_toy()
     ad.add(loss_proto, loss_cont).backward()
-    assert np.abs(store["pcsm.enhance.wq"].grad).max() == 0.0
+    for name in store.names():
+        if name.startswith("pcsm.enhance."):
+            assert store[name].grad is None, name
 
 
 def test_pcsm_forward_deterministic():
