@@ -1,12 +1,16 @@
 """Exact point-cloud kernels: sampling, neighbourhoods, set distance, I/O.
 
-Everything here is plain float64 numpy with deterministic tie-breaking
-(lowest index wins), so the same inputs always produce the same outputs
-bit for bit.  The sampling and neighbourhood kernels take any leading batch
+Everything here is numpy with deterministic tie-breaking (lowest index
+wins), so the same inputs always produce the same outputs bit for bit.  The
+sampling and neighbourhood kernels work in float64, take any leading batch
 axes and treat each leading entry as an independent cloud.  A cloud is
 plain arrays: (..., N, 3) points and, where known, (..., N) int64 component
-labels.  The chamfer kernel here is the one behind the reconstruction
-losses: ``autodiff`` differentiates it rather than keeping its own.
+labels.  The chamfer kernel works in its inputs' dtype (float32 at paper
+widths) and is the one behind the reconstruction losses: ``autodiff``
+differentiates it rather than keeping its own.  It finds nearest points
+with a GEMM screen and rechecks, with ``sq_dists``, every row the screen's
+rounding could have decided wrongly, so its indices and value are those of
+the brute-force (n, M, L) distance matrix.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from .errors import InvalidArgument
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between two broadcastable (..., 3) point arrays.
+    """Squared Euclidean distances between two broadcastable (..., D) point arrays.
 
     Summed coordinate by coordinate, left to right: bit for bit what
-    ``((a - b) ** 2).sum(axis=-1)`` gives for 3-d points, without
-    materialising the (..., 3) difference array.
+    ``((a - b) ** 2).sum(axis=-1)`` gives for 2-d and 3-d points, without
+    materialising the (..., D) difference array.
     """
     d = np.subtract(a[..., 0], b[..., 0])
     d *= d
@@ -128,18 +132,65 @@ def knn(points: np.ndarray, center_indices: np.ndarray,
     return members.reshape(lead + (g, k)), local.reshape(lead + (g, k, 3))
 
 
+def _nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First index of the nearest b for each a, (n, M) from (n, M, D) and (n, L, D) pairs.
+
+    Equal to ``sq_dists(a[:, :, None], b[:, None]).argmin(axis=2)`` on every
+    input, without that matrix.  A batched GEMM ``[-2a, |a|², 1] @ [b, 1,
+    |b|²]ᵀ`` screens approximate distances s; each row keeps its argmin j and
+    the gap from s_j to the row's second smallest entry.  With u the unit
+    roundoff and R = |a_i|² + max_l |b_l|², s errs from the exact distance
+    δ by at most about (3D + 4)·u·R, in any summation order and with or
+    without FMA, and ``sq_dists`` errs by at most (D + 2)·u·δ, where δ ≤ 2R.
+    So a point whose ``sq_dists`` value ties or beats j's lies within
+    (10D + 16)·u·R of s_j.  A row whose gap exceeds 2·tol, tol = 16·(D + 2)·
+    ε·R = 32·(D + 2)·u·R, therefore has j as its unique exact nearest point.
+    Every other row is rechecked with one exact ``sq_dists`` row and its
+    first argmin.  ``4·R`` is computed as is, so it overflows, and forces
+    the recheck, before any distance can; a NaN in the row, or an infinite
+    best or tolerance, makes the gap test false, which rechecks the row too;
+    and the floor of 4·(D + 2) smallest subnormals covers the absolute error
+    of gradual underflow.
+    """
+    n, m, dim = a.shape
+    fin = np.finfo(np.result_type(a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = np.einsum("nmd,nmd->nm", a, a)
+        nb = np.einsum("nld,nld->nl", b, b)
+        s = np.matmul(np.concatenate([-2 * a, na[..., None], np.ones_like(na)[..., None]], axis=2),
+                      np.concatenate([b, np.ones_like(nb)[..., None], nb[..., None]],
+                                     axis=2).transpose(0, 2, 1)).reshape(n * m, -1)
+        rows = np.arange(n * m)
+        j = s.argmin(axis=1)
+        best = s[rows, j]
+        s[rows, j] = np.inf
+        reach = 4 * (na + nb.max(axis=1, keepdims=True))
+        tol = 4 * (dim + 2) * (fin.eps * reach + fin.smallest_subnormal)
+        gap = s[rows, s.argmin(axis=1)] - best
+        redo = np.flatnonzero(~(gap > 2 * tol.reshape(-1)))
+    if redo.size:
+        j[redo] = sq_dists(a.reshape(n * m, dim)[redo, None, :], b[redo // m]).argmin(axis=1)
+    return j.reshape(n, m)
+
+
 def chamfer_nearest(a: np.ndarray, b: np.ndarray):
     """Symmetric squared-L2 chamfer distance of n point-set pairs, (n, M, D) and (n, L, D).
 
     Per pair: mean over a of min squared distance to b, plus the same with the
     sets swapped.  Returns (values (n,), nearest b for each a (n, M), nearest a
     for each b (n, L)); ties go to the lowest index.  Works in the inputs' dtype.
+    The nearest indices come from ``_nearest``'s screen and recheck, and the
+    chosen pairs' distances from ``sq_dists``, averaged over the (n, M, 1) and
+    (n, 1, L) shapes a gather from the full distance matrix would give: the
+    outputs are bit for bit those of the brute-force matrix.
     """
-    d = sq_dists(a[:, :, None, :], b[:, None, :, :])
-    ia = np.argmin(d, axis=2)
-    ib = np.argmin(d, axis=1)
-    value = (np.take_along_axis(d, ia[:, :, None], axis=2).mean(axis=(1, 2))
-             + np.take_along_axis(d, ib[:, None, :], axis=1).mean(axis=(1, 2)))
+    n, m, _ = a.shape
+    ia = _nearest(a, b)
+    ib = _nearest(b, a)
+    pair = np.arange(n)[:, None]
+    da = sq_dists(a, b[pair, ia])
+    db = sq_dists(a[pair, ib], b)
+    value = da.reshape(n, m, 1).mean(axis=(1, 2)) + db.reshape(n, 1, -1).mean(axis=(1, 2))
     return value, ia, ib
 
 

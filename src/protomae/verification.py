@@ -47,15 +47,20 @@ def _knn_oracle(pts: np.ndarray, center: int, k: int) -> np.ndarray:
     return np.array(scored[:k], dtype=np.int64)
 
 
-def _chamfer_oracle(a: np.ndarray, b: np.ndarray) -> float:
+def _chamfer_oracle(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Chamfer value and nearest indices both ways, ties to the lowest index."""
     def one_way(src, dst):
         total = 0.0
+        near = []
         for p in src:
-            best = min(float(((p - q) ** 2).sum()) for q in dst)
+            dists = [float(((p - q) ** 2).sum()) for q in dst]
+            best = min(dists)
             total += best
-        return total / src.shape[0]
+            near.append(dists.index(best))
+        return total / src.shape[0], np.array(near, dtype=np.int64)
 
-    return one_way(a, b) + one_way(b, a)
+    (va, ia), (vb, ib) = one_way(a, b), one_way(b, a)
+    return va + vb, ia, ib
 
 
 @dataclass
@@ -73,7 +78,11 @@ class OracleReport:
 def oracle_suite(instances: int = 200, seed: int = 0) -> list[OracleReport]:
     """Compare fps/knn/chamfer against independent brute-force versions.
 
-    Index-valued results must agree exactly; chamfer within 1e-12.
+    Index-valued results must agree exactly: fps picks, knn members and
+    ``chamfer_nearest``'s nearest indices both ways, whose ties go to the
+    lowest index.  The chamfer value must agree within 1e-12.  The chamfer
+    instances cycle through random points, points on a 1/4 lattice (exact
+    distance ties) and sets that repeat points of one another.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -102,13 +111,20 @@ def oracle_suite(instances: int = 200, seed: int = 0) -> list[OracleReport]:
 
     mism = 0
     worst = 0.0
-    for _ in range(instances):
+    for i in range(instances):
         na, nb = int(rng.integers(1, 65)), int(rng.integers(1, 65))
         a = rng.normal(size=(na, 3))
         b = rng.normal(size=(nb, 3))
-        dev = abs(geometry.chamfer(a, b) - _chamfer_oracle(a, b))
+        if i % 3 == 1:
+            a, b = np.round(4 * a) / 4, np.round(4 * b) / 4
+        elif i % 3 == 2:
+            a = a[rng.integers(min(na, 4), size=na)]
+            b = np.concatenate([a, b])[rng.integers(na + nb, size=nb)]
+        value, ia, ib = geometry.chamfer_nearest(a[None], b[None])
+        want, want_ia, want_ib = _chamfer_oracle(a, b)
+        dev = abs(float(value[0]) - want)
         worst = max(worst, dev)
-        if dev > 1e-12:
+        if dev > 1e-12 or not (np.array_equal(ia[0], want_ia) and np.array_equal(ib[0], want_ib)):
             mism += 1
     reports.append(OracleReport("chamfer", instances, mism, worst))
     return reports

@@ -49,6 +49,17 @@ def oracle_chamfer(a, b):
     return total
 
 
+def brute_chamfer_nearest(a, b):
+    """The brute-force chamfer kernel: the whole (n, M, L) distance matrix,
+    its first argmins both ways, and the gathered minima's means."""
+    d = geo.sq_dists(a[:, :, None, :], b[:, None, :, :])
+    ia = np.argmin(d, axis=2)
+    ib = np.argmin(d, axis=1)
+    value = (np.take_along_axis(d, ia[:, :, None], axis=2).mean(axis=(1, 2))
+             + np.take_along_axis(d, ib[:, None, :], axis=1).mean(axis=(1, 2)))
+    return value, ia, ib
+
+
 # ---------------------------------------------------------------------------
 # fps
 # ---------------------------------------------------------------------------
@@ -209,6 +220,61 @@ def test_chamfer_against_oracle_random_instances():
         a = rng.normal(size=(int(rng.integers(1, 20)), 3))
         b = rng.normal(size=(int(rng.integers(1, 20)), 3))
         assert geo.chamfer(a, b) == pytest.approx(oracle_chamfer(a, b), abs=1e-12)
+
+
+def _screen_test_pairs(rng, shape, dim, dtype):
+    """(name, a, b) chamfer inputs that stress the GEMM screen in ``dtype``.
+
+    Random points; coordinates rounded to 1/4, whose distances tie exactly;
+    duplicated points; scaled clouds, down to where squares underflow and up
+    to where they overflow; and clouds offset so far out that every norm
+    overflows while the distances stay finite.
+    """
+    n, m, l = shape
+    a = rng.normal(size=(n, m, dim))
+    b = rng.normal(size=(n, l, dim))
+    dup_a, dup_b = a.copy(), b.copy()
+    dup_a[:, 1::3] = a[:, :1]
+    dup_b[:, ::2] = dup_a[:, -1:]
+    scales = (1e-3, 1e-150, 1e-160, 1e150) if dtype == np.float64 else (1e-3, 1e-20, 1e20)
+    far = np.sqrt(np.finfo(dtype).max)
+    pairs = [("random", a, b), ("lattice", np.round(4 * a) / 4, np.round(4 * b) / 4),
+             ("duplicate", dup_a, dup_b)]
+    pairs += [(f"scale {c:g}", c * a, c * b) for c in scales]
+    pairs.append(("far", far + 1e-3 * far * a, far + 1e-3 * far * b))
+    return [(name, x.astype(dtype), y.astype(dtype)) for name, x, y in pairs]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 7), (4, 7, 1), (5, 33, 17), (152, 8, 8),
+                                   (8, 256, 256), (2, 1024, 1024)])
+def test_chamfer_nearest_is_brute_force_bit_for_bit(dtype, dim, shape):
+    rng = np.random.default_rng([np.dtype(dtype).itemsize, dim, *shape])
+    for name, a, b in _screen_test_pairs(rng, shape, dim, dtype):
+        # distances overflow at the largest scales, in both kernels alike
+        with np.errstate(over="ignore"):
+            want = brute_chamfer_nearest(a, b)
+            got = geo.chamfer_nearest(a, b)
+        for w, g in zip(want, got):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+
+def test_chamfer_nearest_corrects_a_screen_that_picks_wrongly():
+    # float32 clouds far from the origin: the screen's GEMM loses the distances
+    # to cancellation, so its own argmin is wrong and only the recheck is right
+    rng = np.random.default_rng(7)
+    a = (100 + 1e-3 * rng.normal(size=(2, 64, 3))).astype(np.float32)
+    b = (100 + 1e-3 * rng.normal(size=(2, 48, 3))).astype(np.float32)
+    na, nb = (a * a).sum(axis=2), (b * b).sum(axis=2)
+    screen = np.concatenate([-2 * a, na[..., None], np.ones_like(na)[..., None]], axis=2) @ \
+        np.concatenate([b, np.ones_like(nb)[..., None], nb[..., None]], axis=2).transpose(0, 2, 1)
+    value, ia, ib = brute_chamfer_nearest(a, b)
+    assert (screen.argmin(axis=2) != ia).any()
+    got = geo.chamfer_nearest(a, b)
+    assert got[0].tobytes() == value.tobytes()
+    assert np.array_equal(got[1], ia) and np.array_equal(got[2], ib)
 
 
 def test_chamfer_gradient_matches_finite_differences():
