@@ -29,7 +29,8 @@ consumes the tape it walks: once a node's backward has run, the node drops
 its parents and its backward closure, so the activations, saved state and
 interior gradients that only the tape still references are freed during the
 walk, in reverse order.  Leaves, and any tensor the caller still holds, keep
-their values and gradients.
+their values and gradients, except that ``AdamW.step(loss)`` steps each
+store parameter, and drops its gradient, as soon as the walk has completed it.
 
 The kernels follow one rule, so a forward pass on frozen weights (no tape)
 pays only for the values it returns:
@@ -134,7 +135,8 @@ class Tensor:
         out._op = "detach"
         return out
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
+    def backward(self, seed: np.ndarray | None = None,
+                 release: Callable[[Tensor], None] | None = None) -> None:
         """Accumulate gradients of this tensor into every reachable parent.
 
         ``seed`` defaults to ones (the usual scalar-loss case).  Multiple uses
@@ -144,6 +146,16 @@ class Tensor:
         ``InvalidArgument`` naming the op, before any gradient moves.  A
         gradient whose dtype differs from its tensor's raises
         ``InvariantViolation`` naming the op whose backward produced it.
+
+        The sort counts the tape edges into each leaf.  Once the backward of
+        a leaf's last consumer has run its gradient is complete, and the walk
+        passes the leaf to ``release`` (``AdamW.step`` steps it there and
+        drops its gradient).  Every closure that reads a leaf's values belongs
+        to one of its consumers or to a descendant of one, and reverse
+        topological order runs those first, so a leaf may be updated in place
+        from then on.  A constant view of a leaf (``detach``, ``frozen``) on
+        the same tape as the live leaf would break that, and is unsupported.
+        A leaf that is ``self`` has no consumer and is never released.
         """
         if not self.requires_grad:
             raise InvalidArgument("backward() on a tensor that does not require grad")
@@ -156,6 +168,7 @@ class Tensor:
 
         topo: list[Tensor] = []
         seen: set[int] = set()
+        uses: dict[int, int] = {}     # id(leaf) -> tape edges into it not yet walked
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
@@ -170,18 +183,29 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent.requires_grad:
+                    if parent._op == "leaf":
+                        uses[id(parent)] = uses.get(id(parent), 0) + 1
+                    elif id(parent) not in seen:
+                        stack.append((parent, False))
 
         node = self
         try:
             _accum(self, seed)
             while topo:
                 node = topo.pop()
-                if node._backward is not None:
-                    node._backward(node)
-                    node._backward = None
-                    node._parents = ()
+                if node._backward is None:
+                    continue
+                node._backward(node)
+                node._backward = None
+                parents, node._parents = node._parents, ()
+                for parent in parents:
+                    left = uses.get(id(parent))
+                    if left is None:
+                        continue
+                    uses[id(parent)] = left - 1
+                    if left == 1 and release is not None:
+                        release(parent)
         except InvariantViolation as exc:
             raise InvariantViolation(f"backward of op '{node._op}': {exc}") from None
 
@@ -815,23 +839,30 @@ class ParamStore:
 class AdamW:
     """Decoupled-weight-decay Adam over a ParamStore.
 
-    Parameters are visited in lexicographic name order.  A step sets each
-    ``grad`` back to None once it has used it; a parameter no backward reached
-    (``grad`` None) is stepped as with a zero gradient, so it still decays.
+    ``step(loss)`` runs ``loss.backward`` and steps each parameter inside
+    the walk as soon as its gradient is complete (the fused
+    gradient-and-update of LOMO, Lv et al., 2023), so a step never holds the
+    whole gradient set.  The parameters the walk did not step are then
+    stepped in lexicographic name order.  Parameter updates are independent,
+    so the order changes no value.  A step sets each ``grad`` back to None
+    once it has used it; a parameter no backward reached (``grad`` None) is
+    stepped as with a zero gradient, so it still decays.
 
     ``overrides`` maps a parameter name to its own (lr, weight_decay) pair;
     everything else uses the shared values.  The dict is consulted live on
     every step, so a schedule can mutate an entry between steps.
 
-    The step streams through memory once and allocates nothing: the moments
-    ``_m``/``_v`` (kept by name) and the scratch rows are allocated with the
-    optimizer, for the parameters the store holds then, and each parameter
-    is walked in blocks of ``_CHUNK`` elements.  Moments and scratch rows
-    have the store's dtype, and a parameter or gradient of another dtype is an
-    invariant violation.  Within a block the ufuncs run in the order of the
-    whole-array update, so every value is bit-identical to it.  A non-finite
-    gradient raises ``NumericError`` before its block is written; blocks
-    and parameters before it have already been stepped.
+    The update streams through memory once and allocates no array: the
+    moments ``_m``/``_v`` (kept by name) and the scratch rows are allocated
+    with the optimizer, for the parameters the store holds then, and each
+    parameter is walked in blocks of ``_CHUNK`` elements.  Moments and
+    scratch rows have the store's dtype, and a parameter or gradient of
+    another dtype is an invariant violation.  Within a block the ufuncs run
+    in the order of the whole-array update, so every value is bit-identical
+    to it.  A non-finite gradient raises ``NumericError`` naming the
+    parameter before its block is written; the blocks before it, and the
+    parameters stepped before it (in the walk, then in name order), stay
+    stepped.
     """
 
     def __init__(self, store: ParamStore, lr: float, betas: tuple[float, float] = (0.9, 0.999),
@@ -849,35 +880,56 @@ class AdamW:
         self._scratch = (np.empty(_CHUNK, dtype=store.dtype), np.empty(_CHUNK, dtype=store.dtype),
                          np.empty(_CHUNK, dtype=bool))
 
-    def step(self) -> None:
-        self.t += 1
+    def step(self, loss: Tensor | None = None) -> None:
+        """One step; with ``loss``, run its backward and step each parameter inside the walk.
+
+        After the walk, every parameter it did not step is stepped from its
+        ``grad`` in name order; without ``loss`` that is every parameter.  A
+        backward rejected before any gradient moves leaves ``t``, the moments
+        and the parameters untouched.
+        """
+        t = self.t + 1
+        bc1, bc2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        pending = {id(p): (name, p) for name, p in self.store.items()}
+
+        def release(leaf: Tensor) -> None:
+            entry = pending.pop(id(leaf), None)
+            if entry is not None:
+                self.t = t                # the step counts from its first update
+                self._update(*entry, bc1, bc2)
+
+        if loss is not None:
+            loss.backward(release=release)
+        self.t = t
+        for name, p in pending.values():
+            self._update(name, p, bc1, bc2)
+
+    def _update(self, name: str, p: Tensor, bc1: float, bc2: float) -> None:
+        """Step ``p`` from its ``grad`` block by block, then set ``grad`` to None."""
         b1, b2, eps = self.beta1, self.beta2, self.eps
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for name, p in self.store.items():
-            g = p.grad
-            if not (p.values.flags.c_contiguous and (g is None or g.flags.c_contiguous)):
-                raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
-            if g is None:                 # backward did not reach p: a zero gradient
-                g = np.broadcast_to(np.zeros((), self.store.dtype), p.values.shape)
-            if g.shape != p.values.shape:
-                raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
-            if not p.values.dtype == g.dtype == self.store.dtype:
-                raise InvariantViolation(f"parameter '{name}' or its gradient is not "
-                                         f"{self.store.dtype}")
-            lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
-            flat = [x.reshape(-1) for x in (p.values, g, self._m[name], self._v[name])]
-            for lo in range(0, g.size, _CHUNK):
-                pc, gc, mc, vc = (x[lo:lo + _CHUNK] for x in flat)
-                a, b, ok = (s[:gc.size] for s in self._scratch)
-                if not np.isfinite(gc, out=ok).all():
-                    raise NumericError(f"non-finite gradient for parameter '{name}'")
-                mc *= b1                          # m = b1*m + (1-b1)*g
-                mc += np.multiply(gc, 1.0 - b1, out=a)
-                vc *= b2                          # v = b2*v + (1-b2)*g*g
-                vc += np.multiply(np.multiply(gc, 1.0 - b2, out=a), gc, out=a)
-                np.add(np.sqrt(np.divide(vc, bc2, out=b), out=b), eps, out=b)
-                np.divide(np.divide(mc, bc1, out=a), b, out=a)   # (m/bc1) / (sqrt(v/bc2)+eps)
-                a += np.multiply(pc, wd, out=b)   # p -= lr*(update + wd*p)
-                pc -= np.multiply(a, lr, out=a)
-            p.grad = None
+        g = p.grad
+        if not (p.values.flags.c_contiguous and (g is None or g.flags.c_contiguous)):
+            raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
+        if g is None:                 # backward did not reach p: a zero gradient
+            g = np.broadcast_to(np.zeros((), self.store.dtype), p.values.shape)
+        if g.shape != p.values.shape:
+            raise InvariantViolation(f"parameter '{name}' gradient shape mismatch")
+        if not p.values.dtype == g.dtype == self.store.dtype:
+            raise InvariantViolation(f"parameter '{name}' or its gradient is not "
+                                     f"{self.store.dtype}")
+        lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
+        flat = [x.reshape(-1) for x in (p.values, g, self._m[name], self._v[name])]
+        for lo in range(0, g.size, _CHUNK):
+            pc, gc, mc, vc = (x[lo:lo + _CHUNK] for x in flat)
+            a, b, ok = (s[:gc.size] for s in self._scratch)
+            if not np.isfinite(gc, out=ok).all():
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
+            mc *= b1                          # m = b1*m + (1-b1)*g
+            mc += np.multiply(gc, 1.0 - b1, out=a)
+            vc *= b2                          # v = b2*v + (1-b2)*g*g
+            vc += np.multiply(np.multiply(gc, 1.0 - b2, out=a), gc, out=a)
+            np.add(np.sqrt(np.divide(vc, bc2, out=b), out=b), eps, out=b)
+            np.divide(np.divide(mc, bc1, out=a), b, out=a)   # (m/bc1) / (sqrt(v/bc2)+eps)
+            a += np.multiply(pc, wd, out=b)   # p -= lr*(update + wd*p)
+            pc -= np.multiply(a, lr, out=a)
+        p.grad = None

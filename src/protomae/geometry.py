@@ -194,19 +194,6 @@ def chamfer_nearest(a: np.ndarray, b: np.ndarray):
     return value, ia, ib
 
 
-def chamfer(a: np.ndarray, b: np.ndarray) -> float:
-    """``chamfer_nearest`` of one (M, D), (L, D) pair: zero iff both cover the same locations."""
-    pa = np.asarray(a, dtype=np.float64)
-    pb = np.asarray(b, dtype=np.float64)
-    if pa.ndim != 2 or pb.ndim != 2 or pa.shape[1] != pb.shape[1]:
-        raise InvalidArgument(f"chamfer expects (M,D) and (L,D), got {pa.shape} and {pb.shape}")
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        raise InvalidArgument("chamfer of an empty point set")
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
-        raise InvalidArgument("chamfer of non-finite coordinates")
-    return float(chamfer_nearest(pa[None], pb[None])[0][0])
-
-
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------

@@ -130,8 +130,7 @@ def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generato
     losses["total"] = ad.add(losses["l_3d"],
                              ad.add(ad.scale(losses["l_proto"], cfg.lambda_proto),
                                     ad.scale(losses["l_cont"], cfg.lambda_cont)))
-    losses["total"].backward()
-    opt.step()
+    opt.step(losses["total"])
     return ({name: float(t.values) for name, t in losses.items()}, masked, selected,
             assignment, tb.member_indices)
 
@@ -285,8 +284,7 @@ def _finetune_step(classify, store: ad.ParamStore, opt: ad.AdamW, points: np.nda
     """One fine-tuning step; returns (correct predictions, mean cross-entropy), no Tensor."""
     logits = classify(points, store, cfg)
     batch_ce = ad.cross_entropy(logits, labels)
-    batch_ce.backward()
-    opt.step()
+    opt.step(batch_ce)
     return int(np.sum(_predicted(logits) == labels)), float(batch_ce.values)
 
 

@@ -804,6 +804,123 @@ def test_adamw_warm_step_allocates_nothing():
 
 
 # ---------------------------------------------------------------------------
+# stepping inside the backward walk
+# ---------------------------------------------------------------------------
+
+
+def probe(a, backward_hook, grad=None):
+    """An identity node whose backward calls ``backward_hook`` and then passes
+    its gradient through, or ``grad`` in its place."""
+    def backward(out):
+        backward_hook()
+        ad._accum(a, out.grad if grad is None else grad)
+
+    return ad._node("probe", a.values.copy(), (a,), backward)
+
+
+def two_linear_chain(grad=None):
+    """x -> linear(w1) -> probe -> linear(w2) -> sum, and the probe's observations."""
+    store = ad.ParamStore(seed=0)
+    w1, w2 = store.create("w1", (3, 4)), store.create("w2", (4, 2))
+    before = {name: t.values.copy() for name, t in store.items()}
+    seen = {}
+
+    def look():
+        seen.update((name, (not np.array_equal(t.values, before[name]), t.grad))
+                    for name, t in store.items())
+
+    h = probe(ad.linear(ad.Tensor(RNG.normal(size=(5, 3))), w1), look, grad)
+    return store, before, seen, ad.sum_all(ad.linear(h, w2))
+
+
+def test_walk_steps_a_weight_once_its_last_consumer_has_run():
+    store, before, seen, loss = two_linear_chain()
+    opt = ad.AdamW(store, lr=0.1)
+    opt.step(loss)
+    # at the probe, downstream w2 is stepped and its gradient gone; w1 has
+    # neither a gradient nor a step yet
+    assert seen["w2"] == (True, None)
+    assert seen["w1"] == (False, None)
+    assert opt.t == 1
+    for name, t in store.items():
+        assert t.grad is None and not np.array_equal(t.values, before[name]), name
+
+
+def test_walk_non_finite_gradient_names_the_parameter_and_keeps_earlier_steps():
+    bad = np.ones((5, 4))
+    bad[0, 0] = np.inf
+    store, before, _, loss = two_linear_chain(grad=bad)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite gradient for parameter 'w1'"):
+        ad.AdamW(store, lr=0.1).step(loss)    # w1's GEMM may form inf - inf
+    assert not np.array_equal(store["w2"].values, before["w2"])
+    np.testing.assert_array_equal(store["w1"].values, before["w1"])
+
+
+def test_weight_with_two_consumers_is_stepped_after_both(monkeypatch):
+    # embed.mlp2.w0 feeds the tape through two slices, one per half
+    from protomae import embedding
+    from protomae.config import preset
+
+    cfg = preset("toy")
+    store = ad.ParamStore(seed=1)
+    embedding.init_embedding_params(store, cfg)
+    w0 = store["embed.mlp2.w0"]
+    before = w0.values.copy()
+    events = []
+    real_slice = ad.slice_rows
+
+    def recording_slice(a, start, stop):
+        out = real_slice(a, start, stop)
+        backward = out._backward
+
+        def record(node):
+            events.append(("slice", start, np.array_equal(a.values, before)))
+            backward(node)
+
+        out._backward = record
+        return out
+
+    class Recording(ad.AdamW):
+        def _update(self, name, p, bc1, bc2):
+            events.append(("step", name))
+            super()._update(name, p, bc1, bc2)
+
+    monkeypatch.setattr(ad, "slice_rows", recording_slice)
+    tokens = embedding.tokenize(RNG.normal(size=(2, cfg.n_points, 3)), store, cfg).tokens
+    monkeypatch.undo()
+    Recording(store, lr=0.1).step(ad.sum_all(tokens))
+    slices = [i for i, e in enumerate(events) if e[0] == "slice"]
+    steps = [i for i, e in enumerate(events) if e == ("step", "embed.mlp2.w0")]
+    assert sorted(events[i][1] for i in slices) == [0, cfg.embed_hidden2]
+    assert all(events[i][2] for i in slices)       # w0 untouched at either slice
+    assert len(steps) == 1 and steps[0] > max(slices)
+    assert not np.array_equal(w0.values, before)
+
+
+@pytest.mark.parametrize("reject", ["constant loss", "consumed tape"])
+def test_rejected_backward_leaves_the_optimizer_and_parameters_untouched(reject):
+    store = ad.ParamStore(seed=0)
+    w = store.create("w", (3, 2))
+    opt = ad.AdamW(store, lr=0.1, weight_decay=0.01)
+    x = ad.Tensor(RNG.normal(size=(4, 3)))
+    opt.step(ad.sum_all(ad.linear(x, w)))
+    state = [w.values.copy(), opt._m["w"].copy(), opt._v["w"].copy()]
+    if reject == "constant loss":
+        loss, match = ad.sum_all(x), "does not require grad"
+    else:
+        loss = ad.sum_all(ad.linear(x, w))
+        loss.backward()
+        w.grad = None
+        match = "earlier backward consumed"
+    with pytest.raises(InvalidArgument, match=match):
+        opt.step(loss)
+    assert opt.t == 1 and w.grad is None
+    for got, want in zip((w.values, opt._m["w"], opt._v["w"]), state):
+        assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
 # leading batch axes
 # ---------------------------------------------------------------------------
 

@@ -120,9 +120,9 @@ def _nodes_per_step(monkeypatch, batch_size):
         counts["nodes"] += 1
         return real_node(*args, **kwargs)
 
-    def counting_step(self):
+    def counting_step(self, loss=None):
         counts["steps"] += 1
-        return real_step(self)
+        return real_step(self, loss)
 
     monkeypatch.setattr(ad, "_node", counting_node)
     monkeypatch.setattr(ad.AdamW, "step", counting_step)

@@ -217,7 +217,7 @@ def test_ppr_centroid_bias_matches_chamfer_oracle():
     pos = Tensor(rng.normal(size=(g, cfg.dim)))
     assignment = rng.integers(0, cfg.n_prototypes, g)
     loss = pcsm.ppr_reconstruct(phat, pos, assignment, cloud, store, cfg)
-    oracle = geo.chamfer(centroid[None, :], cloud) / g
+    oracle = geo.chamfer_nearest(centroid[None, None, :], cloud[None])[0][0] / g
     assert abs(float(loss.values) - oracle) < 1e-12
 
 

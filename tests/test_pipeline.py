@@ -11,6 +11,8 @@ import dataclasses
 import json
 import os
 import statistics
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -95,6 +97,67 @@ def test_params_hash_tracks_values():
     assert pipeline.params_hash(a) != pipeline.params_hash(b)
 
 
+# ------------------------------------------------------- optimizer step
+
+class BackwardThenStep(ad.AdamW):
+    """The reference step: the whole backward first, then every parameter in name order."""
+
+    def step(self, loss=None):
+        if loss is not None:
+            loss.backward()
+        super().step()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_stepping_inside_the_walk_matches_backward_then_step(dtype):
+    # 3 pretrain and 3 csep fine-tune steps: parameters and moments bit for
+    # bit, and pcsm.enhance.*, which no backward reaches, still decays
+    cfg = tiny_cfg(dtype=dtype)
+    ds = pipeline.build_dataset(cfg)
+    rng = np.random.default_rng(8)
+    batches = [rng.choice(len(ds.points), cfg.batch_size, replace=False) for _ in range(3)]
+    starts = rng.integers(cfg.n_points, size=cfg.batch_size)
+
+    def pretrain_steps(cls):
+        store = pipeline.init_model(cfg)
+        init = {name: t.values.copy() for name, t in store.items()}
+        opt = cls(store, lr=cfg.learning_rate, betas=(cfg.beta1, cfg.beta2),
+                  weight_decay=cfg.weight_decay)
+        mask_rng = np.random.default_rng(9)
+        for batch in batches:
+            pipeline.train_step(store, opt, mask_rng, ds.points[batch], starts, cfg)
+        return store, opt, init
+
+    def finetune_steps(cls):
+        store = pipeline.init_model(cfg, decoder=False)
+        heads.init_head_params(store, cfg, len(ds.kinds), csep=True)
+        init = {name: t.values.copy() for name, t in store.items()}
+        opt = cls(store, lr=cfg.finetune_learning_rate, betas=(cfg.beta1, cfg.beta2),
+                  weight_decay=cfg.weight_decay)
+        for batch in batches:
+            pipeline._finetune_step(heads.classify_csep, store, opt, ds.points[batch],
+                                    ds.kind_ids[batch], cfg)
+        return store, opt, init
+
+    for run in (pretrain_steps, finetune_steps):
+        (store, opt, init), (ref_store, ref, _) = run(ad.AdamW), run(BackwardThenStep)
+        assert opt.t == ref.t == 3
+        for name, p in store.items():
+            assert p.grad is None, name
+            for got, want in ((p.values, ref_store[name].values),
+                              (opt._m[name], ref._m[name]), (opt._v[name], ref._v[name])):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.tobytes() == want.tobytes(), name
+        enhance = [name for name in store.names() if name.startswith("pcsm.enhance.")]
+        assert enhance
+        for name in enhance:
+            decayed = init[name]
+            for _ in range(3):                  # p -= lr * (0 + wd * p), as AdamW orders it
+                decayed -= (decayed * cfg.weight_decay) * opt.lr
+            assert not opt._m[name].any() and not opt._v[name].any(), name
+            assert store[name].values.tobytes() == decayed.tobytes(), name
+
+
 # ------------------------------------------------------------ pretrain
 
 def test_pretrain_metrics_and_artifacts(tmp_path):
@@ -138,6 +201,45 @@ def test_pretrain_is_bit_deterministic(tmp_path):
 
     c = pipeline.pretrain(tiny_cfg(seed=cfg.seed + 1))
     assert c.data_hash != a.data_hash
+
+
+_THREADED_RUN = """
+import dataclasses, hashlib, sys
+import numpy as np
+from protomae import pipeline
+from protomae.config import preset
+rng = np.random.default_rng(0)
+probe = rng.normal(size=(84, 256)) @ rng.normal(size=(256, 64))
+print(hashlib.sha256(probe.tobytes()).hexdigest())
+cfg = dataclasses.replace(preset("toy"), n_points=256, n_patches=16, knn_k=16,
+                          embed_hidden1=32, embed_hidden2=64, dim=64).validate()
+pipeline.pretrain(cfg, sys.argv[1])
+pipeline.finetune(cfg, sys.argv[1] + "/checkpoint.bin", csep=True, out_dir=sys.argv[1])
+"""
+
+
+def test_pretrain_and_finetune_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # widths at which the embedding's GEMMs (1024 rows by 64 by 128) are
+    # large enough for OpenBLAS to split them over threads.  Each child also
+    # prints the digest of one GEMM the fine-tune issues, 84 rows by 256 by
+    # 64: OpenBLAS's SkylakeX and Sandybridge kernels give it the same bits at
+    # 1 and 2 threads, while Haswell, Zen, Nehalem, Prescott and Katmai round
+    # it differently once two threads split its rows, and there no program
+    # built on that GEMM can be thread-count invariant
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    outs, probes = [], set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run([sys.executable, "-c", _THREADED_RUN, str(out)], env=env,
+                             check=True, timeout=300, capture_output=True, text=True)
+        probes.add(run.stdout.split()[0])
+        outs.append(out)
+    if len(probes) > 1:
+        pytest.skip("this OpenBLAS kernel's GEMM bits depend on the thread count")
+    for name in ("metrics.jsonl", "masks.jsonl", "checkpoint.bin", "finetune-csep.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_pretrain_frees_each_step_tape_before_the_next(monkeypatch):

@@ -22,7 +22,7 @@ def f32(name="toy", **overrides):
 @pytest.fixture()
 def optimizers(monkeypatch):
     """Every AdamW the pipeline builds, so a test can read its moments and,
-    step by step, the gradients each step consumes."""
+    parameter by parameter, the gradients its updates consume."""
     built = []
 
     class Recording(ad.AdamW):
@@ -31,10 +31,10 @@ def optimizers(monkeypatch):
             self.grad_dtypes = set()
             built.append(self)
 
-        def step(self):
-            self.grad_dtypes.update(t.grad.dtype for _, t in self.store.items()
-                                    if t.grad is not None)
-            super().step()
+        def _update(self, name, p, bc1, bc2):
+            if p.grad is not None:
+                self.grad_dtypes.add(p.grad.dtype)
+            super()._update(name, p, bc1, bc2)
 
     monkeypatch.setattr(ad, "AdamW", Recording)
     return built
