@@ -3,7 +3,9 @@
 A deliberately small engine: ``Tensor`` wraps a numpy array plus a gradient
 accumulator, every operation records its parents and a backward closure on an
 implicit tape, and ``Tensor.backward()`` walks the tape once in reverse
-topological order.  Any op that produces a non-finite value raises
+topological order.  Every op checks its operands and raises
+``InvalidArgument`` naming itself, so the layers built on the ops do not
+repeat those checks.  Any op that produces a non-finite value raises
 ``NumericError`` naming the op, so NaNs cannot propagate silently into a
 training run.
 
@@ -283,7 +285,11 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast against ``a`` (bias rows etc.)."""
-    values = a.values + b.values
+    try:
+        values = a.values + b.values
+    except ValueError:
+        raise InvalidArgument(
+            f"add cannot broadcast {a.values.shape} and {b.values.shape}") from None
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
@@ -383,10 +389,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute axes; by default swap the last two."""
-    if a.values.ndim < 2:
+    nd = a.values.ndim
+    if nd < 2:
         raise InvalidArgument("transpose needs at least 2 dimensions")
     if axes is None:
-        axes = tuple(range(a.values.ndim - 2)) + (a.values.ndim - 1, a.values.ndim - 2)
+        axes = tuple(range(nd - 2)) + (nd - 1, nd - 2)
+    elif sorted(axes) != list(range(nd)):
+        raise InvalidArgument(f"transpose axes {tuple(axes)} are not a permutation of {nd} axes")
     inverse = tuple(np.argsort(axes))
 
     def backward(out: Tensor) -> None:
@@ -397,11 +406,15 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.values.shape
+    try:
+        values = a.values.reshape(shape)
+    except ValueError:
+        raise InvalidArgument(f"cannot reshape {old} into {shape}") from None
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad.reshape(old))
 
-    return _node("reshape", a.values.reshape(shape), (a,), backward)
+    return _node("reshape", values, (a,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -420,8 +433,12 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     except ValueError:
         raise InvalidArgument(f"concat leading axes differ for axis {axis}") from None
     counts = [p.values.shape[axis] for p in parts]
-    values = np.concatenate([np.broadcast_to(p.values, lead + p.values.shape[axis:])
-                             for p in parts], axis=axis)
+    try:
+        values = np.concatenate([np.broadcast_to(p.values, lead + p.values.shape[axis:])
+                                 for p in parts], axis=axis)
+    except ValueError:
+        raise InvalidArgument(f"concat parts differ after axis {axis}: "
+                              f"{[p.values.shape for p in parts]}") from None
     trailing = (slice(None),) * (-axis - 1)
 
     def backward(out: Tensor) -> None:

@@ -117,15 +117,9 @@ def l_3d(pred: Tensor, target_local: np.ndarray) -> Tensor:
 
     Mean over masked patches (and over clouds, for a (B, G_mask, k, 3)
     batch) of the chamfer distance between the predicted and true
-    centre-relative patches.
+    centre-relative patches; ``chamfer_batch`` checks the shapes.
     """
-    tgt = np.asarray(target_local)
-    if pred.values.ndim < 3 or pred.values.shape[-3] == 0:
-        raise InvalidArgument("l_3d expects a nonempty (..., G_mask, k, 3) prediction")
-    if tgt.shape[:-2] != pred.values.shape[:-2]:
-        raise InvalidArgument(
-            f"prediction patches {pred.values.shape[:-2]} do not match target {tgt.shape[:-2]}")
-    return ad.chamfer_batch(pred, tgt)
+    return ad.chamfer_batch(pred, target_local)
 
 
 def reconstruction_loss(tb: embedding.TokenBatch, visible: np.ndarray, masked: np.ndarray,

@@ -83,7 +83,7 @@ def _load_config(args: argparse.Namespace,
         cfg = ck.config()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg.validate()
+    return cfg
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:

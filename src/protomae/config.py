@@ -3,6 +3,9 @@
 The config file format is deliberately plain: one ``key = value`` pair per
 line, ``#`` comments, no sections.  Unknown keys are an error so typos cannot
 silently fall back to defaults.
+
+A ``RunConfig`` is checked when it is built and cannot be changed, so every
+config that exists is valid; derive a variant with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .masking import STRATEGIES, round_half_up
 from .shapes import SHAPE_KINDS
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a training or evaluation run needs, flat and serialisable."""
 
@@ -78,6 +81,9 @@ class RunConfig:
 
     # ------------------------------------------------------------------
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def recon_points(self) -> int:
         """Points reconstructed per token by the prototype-position head."""
@@ -88,6 +94,7 @@ class RunConfig:
         return [k.strip() for k in self.shape_kinds.split(",") if k.strip()]
 
     def validate(self) -> "RunConfig":
+        """Raise ``ConfigError`` at the first failed check; return the config."""
         c = self
         unknown = [k for k in c.kinds() if k not in SHAPE_KINDS]
         checks = [
@@ -166,7 +173,7 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
             values[key] = _coerce(key, fields[key].type, val, lineno)
         base = preset(values["preset"]) if "preset" in values else cls()
-        return dataclasses.replace(base, **values).validate()
+        return dataclasses.replace(base, **values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -232,4 +239,4 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 def preset(name: str) -> RunConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset '{name}' (have {', '.join(PRESET_NAMES)})")
-    return RunConfig(preset=name, **_PRESETS[name]).validate()
+    return RunConfig(preset=name, **_PRESETS[name])

@@ -27,7 +27,6 @@ from . import autodiff as ad
 from . import geometry as geo
 from .autodiff import Tensor
 from .config import RunConfig
-from .errors import InvalidArgument
 
 
 @dataclass
@@ -71,10 +70,6 @@ def tokenize(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
     to tokens, and the position embeddings come from the same ``params``.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[-2] if pts.ndim >= 2 else 0
-    if n < cfg.n_patches or n < cfg.knn_k:
-        raise InvalidArgument(
-            f"cloud of {n} points cannot supply {cfg.n_patches} patches of {cfg.knn_k} members")
     center_idx = geo.fps(pts, cfg.n_patches, start=start)
     members, local = geo.knn(pts, center_idx, cfg.knn_k)
     centers = np.take_along_axis(pts, center_idx[..., None], axis=-2)
@@ -113,7 +108,4 @@ def pool_row(rows: Tensor) -> Tensor:
 def pos_embed(centers: np.ndarray, params: Mapping[str, Tensor]) -> Tensor:
     """Affine map of absolute centre coordinates to token width, in the weights' dtype."""
     w = params["embed.pos.w"]
-    centers = np.asarray(centers, dtype=w.values.dtype)
-    if centers.ndim < 2 or centers.shape[-1] != 3:
-        raise InvalidArgument(f"pos_embed expects (..., G, 3) centres, got {centers.shape}")
-    return ad.linear(Tensor(centers), w, params["embed.pos.b"])
+    return ad.linear(Tensor(np.asarray(centers, dtype=w.values.dtype)), w, params["embed.pos.b"])

@@ -93,13 +93,10 @@ def classify_csep(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConf
     if "pcsm.prototypes" not in params:
         raise ConfigError("prompted classification needs pre-trained prototypes; "
                           "load a pre-training checkpoint first")
-    c = cfg.dim
     tb = embedding.tokenize(points, params, cfg)
     if prompt_rows is None:
         _, p_hat = pcsm.refresh(tb, params, cfg)
     else:
         p_hat = Tensor(np.asarray(prompt_rows, dtype=params["cls.token"].values.dtype))
-        if p_hat.values.shape[-1] != c:
-            raise InvalidArgument(f"prompt rows must be width {c}")
-    zeros = Tensor(np.zeros((p_hat.values.shape[-2], c), dtype=p_hat.values.dtype))
+    zeros = Tensor(np.zeros((p_hat.values.shape[-2], cfg.dim), dtype=p_hat.values.dtype))
     return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], params, cfg)

@@ -76,8 +76,6 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
     g, c = tokens.shape[-2:]
     if centers.shape[:-1] != tokens.shape[:-1]:
         raise InvalidArgument(f"tokens {tokens.shape} and centres {centers.shape} differ")
-    if not 1 <= k <= g:
-        raise InvalidArgument(f"knorm k={k} out of range for {g} tokens")
     members = geo.knn(centers, np.arange(g), k)[0].reshape(-1, g, k)
     flat = tokens.reshape(-1, g, c)
     gathered = flat[np.arange(flat.shape[0])[:, None, None], members]   # (L, G, k, C)
@@ -93,8 +91,6 @@ def update_prototypes(prototypes: Tensor, tokens: Tensor) -> Tensor:
     softmax(p T^T / sqrt(C))-weighted average of token rows, hence always
     inside the tokens' convex hull.
     """
-    if prototypes.values.shape[-1] != tokens.values.shape[-1]:
-        raise InvalidArgument("prototype and token widths differ")
     return ad.multi_head_attention(prototypes, tokens, tokens, heads=1)
 
 
@@ -139,9 +135,6 @@ def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != lead + (g,):
         raise InvalidArgument(f"assignment must be {lead + (g,)}, got {assignment.shape}")
-    if assignment.size and (assignment.min() < 0
-                            or assignment.max() >= prototypes_hat.values.shape[-2]):
-        raise InvalidArgument("assignment indexes a missing prototype")
     kp = cfg.recon_points
     f = ad.concat([ad.gather_rows(prototypes_hat, assignment), pos], axis=-1)
     h = ad.gelu(ad.linear(f, params["pcsm.ppr.w0"], params["pcsm.ppr.b0"]))

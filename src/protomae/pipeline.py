@@ -58,7 +58,7 @@ class Dataset:
 
 def build_dataset(cfg: RunConfig) -> Dataset:
     """Generate the synthetic corpus: kinds cycle, cloud i uses seed i."""
-    kinds = cfg.validate().kinds()
+    kinds = cfg.kinds()
     kind_ids = np.arange(len(kinds) * cfg.clouds_per_kind, dtype=np.int64) % len(kinds)
     points, labels = shapes.make_corpus(
         [(kinds[k], i) for i, k in enumerate(kind_ids)], cfg.n_points)
@@ -154,7 +154,6 @@ def pretrain(cfg: RunConfig, out_dir: str | Path | None = None) -> PretrainResul
     given.  Metric files contain no wall-clock fields, so identical seeds
     produce byte-identical streams.
     """
-    cfg.validate()
     t0 = time.monotonic()
     ds = build_dataset(cfg)
     store = init_model(cfg, decoder=True, pcsm_branch=True)
@@ -307,7 +306,6 @@ def finetune(cfg: RunConfig, ckpt: str | Path | checkpoint.Checkpoint,
     created fresh, after loading.  Everything is trainable.  Stops early once
     the train accuracy reaches ``cfg.stop_train_accuracy``.
     """
-    cfg.validate()
     ck = ckpt if isinstance(ckpt, checkpoint.Checkpoint) else checkpoint.load(ckpt)
     ds = build_dataset(cfg)
     train_idx, val_idx = split_dataset(ds, cfg.val_fraction, cfg.split_seed)
@@ -398,7 +396,7 @@ def ablate(cfg: RunConfig, strategies: list[str],
     repeated = sorted({s for s in strategies if strategies.count(s) > 1})
     if repeated:
         raise ConfigError(f"repeated masking strategies {repeated}")
-    subs = [dataclasses.replace(cfg, mask_strategy=strat).validate() for strat in strategies]
+    subs = [dataclasses.replace(cfg, mask_strategy=strat) for strat in strategies]
     _val_count(cfg.val_fraction, cfg.clouds_per_kind)
     rows = []
     ref_init = ref_data = None

@@ -208,7 +208,7 @@ def gradient_suite(cfg: RunConfig | None = None, step: float = 1e-5,
     fixed, exactly as the training tape does: features cross the
     stop-gradient boundary as constants and the argmax is index data.
     """
-    cfg = replace(cfg or preset("toy"), dtype="float64").validate()
+    cfg = replace(cfg or preset("toy"), dtype="float64")
     rng = np.random.default_rng(seed)
     kinds = cfg.kinds()
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)

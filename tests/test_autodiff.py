@@ -200,6 +200,19 @@ def test_mean_reshape_transpose_scale():
     check_op(lambda t: ad.scale(ad.sum_all(t), -2.5), (2, 2))
 
 
+@pytest.mark.parametrize("op, call", [
+    ("add", lambda z: ad.add(z((2, 3)), z((4, 3)))),
+    ("reshape", lambda z: ad.reshape(z((2, 3)), (4, 2))),
+    ("transpose", lambda z: ad.transpose(z((2, 3, 4)), (0, 0, 1))),
+    ("transpose", lambda z: ad.transpose(z((2, 3, 4)), (0, -1, -2))),
+    ("concat", lambda z: ad.concat([z((2, 3, 4)), z((2, 5, 3))], axis=-2)),
+], ids=["add", "reshape", "transpose-repeated-axis", "transpose-negative-axes", "concat"])
+def test_shape_errors_are_invalid_argument_naming_the_op(op, call):
+    # numpy's own ValueError must not escape an op: each names itself
+    with pytest.raises(InvalidArgument, match=op):
+        call(lambda shape: ad.Tensor(np.zeros(shape), requires_grad=True))
+
+
 # ---------------------------------------------------------------------------
 # chamfer ops
 # ---------------------------------------------------------------------------

@@ -21,10 +21,7 @@ from protomae.errors import ConfigError
 
 
 def make_store(seed=0, **overrides):
-    cfg = preset("toy")
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    cfg = cfg.validate()
+    cfg = dataclasses.replace(preset("toy"), **overrides)
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)
     rng = np.random.default_rng(seed)
     for _, t in store.items():

@@ -72,6 +72,17 @@ def test_bad_loss_weight_or_mlp_ratio_is_rejected_naming_the_key(key, value):
         RunConfig.from_text(f"preset = toy\n{key} = {value}\n")
 
 
+def test_a_config_is_checked_when_built_and_cannot_be_changed():
+    with pytest.raises(ConfigError, match="batch_size"):
+        RunConfig(batch_size=0)
+    cfg = preset("toy")
+    with pytest.raises(ConfigError, match="batch_size"):
+        dataclasses.replace(cfg, batch_size=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.batch_size = 0
+    assert cfg.batch_size == preset("toy").batch_size
+
+
 def test_zero_loss_weights_and_a_one_unit_mlp_are_accepted():
     cfg = RunConfig.from_text("preset = toy\nlambda_proto = 0\nlambda_cont = 0\n"
                               "mlp_ratio = 0.0625\n")

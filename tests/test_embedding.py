@@ -1,5 +1,7 @@
 """Tokenizer behaviour: geometry bookkeeping, invariances, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def test_single_member_patches_collapse_to_equal_tokens():
     # k = 1 keeps only the centre, whose local coordinate is zero, so every
     # patch feeds the network the same input
     cfg, store = toy_setup()
-    cfg.knn_k = 1
+    cfg = dataclasses.replace(cfg, knn_k=1)
     pts = np.random.default_rng(6).normal(size=(40, 3))
     tb = embedding.tokenize(pts, store, cfg)
     assert np.allclose(tb.tokens.values, tb.tokens.values[0], atol=0)
