@@ -60,9 +60,11 @@ import numpy as np
 from .errors import InvalidArgument, InvariantViolation, NumericError
 from .geometry import chamfer_nearest
 
-_MAX_NDIM = 4
 _CHUNK = 65536  # AdamW block: a float32 block's six rows fill about 1.5 MiB of a 2 MiB L2
 DTYPES = ("float32", "float64")
+_LN_EPS = 1e-5        # layer_norm's variance offset
+_NORM_FLOOR = 1e-12   # l2_normalize_rows' smallest divisor
+_ADAM_EPS = 1e-8      # AdamW's denominator offset
 
 
 def _keep_heap() -> None:
@@ -113,8 +115,6 @@ class Tensor:
         arr = np.asarray(values)
         if arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
-        if arr.ndim > _MAX_NDIM:
-            raise InvalidArgument(f"tensors are limited to {_MAX_NDIM} dimensions, got {arr.ndim}")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -137,16 +137,16 @@ class Tensor:
         out._op = "detach"
         return out
 
-    def backward(self, seed: np.ndarray | None = None,
-                 release: Callable[[Tensor], None] | None = None) -> None:
+    def backward(self, release: Callable[[Tensor], None] | None = None) -> None:
         """Accumulate gradients of this tensor into every reachable parent.
 
-        ``seed`` defaults to ones (the usual scalar-loss case).  Multiple uses
-        of a tensor sum their contributions.  The walk consumes the tape: each
-        interior node drops its parents and backward closure once its backward
-        has run, so a second backward through any of its nodes raises
-        ``InvalidArgument`` naming the op, before any gradient moves.  A
-        gradient whose dtype differs from its tensor's raises
+        The walk starts from a gradient of ones (a scalar loss); to start from
+        another gradient g, call backward on ``sum_all(mul_const(out, g))``.
+        Multiple uses of a tensor sum their contributions.  The walk consumes
+        the tape: each interior node drops its parents and backward closure
+        once its backward has run, so a second backward through any of its
+        nodes raises ``InvalidArgument`` naming the op, before any gradient
+        moves.  A gradient whose dtype differs from its tensor's raises
         ``InvariantViolation`` naming the op whose backward produced it.
 
         The sort counts the tape edges into each leaf.  Once the backward of
@@ -161,12 +161,6 @@ class Tensor:
         """
         if not self.requires_grad:
             raise InvalidArgument("backward() on a tensor that does not require grad")
-        if seed is None:
-            seed = np.ones_like(self.values)
-        else:
-            seed = np.asarray(seed, dtype=self.values.dtype)
-            if seed.shape != self.values.shape:
-                raise InvalidArgument(f"seed shape {seed.shape} != value shape {self.values.shape}")
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -193,7 +187,7 @@ class Tensor:
 
         node = self
         try:
-            _accum(self, seed)
+            _accum(self, np.ones_like(self.values), fresh=True)
             while topo:
                 node = topo.pop()
                 if node._backward is None:
@@ -219,12 +213,12 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``, allocating it on the first contribution.
 
     The first contribution is copied, since it may be a view of another
-    node's gradient (or the caller's seed); ``fresh`` marks an array the
-    backward function just allocated and owns nothing else, which ``t``
-    then takes over as its accumulator without a copy.  A leaf's gradient
-    is C-contiguous, as ``AdamW`` walks it flat, so a leaf copies a fresh
-    array that is not; a node's copy keeps ``g``'s layout.  ``g`` must have
-    ``t``'s dtype; ``Tensor.backward`` names the op when it does not.
+    node's gradient; ``fresh`` marks an array just allocated that nothing
+    else owns, which ``t`` then takes over as its accumulator without a
+    copy.  A leaf's gradient is C-contiguous, as ``AdamW`` walks it flat, so
+    a leaf copies a fresh array that is not; a node's copy keeps ``g``'s
+    layout.  ``g`` must have ``t``'s dtype; ``Tensor.backward`` names the op
+    when it does not.
     """
     if g.dtype != t.values.dtype:
         raise InvariantViolation(f"{g.dtype} gradient for a {t.values.dtype} tensor")
@@ -250,8 +244,6 @@ def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
         if p.values.dtype != values.dtype:
             mix = " and ".join(sorted((p.values.dtype.name, values.dtype.name)))
             raise InvariantViolation(f"op '{op}' mixes {mix} operands")
-    if values.ndim > _MAX_NDIM:
-        raise InvalidArgument(f"op '{op}' produced a {values.ndim}-d tensor (max {_MAX_NDIM})")
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
@@ -300,20 +292,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node("add", values, (a, b), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * s, fresh=True)
-
-    return _node("scale", a.values * s, (a,), backward)
-
-
 def mul_const(a: Tensor, c) -> Tensor:
-    """Elementwise product with a constant array (masks, one-hot rows) of ``a``'s dtype."""
-    c = np.asarray(c)
-    if c.shape != a.values.shape:
-        raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
+    """Elementwise product with a constant: a number, or an array of ``a``'s shape and dtype.
+
+    A number enters as a Python float, so a float32 tensor stays float32.
+    A float64 array (a mask, one-hot rows) on a float32 tensor is a dtype
+    mix, which ``_node`` names.
+    """
+    if np.ndim(c) == 0:
+        c = float(c)
+    else:
+        c = np.asarray(c)
+        if c.shape != a.values.shape:
+            raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
 
     def backward(out: Tensor) -> None:
         _accum(a, out.grad * c, fresh=True)
@@ -607,14 +598,14 @@ def gelu(a: Tensor) -> Tensor:
     return _node("gelu", values, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean, unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalise the last axis to zero mean, unit variance (plus ``_LN_EPS``), then affine."""
     c = x.values.shape[-1]
     if gain.values.shape != (c,) or bias.values.shape != (c,):
         raise InvalidArgument(f"layer_norm gain/bias must have shape ({c},)")
     xhat = x.values - x.values.mean(axis=-1, keepdims=True)
     values = xhat * xhat            # the squares, as ndarray.var forms them
-    inv = 1.0 / np.sqrt(values.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(values.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain.values, out=values)
     values += bias.values
@@ -638,20 +629,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node("layer_norm", values, (x, gain, bias), backward)
 
 
-def l2_normalize_rows(a: Tensor, floor: float = 1e-12) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm; norms below ``floor`` divide by ``floor``."""
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Scale each row (last axis) to unit L2 norm; norms below ``_NORM_FLOOR`` divide by it."""
     if a.values.ndim < 2:
         raise InvalidArgument("l2_normalize_rows expects a (..., rows, C) tensor")
     norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
-    denom = np.maximum(norms, floor)
+    denom = np.maximum(norms, _NORM_FLOOR)
     values = a.values / denom
 
     def backward(out: Tensor) -> None:
         g = out.grad
-        live = norms > floor
+        live = norms > _NORM_FLOOR
         y = out.values
         proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
-        clipped = g / floor
+        clipped = g / _NORM_FLOOR
         _accum(a, np.where(live, proj, clipped), fresh=True)
 
     return _node("l2_normalize_rows", values, (a,), backward)
@@ -742,7 +733,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise InvalidArgument(f"width {c} not divisible by {heads} heads")
     inv_sqrt = 1.0 / math.sqrt(c // heads)
     scores = matmul(_split_heads(q, heads), _split_heads(k, heads, keys=True))
-    attn = softmax_rows(scale(scores, inv_sqrt))
+    attn = softmax_rows(mul_const(scores, inv_sqrt))
     merged = matmul(attn, _split_heads(v, heads))
     if heads > 1:
         merged = _merge_heads(merged)
@@ -769,7 +760,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     onehot[np.arange(r), targets] = 1.0
     lse = sum_all(logsumexp_rows(rows))
     picked = sum_all(mul_const(rows, onehot))
-    return scale(add(lse, scale(picked, -1.0)), 1.0 / r)
+    return mul_const(add(lse, mul_const(picked, -1.0)), 1.0 / r)
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +856,10 @@ class AdamW:
     once it has used it; a parameter no backward reached (``grad`` None) is
     stepped as with a zero gradient, so it still decays.
 
-    ``overrides`` maps a parameter name to its own (lr, weight_decay) pair;
-    everything else uses the shared values.  The dict is consulted live on
-    every step, so a schedule can mutate an entry between steps.
+    ``overrides`` starts empty; an entry maps a parameter name to its own
+    (lr, weight_decay) pair, and every other parameter uses the shared
+    values.  The dict is consulted live on every step, so a schedule can set
+    an entry between steps.
 
     The update streams through memory once and allocates no array: the
     moments ``_m``/``_v`` (kept by name) and the scratch rows are allocated
@@ -883,14 +875,12 @@ class AdamW:
     """
 
     def __init__(self, store: ParamStore, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0,
-                 overrides: dict[str, tuple[float, float]] | None = None):
+                 weight_decay: float = 0.0):
         self.store = store
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.overrides = dict(overrides or {})
+        self.overrides: dict[str, tuple[float, float]] = {}
         self.t = 0
         self._m = {name: np.zeros_like(p.values) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.values) for name, p in store.items()}
@@ -923,7 +913,7 @@ class AdamW:
 
     def _update(self, name: str, p: Tensor, bc1: float, bc2: float) -> None:
         """Step ``p`` from its ``grad`` block by block, then set ``grad`` to None."""
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2 = self.beta1, self.beta2
         g = p.grad
         if not (p.values.flags.c_contiguous and (g is None or g.flags.c_contiguous)):
             raise InvariantViolation(f"parameter '{name}' is not C-contiguous")
@@ -945,7 +935,7 @@ class AdamW:
             mc += np.multiply(gc, 1.0 - b1, out=a)
             vc *= b2                          # v = b2*v + (1-b2)*g*g
             vc += np.multiply(np.multiply(gc, 1.0 - b2, out=a), gc, out=a)
-            np.add(np.sqrt(np.divide(vc, bc2, out=b), out=b), eps, out=b)
+            np.add(np.sqrt(np.divide(vc, bc2, out=b), out=b), _ADAM_EPS, out=b)
             np.divide(np.divide(mc, bc1, out=a), b, out=a)   # (m/bc1) / (sqrt(v/bc2)+eps)
             a += np.multiply(pc, wd, out=b)   # p -= lr*(update + wd*p)
             pc -= np.multiply(a, lr, out=a)

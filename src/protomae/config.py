@@ -117,7 +117,7 @@ class RunConfig:
              and 0 < round_half_up(c.mask_ratio * c.n_patches) < c.n_patches,
              f"mask_ratio must mask 1..n_patches-1 of {c.n_patches} patches, got {c.mask_ratio}"),
             (c.mask_strategy in STRATEGIES,
-             f"mask_strategy must be one of {', '.join(STRATEGIES)}"),
+             f"mask_strategy must be one of {', '.join(STRATEGIES)}, got '{c.mask_strategy}'"),
             (0 <= c.full_mask_components < c.n_prototypes,
              f"full_mask_components must be in [0, n_prototypes), got {c.full_mask_components}"),
             (0 < c.proto_lr_decay <= 1.0, "proto_lr_decay must be in (0, 1]"),

@@ -76,27 +76,20 @@ def classify_baseline(points: np.ndarray, params: Mapping[str, Tensor],
     return _readout([(tb.tokens, tb.pos)], params, cfg)
 
 
-def classify_csep(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig,
-                  prompt_rows: np.ndarray | None = None) -> Tensor:
+def classify_csep(points: np.ndarray, params: Mapping[str, Tensor], cfg: RunConfig) -> Tensor:
     """Logits with refreshed prototypes as prompt rows: t_cls || p_g || f_g.
 
-    The encoder sees [class token || Q prototype rows || patch tokens]; the
-    prototype rows get a zero position embedding.  The pooled encoded
-    prototypes become the middle slice of the 3C readout input.
-
-    ``prompt_rows`` substitutes fixed values for the refreshed prototypes
-    (the readout block-structure check feeds zeros here); normally the
-    prompts come from ``pcsm.refresh``: the prototype bank against this
+    The prompts come from ``pcsm.refresh``: the prototype bank against this
     cloud's own encoded tokens, with the token features treated as constants
-    exactly as during pre-training.
+    exactly as during pre-training.  The encoder sees [class token || Q
+    prototype rows || patch tokens]; the prototype rows get a zero position
+    embedding.  The pooled encoded prototypes become the middle slice of the
+    3C readout input.
     """
     if "pcsm.prototypes" not in params:
         raise ConfigError("prompted classification needs pre-trained prototypes; "
                           "load a pre-training checkpoint first")
     tb = embedding.tokenize(points, params, cfg)
-    if prompt_rows is None:
-        _, p_hat = pcsm.refresh(tb, params, cfg)
-    else:
-        p_hat = Tensor(np.asarray(prompt_rows, dtype=params["cls.token"].values.dtype))
+    _, p_hat = pcsm.refresh(tb, params, cfg)
     zeros = Tensor(np.zeros((p_hat.values.shape[-2], cfg.dim), dtype=p_hat.values.dtype))
     return _readout([(p_hat, zeros), (tb.tokens, tb.pos)], params, cfg)

@@ -35,6 +35,8 @@ from .config import RunConfig
 from .embedding import TokenBatch
 from .errors import InvalidArgument
 
+_KNORM_EPS = 1e-8   # knorm_enhance's standard-deviation offset
+
 
 def init_pcsm_params(store: ad.ParamStore, cfg: RunConfig) -> None:
     c = cfg.dim
@@ -51,8 +53,7 @@ def init_pcsm_params(store: ad.ParamStore, cfg: RunConfig) -> None:
     store.create("pcsm.ppr.b1", (3 * kp,), init="zeros")
 
 
-def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
-                  eps: float = 1e-8) -> np.ndarray:
+def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     """Widen each token's receptive field using its k nearest token peers.
 
     For token i, gather the k tokens whose patch centres are nearest (self
@@ -81,7 +82,8 @@ def knorm_enhance(tokens: np.ndarray, centers: np.ndarray, k: int,
     gathered = flat[np.arange(flat.shape[0])[:, None, None], members]   # (L, G, k, C)
     mu = gathered.mean(axis=-2)
     sd = gathered.std(axis=-2)
-    return (tokens + ((flat - mu) / (sd + eps)).reshape(tokens.shape)).astype(dtype, copy=False)
+    z = ((flat - mu) / (sd + _KNORM_EPS)).reshape(tokens.shape)
+    return (tokens + z).astype(dtype, copy=False)
 
 
 def update_prototypes(prototypes: Tensor, tokens: Tensor) -> Tensor:
@@ -115,7 +117,7 @@ def similarity(tokens_hat: Tensor, prototypes_hat: Tensor) -> tuple[Tensor, np.n
     scales all logits in a row equally, so the assignment is scale invariant.
     """
     c = tokens_hat.values.shape[-1]
-    logits = ad.scale(ad.matmul(tokens_hat, ad.transpose(prototypes_hat)), 1.0 / math.sqrt(c))
+    logits = ad.mul_const(ad.matmul(tokens_hat, ad.transpose(prototypes_hat)), 1.0 / math.sqrt(c))
     s = ad.softmax_rows(logits)
     return s, np.argmax(s.values, axis=-1).astype(np.int64)
 
@@ -140,7 +142,7 @@ def ppr_reconstruct(prototypes_hat: Tensor, pos: Tensor, assignment: np.ndarray,
     h = ad.gelu(ad.linear(f, params["pcsm.ppr.w0"], params["pcsm.ppr.b0"]))
     out = ad.linear(h, params["pcsm.ppr.w1"], params["pcsm.ppr.b1"])
     pred = ad.reshape(out, lead + (g * kp, 3))
-    return ad.scale(ad.chamfer_batch(pred, cloud_points), 1.0 / g)
+    return ad.mul_const(ad.chamfer_batch(pred, cloud_points), 1.0 / g)
 
 
 def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
@@ -159,10 +161,10 @@ def l_cont(prototypes_hat: Tensor, temperature: float) -> Tensor:
     q = prototypes_hat.values.shape[-2]
     banks = prototypes_hat.values.size // (q * prototypes_hat.values.shape[-1])
     pn = ad.l2_normalize_rows(prototypes_hat)
-    d = ad.scale(ad.matmul(pn, ad.transpose(pn)), 1.0 / temperature)
+    d = ad.mul_const(ad.matmul(pn, ad.transpose(pn)), 1.0 / temperature)
     lse = ad.logsumexp_rows(d)
     diagonal = Tensor(np.asarray(-q / temperature, dtype=lse.values.dtype))
-    return ad.add(ad.scale(ad.sum_all(lse), 1.0 / banks), diagonal)
+    return ad.add(ad.mul_const(ad.sum_all(lse), 1.0 / banks), diagonal)
 
 
 def refresh(tb: TokenBatch, params: Mapping[str, Tensor],

@@ -128,8 +128,8 @@ def train_step(store: ad.ParamStore, opt: ad.AdamW, mask_rng: np.random.Generato
     losses = {"l_3d": backbone.reconstruction_loss(tb, vis, msk, store, cfg),
               "l_proto": loss_proto, "l_cont": loss_cont}
     losses["total"] = ad.add(losses["l_3d"],
-                             ad.add(ad.scale(losses["l_proto"], cfg.lambda_proto),
-                                    ad.scale(losses["l_cont"], cfg.lambda_cont)))
+                             ad.add(ad.mul_const(losses["l_proto"], cfg.lambda_proto),
+                                    ad.mul_const(losses["l_cont"], cfg.lambda_cont)))
     opt.step(losses["total"])
     return ({name: float(t.values) for name, t in losses.items()}, masked, selected,
             assignment, tb.member_indices)
@@ -386,11 +386,9 @@ def ablate(cfg: RunConfig, strategies: list[str],
 
     All runs share the initial weights and the data stream; the run aborts if
     the recorded hashes ever differ, because then the comparison would be
-    measuring more than the masking strategy.
+    measuring more than the masking strategy.  Every strategy's config is
+    built, and so validated, before the first pretrain.
     """
-    bad = [s for s in strategies if s not in masking.STRATEGIES]
-    if bad:
-        raise ConfigError(f"unknown masking strategies {bad}; pick from {masking.STRATEGIES}")
     if not strategies:
         raise ConfigError("no masking strategies requested")
     repeated = sorted({s for s in strategies if strategies.count(s) > 1})

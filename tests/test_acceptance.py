@@ -29,7 +29,7 @@ def test_criterion_1_gradient_suite():
     cfg = preset("toy")
     assert cfg.n_patches <= 8 and cfg.dim <= 16 and cfg.n_prototypes <= 4
     t0 = time.monotonic()
-    reports = verification.gradient_suite(cfg, step=1e-5)
+    reports = verification.gradient_suite(cfg)
     wall = time.monotonic() - t0
     assert {r.loss for r in reports} == {"l_3d", "l_proto", "l_cont",
                                          "cross_entropy"}
@@ -153,8 +153,10 @@ def _readout_block_equality_gap():
     from protomae import shapes
     pts, _ = shapes.make_shape("chair", cfg.n_points, seed=5)
     base = heads.classify_baseline(pts, plain, cfg)
-    zeros = np.zeros((cfg.n_prototypes, c))
-    got = heads.classify_csep(pts, prompted, cfg, prompt_rows=zeros)
+    zeros = Tensor(np.zeros((cfg.n_prototypes, c)))
+    with pytest.MonkeyPatch.context() as m:  # the prompted head's rows come from refresh
+        m.setattr(pcsm, "refresh", lambda tb, params, cfg: (None, zeros))
+        got = heads.classify_csep(pts, prompted, cfg)
     return float(np.abs(got.values - base.values).max())
 
 

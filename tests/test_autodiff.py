@@ -192,12 +192,12 @@ def test_l2_normalize_rows_grad_and_floor():
 
 
 def test_mean_reshape_transpose_scale():
-    check_op(lambda t: ad.scale(ad.sum_all(t), 1.0 / 12), (3, 4))
+    check_op(lambda t: ad.mul_const(ad.sum_all(t), 1.0 / 12), (3, 4))
     probe = RNG.normal(size=(12,))
     check_op(lambda t: ad.sum_all(ad.mul_const(ad.reshape(t, (12,)), probe)), (3, 4))
     probe2 = RNG.normal(size=(4, 3))
     check_op(lambda t: ad.sum_all(ad.mul_const(ad.transpose(t), probe2)), (3, 4))
-    check_op(lambda t: ad.scale(ad.sum_all(t), -2.5), (2, 2))
+    check_op(lambda t: ad.mul_const(ad.sum_all(t), -2.5), (2, 2))
 
 
 @pytest.mark.parametrize("op, call", [
@@ -343,7 +343,7 @@ def test_reused_tensor_accumulates_gradient():
 
 def test_interior_node_used_twice_by_add_gets_gradient_two():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    h = ad.scale(x, 1.0)
+    h = ad.mul_const(x, 1.0)
     ad.sum_all(ad.add(h, h)).backward()
     np.testing.assert_array_equal(h.grad, [[2.0, 2.0]])
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
@@ -352,10 +352,10 @@ def test_interior_node_used_twice_by_add_gets_gradient_two():
 @pytest.mark.parametrize("view_first", [True, False])
 def test_two_consumers_passing_a_view_and_a_fresh_array(view_first):
     x = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    h = ad.scale(x, 2.0)
+    h = ad.mul_const(x, 2.0)
     probe = RNG.normal(size=(4, 3))
     via_view = ad.sum_all(ad.mul_const(ad.reshape(h, (4, 3)), probe))  # reshape passes a view
-    via_fresh = ad.sum_all(ad.scale(h, 3.0))                           # scale allocates
+    via_fresh = ad.sum_all(ad.mul_const(h, 3.0))                       # mul_const allocates
     parts = (via_view, via_fresh) if view_first else (via_fresh, via_view)
     ad.add(*parts).backward()
     np.testing.assert_allclose(h.grad, probe.reshape(3, 4) + 3.0, rtol=0, atol=1e-15)
@@ -395,7 +395,7 @@ def test_no_two_gradients_share_memory_after_backward():
 
 def test_second_backward_of_a_consumed_tape_raises():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    loss = ad.sum_all(ad.scale(x, 3.0))
+    loss = ad.sum_all(ad.mul_const(x, 3.0))
     loss.backward()
     with pytest.raises(InvalidArgument, match="op 'sum_all'"):
         loss.backward()
@@ -404,9 +404,9 @@ def test_second_backward_of_a_consumed_tape_raises():
 
 def test_new_loss_on_a_consumed_interior_node_names_its_op():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    h = ad.scale(x, 2.0)
+    h = ad.mul_const(x, 2.0)
     ad.sum_all(h).backward()
-    with pytest.raises(InvalidArgument, match="op 'scale'"):
+    with pytest.raises(InvalidArgument, match="op 'mul_const'"):
         ad.sum_all(ad.relu(h)).backward()
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
     np.testing.assert_array_equal(h.grad, [[1.0, 1.0]])
@@ -438,9 +438,24 @@ def test_detach_blocks_gradient():
     assert not out.requires_grad
 
 
-def test_tensor_ndim_limit():
-    with pytest.raises(InvalidArgument):
-        ad.Tensor(np.zeros((1, 1, 1, 1, 1)))
+def test_ops_take_any_number_of_leading_axes():
+    x = ad.Tensor(RNG.normal(size=(2, 1, 2, 1, 3, 4)), requires_grad=True)
+    w = ad.Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+    h = ad.multi_head_attention(ad.linear(x, w), x, x, heads=2)
+    assert h.values.shape == x.values.shape
+    ad.sum_all(ad.max_over_rows(h)).backward()
+    assert x.grad.shape == x.values.shape and w.grad.shape == (4, 4)
+
+
+def test_mul_const_by_a_number_or_an_array():
+    a = ad.Tensor(RNG.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+    out = ad.mul_const(a, np.float64(1.0 / 3.0))  # a number enters as a Python float
+    assert out.values.dtype == np.float32
+    np.testing.assert_array_equal(out.values, a.values * (1.0 / 3.0))
+    ad.sum_all(out).backward()
+    assert a.grad.dtype == np.float32
+    with pytest.raises(InvalidArgument, match=r"mul_const shape mismatch: \(2, 3\) vs \(3,\)"):
+        ad.mul_const(a, np.ones(3, np.float32))
 
 
 def test_deterministic_forward():
@@ -513,7 +528,7 @@ def test_adamw_hand_trajectory():
     store = ad.ParamStore(seed=0)
     p = store.create("p", (1,), init="zeros")
     p.values[...] = 1.0
-    opt = ad.AdamW(store, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt = ad.AdamW(store, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
 
     val, m, v = 1.0, 0.0, 0.0
     for t in (1, 2):
@@ -560,8 +575,9 @@ def test_unreached_parameter_steps_as_with_a_zero_gradient():
         w = store.create("w", (4, 3))
         u = store.create("u", (5,))
         u.values[:2] = [-0.0, 1e-300]
-        return store, w, u, ad.AdamW(store, lr=1e-2, weight_decay=0.05,
-                                     overrides={"u": (0.2, 0.1)})
+        opt = ad.AdamW(store, lr=1e-2, weight_decay=0.05)
+        opt.overrides["u"] = (0.2, 0.1)
+        return store, w, u, opt
 
     (store, w, u, opt), (twin, tw, tu, twin_opt) = build(), build()
     x = ad.Tensor(np.random.default_rng(3).normal(size=(2, 4)))
@@ -580,8 +596,8 @@ def test_unreached_parameter_steps_as_with_a_zero_gradient():
 
 
 @pytest.mark.parametrize("through", [
-    lambda w: ad.transpose(w),                  # a copied view of the node's gradient
-    lambda w: ad.transpose(ad.scale(w, 1.0)),   # a fresh array in the view's layout
+    lambda w: ad.transpose(w),                      # a copied view of the node's gradient
+    lambda w: ad.transpose(ad.mul_const(w, 1.0)),   # a fresh array in the view's layout
 ])
 def test_leaf_gradient_through_a_transposed_view_is_c_contiguous(through):
     store = ad.ParamStore(seed=0)
@@ -610,7 +626,8 @@ def test_adamw_overrides_split_learning_rates():
     store = ad.ParamStore(seed=0)
     a = store.create("a", (2,), init="ones")
     b = store.create("b", (2,), init="ones")
-    opt = ad.AdamW(store, lr=0.1, overrides={"b": (0.4, 0.25)})
+    opt = ad.AdamW(store, lr=0.1)
+    opt.overrides["b"] = (0.4, 0.25)
     a.grad = np.ones(2)
     b.grad = np.ones(2)
     opt.step()
@@ -624,7 +641,8 @@ def test_adamw_overrides_consulted_live():
     def run(mutate):
         store = ad.ParamStore(seed=3)
         w = store.create("w", (3,))
-        opt = ad.AdamW(store, lr=0.05, overrides={"w": (0.05, 0.0)})
+        opt = ad.AdamW(store, lr=0.05)
+        opt.overrides["w"] = (0.05, 0.0)
         for t in range(4):
             if mutate:
                 opt.overrides["w"] = (0.05 / (t + 1), 0.0)
@@ -637,7 +655,7 @@ def test_adamw_overrides_consulted_live():
     # empty overrides reproduce the shared-hyperparameter trajectory exactly
     store = ad.ParamStore(seed=3)
     w = store.create("w", (3,))
-    opt = ad.AdamW(store, lr=0.05, overrides={})
+    opt = ad.AdamW(store, lr=0.05)
     for _ in range(4):
         w.grad = np.ones(3)
         opt.step()
@@ -660,7 +678,7 @@ class ReferenceAdamW(ad.AdamW):
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ad._ADAM_EPS)
             lr, wd = self.overrides.get(name, (self.lr, self.weight_decay))
             p.values -= lr * (update + wd * p.values)
             p.grad = None
@@ -679,8 +697,9 @@ def test_adamw_blocks_match_whole_array_reference():
         store.create("w", (n,))
         b = store.create("b", (7,), init="zeros")
         b.values[:3] = [-0.0, 1e-300, -2.5]
-        return store, cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05,
-                          overrides={"b": (0.1, 0.0)})
+        opt = cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05)
+        opt.overrides["b"] = (0.1, 0.0)
+        return store, opt
 
     (store, opt), (ref_store, ref) = build(ad.AdamW), build(ReferenceAdamW)
     rng = np.random.default_rng(5)
@@ -710,8 +729,9 @@ def test_float32_adamw_blocks_match_whole_array_reference():
         store.create("w", (n,))
         b = store.create("b", (7,), init="zeros")
         b.values[:3] = [-0.0, 1e-40, -2.5]  # 1e-40 is subnormal in float32
-        return store, cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05,
-                          overrides={"b": (0.1, 0.0)})
+        opt = cls(store, lr=1e-2, betas=(0.8, 0.99), weight_decay=0.05)
+        opt.overrides["b"] = (0.1, 0.0)
+        return store, opt
 
     (store, opt), (ref_store, ref) = build(ad.AdamW), build(ReferenceAdamW)
     rng = np.random.default_rng(5)
@@ -758,9 +778,9 @@ def test_mixing_float32_and_float64_operands_names_the_op(build, op):
 
 def test_float64_gradient_into_a_float32_tensor_names_the_op():
     a = ad.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    out = ad.scale(a, 2.0)
+    out = ad.mul_const(a, 2.0)
     out._backward = lambda node: ad._accum(a, np.ones((2, 2)))
-    with pytest.raises(InvariantViolation, match="backward of op 'scale': float64 gradient"):
+    with pytest.raises(InvariantViolation, match="backward of op 'mul_const': float64 gradient"):
         ad.sum_all(out).backward()
 
 

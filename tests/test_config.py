@@ -120,6 +120,13 @@ def test_unknown_dtype_names_the_key(value):
         RunConfig.from_text(f"preset = toy\ndtype = {value}\n")
 
 
+@pytest.mark.parametrize("value", ["bogus", "CSEM"])
+def test_unknown_mask_strategy_names_the_value(value):
+    with pytest.raises(ConfigError, match=f"^mask_strategy must be one of randm, randbm, csem, "
+                                          f"got '{value}'$"):
+        RunConfig.from_text(f"preset = toy\nmask_strategy = {value}\n")
+
+
 @pytest.mark.parametrize("key", ["seed", "split_seed"])
 @pytest.mark.parametrize("value", ["-1", "-5"])
 def test_negative_seed_is_rejected_naming_the_key(key, value):

@@ -36,6 +36,11 @@ def cloud(seed=0, cfg=None):
     return shapes.make_shape("chair", cfg.n_points, seed=seed)[0]
 
 
+def fix_prompts(monkeypatch, prompts):
+    # the prompted head takes its prompt rows from pcsm.refresh
+    monkeypatch.setattr(pcsm, "refresh", lambda tb, params, cfg: (None, Tensor(prompts)))
+
+
 # ---------------------------------------------------------------------------
 # widths and shapes
 # ---------------------------------------------------------------------------
@@ -122,7 +127,8 @@ def test_single_prototype_pools_to_its_own_row(monkeypatch):
 
     monkeypatch.setattr(heads, "head_logits", spy)
     prompt = np.random.default_rng(3).normal(size=(1, cfg.dim))
-    heads.classify_csep(cloud(), store, cfg, prompt_rows=prompt)
+    fix_prompts(monkeypatch, prompt)
+    heads.classify_csep(cloud(), store, cfg)
     c = cfg.dim
     assert captured["f"].shape == (1, 3 * c)
     assert np.array_equal(captured["f"][0, c:2 * c], prompt[0])
@@ -130,16 +136,18 @@ def test_single_prototype_pools_to_its_own_row(monkeypatch):
     assert np.array_equal(captured["f"][0, :c], store["cls.token"].values[0])
 
 
-def test_prototype_order_does_not_change_logits():
+def test_prototype_order_does_not_change_logits(monkeypatch):
     cfg, store = make_store(csep=True)
     prompts = np.random.default_rng(4).normal(size=(cfg.n_prototypes, cfg.dim))
     pts = cloud()
-    a = heads.classify_csep(pts, store, cfg, prompt_rows=prompts)
-    b = heads.classify_csep(pts, store, cfg, prompt_rows=prompts[::-1].copy())
+    fix_prompts(monkeypatch, prompts)
+    a = heads.classify_csep(pts, store, cfg)
+    fix_prompts(monkeypatch, prompts[::-1].copy())
+    b = heads.classify_csep(pts, store, cfg)
     np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
-def test_zero_prompts_reduce_to_baseline():
+def test_zero_prompts_reduce_to_baseline(monkeypatch):
     # share every weight outside the readout, zero the residual-branch
     # projections so the encoder is an exact identity, and give the prompted
     # readout the plain readout's weights with a zero block on the pooled
@@ -160,9 +168,21 @@ def test_zero_prompts_reduce_to_baseline():
     zero_projections(prompted)
     pts = cloud(seed=5)
     base = heads.classify_baseline(pts, plain, cfg)
-    zeros = np.zeros((cfg.n_prototypes, c))
-    got = heads.classify_csep(pts, prompted, cfg, prompt_rows=zeros)
+    fix_prompts(monkeypatch, np.zeros((cfg.n_prototypes, c)))
+    got = heads.classify_csep(pts, prompted, cfg)
     np.testing.assert_allclose(got.values, base.values, rtol=0, atol=1e-12)
+
+
+def test_csep_logits_read_no_grouping_weight_but_the_bank():
+    # of the grouping branch the prompted head reads only pcsm.prototypes:
+    # the enhancement and reconstruction weights play no part in its logits
+    cfg, store = make_store(csep=True)
+    want = heads.classify_csep(cloud(), store, cfg).values
+    unused = [n for n in store.names() if n.startswith(("pcsm.enhance.", "pcsm.ppr."))]
+    assert unused
+    for name in unused:
+        store[name].values[...] = np.nan
+    assert np.array_equal(heads.classify_csep(cloud(), store, cfg).values, want)
 
 
 # ---------------------------------------------------------------------------

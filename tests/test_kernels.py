@@ -35,15 +35,18 @@ def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def run(op, arrays, seed):
-    """Values of ``op`` on ``arrays`` and the gradient each input receives.
+    """Values of ``op`` on ``arrays`` and the gradient each input receives
+    when the op's output receives ``seed``.
 
+    The seed reaches the output through ``sum_all(mul_const(out, seed))``,
+    whose backward hands it 1.0 * seed: exactly ``seed``, -0 included.
     Every input enters through a ``reshape`` node, so its gradient is the
     op's own output copied once, not added onto a leaf's zeros (which
     would turn a -0 into +0).
     """
     inputs = [ad.reshape(ad.Tensor(a, requires_grad=True), a.shape) for a in arrays]
     out = op(*inputs)
-    out.backward(seed)
+    ad.sum_all(ad.mul_const(out, seed)).backward()
     return out.values, [t.grad for t in inputs]
 
 
@@ -227,8 +230,8 @@ W = RNG.normal(size=(6, 6))
 ROW = RNG.normal(size=(6,))
 EVERY_OP = {
     "add": (lambda a, b: ad.add(a, b), [X3, ROW]),
-    "scale": (lambda a: ad.scale(a, -1.5), [X3]),
     "mul_const": (lambda a: ad.mul_const(a, (X3 * 0.5).astype(a.values.dtype)), [X3]),
+    "mul_const_number": (lambda a: ad.mul_const(a, -1.5), [X3]),
     "matmul": (lambda a, b: ad.matmul(a, b), [X3, W]),
     "linear": (lambda a, b, c: ad.linear(a, b, c), [X3, W, ROW]),
     "transpose": (lambda a: ad.transpose(a, (1, 0, 2)), [X3]),
@@ -256,13 +259,13 @@ EVERY_OP = {
 def test_forward_and_backward_leave_every_operand_unchanged(name, dtype):
     op, arrays = EVERY_OP[name]
     leaves = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-    inputs = [ad.scale(t, 1.0) for t in leaves]  # interior parents
+    inputs = [ad.mul_const(t, 1.0) for t in leaves]  # interior parents
     before = [bits(t.values).copy() for t in leaves + inputs]
     out = op(*inputs)
     out_before = bits(out.values).copy()
     seed = RNG.normal(size=out.values.shape).astype(dtype)
     seed_before = bits(seed).copy()
-    out.backward(seed)
+    ad.sum_all(ad.mul_const(out, seed)).backward()
     for t, b in zip(leaves + inputs, before):
         np.testing.assert_array_equal(bits(t.values), b)
     np.testing.assert_array_equal(bits(out.values), out_before)

@@ -504,8 +504,13 @@ def test_ablate_holds_init_and_data_fixed(tmp_path):
         assert (tmp_path / strat / "checkpoint.bin").exists()
 
 
-def test_ablate_rejects_unknown_strategy():
-    with pytest.raises(ConfigError, match="unknown masking strategies"):
+def test_ablate_rejects_unknown_strategy(monkeypatch):
+    def no_pretrain(*args, **kwargs):
+        raise AssertionError("pretrained before rejecting the strategy list")
+
+    monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+    with pytest.raises(ConfigError, match="mask_strategy must be one of randm, randbm, csem, "
+                                          "got 'bogus'"):
         pipeline.ablate(tiny_cfg(), ["randm", "bogus"])
     with pytest.raises(ConfigError, match="no masking strategies"):
         pipeline.ablate(tiny_cfg(), [])
