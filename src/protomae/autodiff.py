@@ -1,9 +1,15 @@
 """Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 A deliberately small engine: ``Tensor`` wraps a numpy array plus a gradient
-accumulator, every operation records its parents and a backward closure on an
-implicit tape, and ``Tensor.backward()`` walks the tape once in reverse
-topological order.  Every op checks its operands and raises
+accumulator, every operation puts a node on an implicit tape, and
+``Tensor.backward()`` walks the tape once in reverse topological order.  The
+tape holds nodes, not values: an op returns a handle, its values plus a
+link to its node, and the node holds the op name, its parent nodes, its
+backward closure and gradient.  Each closure captures exactly the arrays it
+reads, so an activation lives only while a handle or a closure that saved
+it holds it; one that no backward reads (a residual sum, a projection that
+feeds an add) dies when the forward drops its handle.  Parameters and
+constants are their own nodes.  Every op checks its operands and raises
 ``InvalidArgument`` naming itself, so the layers built on the ops do not
 repeat those checks.  Any op that produces a non-finite value raises
 ``NumericError`` naming the op, so NaNs cannot propagate silently into a
@@ -25,14 +31,15 @@ op per job: ``concat`` joins along an axis counted from the end (-2 rows,
 -1 channels) and broadcasts the axes before it, ``broadcast`` tiles under
 numpy rules, and ``chamfer_batch`` treats every leading entry as one point
 set pair, so a 2-d input is a single pair.  A node stores
-its backward function rather than a closure over itself, so a tape holds no
-reference cycles and reference counting frees it.  ``Tensor.backward``
-consumes the tape it walks: once a node's backward has run, the node drops
-its parents and its backward closure, so the activations, saved state and
-interior gradients that only the tape still references are freed during the
-walk, in reverse order.  Leaves, and any tensor the caller still holds, keep
-their values and gradients, except that ``AdamW.step(loss)`` steps each
-store parameter, and drops its gradient, as soon as the walk has completed it.
+its backward function rather than a closure over itself, and a closure
+reads its parents from the node it is handed, so a tape holds no reference
+cycles and reference counting frees it.  ``Tensor.backward`` consumes the
+tape it walks: once a node's backward has run, the node drops its parents
+and its backward closure, so the saved arrays and interior gradients that
+only the tape still references are freed during the walk, in reverse
+order.  Leaves, and any tensor the caller still holds, keep their values and
+gradients, except that ``AdamW.step(loss)`` steps each store parameter, and
+drops its gradient, as soon as the walk has completed it.
 
 The kernels follow one rule, so a forward pass on frozen weights (no tape)
 pays only for the values it returns:
@@ -53,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -101,35 +109,48 @@ _keep_heap()
 # ---------------------------------------------------------------------------
 
 
-class Tensor:
+class _Node:
+    """A tape entry: op name, parent nodes, backward closure, gradient,
+    ``requires_grad``, and the dtype and shape of the op's values, not the values."""
+
+    __slots__ = ("grad", "requires_grad", "dtype", "shape", "_op", "_parents", "_backward")
+
+
+class Tensor(_Node):
     """A float32 or float64 array with an optional gradient accumulator.
 
-    A float32 array stays float32; anything else becomes float64.  Every
-    tensor, leaf or interior, starts with ``grad`` None and gets its
-    gradient from the first contribution a backward pass makes to it.
+    A float32 array stays float32; anything else becomes float64.  A tensor
+    made here is a leaf (a parameter, an input or a constant), and is its
+    own tape node.  An op returns a handle instead: a ``Tensor`` that holds
+    the op's values and a link to the node the op put on the tape.  A
+    handle's ``grad``, ``requires_grad``, ``_op``, ``_parents`` and
+    ``_backward`` are its node's.  The node holds no values, so an op's
+    values live only while a handle, or a backward closure that saved them,
+    holds them.  Every tensor, leaf or interior, starts with ``grad`` None
+    and gets its gradient from the first contribution a backward pass makes
+    to it.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("values",)
+    _tape_node: _Node | None = None   # a leaf is its own node; a handle links to its op's
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values)
         if arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
         self.values = arr
+        self.dtype = arr.dtype
+        self.shape = arr.shape
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[Tensor], None] | None = None
+        self._parents: tuple[_Node, ...] = ()
+        self._backward: Callable[[_Node], None] | None = None
         self._op = "leaf"
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
 
     def detach(self) -> "Tensor":
         """A constant tensor sharing this tensor's values."""
         out = Tensor.__new__(Tensor)
-        out.values = self.values
+        out.values, out.dtype, out.shape = self.values, self.dtype, self.shape
         out.requires_grad = False
         out.grad = None
         out._parents = ()
@@ -142,11 +163,13 @@ class Tensor:
 
         The walk starts from a gradient of ones (a scalar loss); to start from
         another gradient g, call backward on ``sum_all(mul_const(out, g))``.
-        Multiple uses of a tensor sum their contributions.  The walk consumes
-        the tape: each interior node drops its parents and backward closure
-        once its backward has run, so a second backward through any of its
-        nodes raises ``InvalidArgument`` naming the op, before any gradient
-        moves.  A gradient whose dtype differs from its tensor's raises
+        Multiple uses of a tensor sum their contributions.  The walk goes
+        over tape nodes, which hold no values, so the only activations alive
+        are those a handle or a saving closure holds.  The walk consumes the
+        tape: each interior node drops its parents and backward closure once
+        its backward has run, so a second backward through any of its nodes
+        raises ``InvalidArgument`` naming the op, before any gradient moves.
+        A gradient whose dtype differs from its tensor's raises
         ``InvariantViolation`` naming the op whose backward produced it.
 
         The sort counts the tape edges into each leaf.  Once the backward of
@@ -159,13 +182,14 @@ class Tensor:
         the same tape as the live leaf would break that, and is unsupported.
         A leaf that is ``self`` has no consumer and is never released.
         """
-        if not self.requires_grad:
+        root = self._tape_node or self
+        if not root.requires_grad:
             raise InvalidArgument("backward() on a tensor that does not require grad")
 
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
         uses: dict[int, int] = {}     # id(leaf) -> tape edges into it not yet walked
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -185,9 +209,9 @@ class Tensor:
                     elif id(parent) not in seen:
                         stack.append((parent, False))
 
-        node = self
+        node = root
         try:
-            _accum(self, np.ones_like(self.values), fresh=True)
+            _accum(root, np.ones_like(self.values), fresh=True)
             while topo:
                 node = topo.pop()
                 if node._backward is None:
@@ -206,10 +230,34 @@ class Tensor:
             raise InvariantViolation(f"backward of op '{node._op}': {exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.values.shape}, op={self._op}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+def _set_on_node(name: str) -> Callable[[Tensor, object], None]:
+    def set_(handle: Tensor, value) -> None:
+        setattr(handle._tape_node, name, value)
+    return set_
+
+
+class _Output(Tensor):
+    """An op's output: its values, and a link to the node the op put on the tape.
+
+    The node's attributes read through; ``grad`` and ``_backward`` also
+    write through.  The slots a handle inherits as a leaf go unused.
+    """
+
+    __slots__ = ("_tape_node",)   # shadows the class attribute leaves read
+
+    grad = property(attrgetter("_tape_node.grad"), _set_on_node("grad"))
+    _backward = property(attrgetter("_tape_node._backward"), _set_on_node("_backward"))
+    requires_grad = property(attrgetter("_tape_node.requires_grad"))
+    dtype = property(attrgetter("_tape_node.dtype"))
+    shape = property(attrgetter("_tape_node.shape"))
+    _op = property(attrgetter("_tape_node._op"))
+    _parents = property(attrgetter("_tape_node._parents"))
+
+
+def _accum(t: _Node, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``, allocating it on the first contribution.
 
     The first contribution is copied, since it may be a view of another
@@ -220,8 +268,8 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     layout.  ``g`` must have ``t``'s dtype; ``Tensor.backward`` names the op
     when it does not.
     """
-    if g.dtype != t.values.dtype:
-        raise InvariantViolation(f"{g.dtype} gradient for a {t.values.dtype} tensor")
+    if g.dtype != t.dtype:
+        raise InvariantViolation(f"{g.dtype} gradient for a {t.dtype} tensor")
     if t.grad is None:
         leaf = t._op == "leaf"
         keep = fresh and (g.flags.c_contiguous or not leaf)
@@ -231,32 +279,39 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[Tensor], None] | None) -> Tensor:
-    """Create an interior tape node, checking the dtype and finiteness of its value.
+          backward: Callable[[_Node], None] | None) -> Tensor:
+    """Put an op's node on the tape, checking the dtype and finiteness of its value.
 
-    The value must have every parent's dtype: numpy promotes a float32 and a
-    float64 operand to float64, so a mix shows here as a parent whose dtype
-    differs from the value's.  The node keeps ``backward`` only when it
-    requires grad, so a single-parent op's backward may assume its parent does.
+    Returns the handle.  The value must have every parent's dtype: numpy
+    promotes a float32 and a float64 operand to float64, so a mix shows here
+    as a parent whose dtype differs from the value's.  The node keeps
+    ``backward`` and its parents' nodes only when it requires grad, so a
+    single-parent op's backward may assume its parent does.  ``backward``
+    gets the node, and reads the parents from its ``_parents``.
     """
     values = np.asarray(values)
+    parents = tuple([p._tape_node or p for p in parents])
     for p in parents:
-        if p.values.dtype != values.dtype:
-            mix = " and ".join(sorted((p.values.dtype.name, values.dtype.name)))
+        if p.dtype != values.dtype:
+            mix = " and ".join(sorted((p.dtype.name, values.dtype.name)))
             raise InvariantViolation(f"op '{op}' mixes {mix} operands")
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite values produced by op '{op}'")
-    out = Tensor.__new__(Tensor)
-    out.values = values
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out.grad = None
-    out._op = op
-    if out.requires_grad and backward is not None:
-        out._parents = tuple(parents)
-        out._backward = backward
+    node = _Node()
+    node.dtype = values.dtype
+    node.shape = values.shape
+    node.requires_grad = any(p.requires_grad for p in parents)
+    node.grad = None
+    node._op = op
+    if node.requires_grad and backward is not None:
+        node._parents = parents
+        node._backward = backward
     else:
-        out._parents = ()
-        out._backward = None
+        node._parents = ()
+        node._backward = None
+    out = _Output.__new__(_Output)
+    out.values = values
+    out._tape_node = node
     return out
 
 
@@ -283,11 +338,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise InvalidArgument(
             f"add cannot broadcast {a.values.shape} and {b.values.shape}") from None
 
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            _accum(a, _sum_to_shape(out.grad, a.values.shape))
-        if b.requires_grad:
-            _accum(b, _sum_to_shape(out.grad, b.values.shape))
+    def backward(out: _Node) -> None:
+        for p in out._parents:
+            if p.requires_grad:
+                _accum(p, _sum_to_shape(out.grad, p.shape))
 
     return _node("add", values, (a, b), backward)
 
@@ -296,8 +350,8 @@ def mul_const(a: Tensor, c) -> Tensor:
     """Elementwise product with a constant: a number, or an array of ``a``'s shape and dtype.
 
     A number enters as a Python float, so a float32 tensor stays float32.
-    A float64 array (a mask, one-hot rows) on a float32 tensor is a dtype
-    mix, which ``_node`` names.
+    An array of the other float dtype (a mask, one-hot rows) is a dtype
+    mix, named like any other.
     """
     if np.ndim(c) == 0:
         c = float(c)
@@ -305,9 +359,12 @@ def mul_const(a: Tensor, c) -> Tensor:
         c = np.asarray(c)
         if c.shape != a.values.shape:
             raise InvalidArgument(f"mul_const shape mismatch: {a.values.shape} vs {c.shape}")
+        if c.dtype != a.values.dtype:
+            mix = " and ".join(sorted((a.values.dtype.name, c.dtype.name)))
+            raise InvariantViolation(f"op 'mul_const' mixes {mix} operands")
 
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * c, fresh=True)
+    def backward(out: _Node) -> None:
+        _accum(out._parents[0], out.grad * c, fresh=True)
 
     return _node("mul_const", a.values * c, (a,), backward)
 
@@ -334,7 +391,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise InvalidArgument(f"matmul batch axes differ: {av.shape} @ {bv.shape}") from None
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
+        a, b = out._parents
         g = out.grad
         if a.requires_grad:
             _accum(a, _sum_to_shape(g @ np.swapaxes(bv, -1, -2), av.shape), fresh=True)
@@ -365,10 +423,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         parents = (x, weight, bias)
         values += bias.values
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
+        x, weight, *bias = out._parents
         g = out.grad
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _sum_to_shape(g, bias.values.shape), fresh=True)
+        if bias and bias[0].requires_grad:
+            _accum(bias[0], _sum_to_shape(g, wv.shape[1:]), fresh=True)
         if x.requires_grad:
             _accum(x, _flat_matmul(g, wv.T), fresh=True)
         if weight.requires_grad:
@@ -389,8 +448,8 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         raise InvalidArgument(f"transpose axes {tuple(axes)} are not a permutation of {nd} axes")
     inverse = tuple(np.argsort(axes))
 
-    def backward(out: Tensor) -> None:
-        _accum(a, np.transpose(out.grad, inverse))
+    def backward(out: _Node) -> None:
+        _accum(out._parents[0], np.transpose(out.grad, inverse))
 
     return _node("transpose", np.transpose(a.values, axes), (a,), backward)
 
@@ -402,8 +461,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise InvalidArgument(f"cannot reshape {old} into {shape}") from None
 
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad.reshape(old))
+    def backward(out: _Node) -> None:
+        _accum(out._parents[0], out.grad.reshape(old))
 
     return _node("reshape", values, (a,), backward)
 
@@ -432,12 +491,12 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                               f"{[p.values.shape for p in parts]}") from None
     trailing = (slice(None),) * (-axis - 1)
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
         offset = 0
-        for p, n in zip(parts, counts):
+        for p, n in zip(out._parents, counts):
             if p.requires_grad:
                 g = out.grad[(Ellipsis, slice(offset, offset + n)) + trailing]
-                _accum(p, _sum_to_shape(g, p.values.shape))
+                _accum(p, _sum_to_shape(g, p.shape))
             offset += n
 
     return _node("concat", values, parts, backward)
@@ -451,8 +510,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= n):
         raise InvalidArgument(f"slice_rows[{start}:{stop}] out of range for {n} rows")
 
-    def backward(out: Tensor) -> None:
-        g = np.zeros_like(a.values)
+    def backward(out: _Node) -> None:
+        a = out._parents[0]
+        g = np.zeros(a.shape, a.dtype)
         g[..., start:stop, :] = out.grad
         _accum(a, g, fresh=True)
 
@@ -478,12 +538,13 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.broadcast_to(idx, lead + idx.shape[-1:])
     values = np.take_along_axis(a.values, idx[..., None], axis=-2)
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
+        a = out._parents[0]
         entries = int(np.prod(lead, dtype=np.int64))
         flat = (np.arange(entries)[:, None] * n + idx.reshape(entries, -1)).reshape(-1)
         g = np.zeros((entries * n, c), dtype=out.grad.dtype)
         np.add.at(g, flat, out.grad.reshape(-1, c))
-        _accum(a, g.reshape(a.values.shape), fresh=True)
+        _accum(a, g.reshape(a.shape), fresh=True)
 
     return _node("gather_rows", values, (a,), backward)
 
@@ -495,49 +556,53 @@ def broadcast(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise InvalidArgument(f"cannot broadcast {a.values.shape} to {shape}") from None
 
-    def backward(out: Tensor) -> None:
-        _accum(a, _sum_to_shape(out.grad, a.values.shape))
+    def backward(out: _Node) -> None:
+        a = out._parents[0]
+        _accum(a, _sum_to_shape(out.grad, a.shape))
 
     return _node("broadcast", values, (a,), backward)
 
 
 def max_over_rows(a: Tensor) -> Tensor:
     """Max-reduce the second-to-last axis; gradient goes to the first argmax."""
-    if a.values.ndim < 2:
+    av = a.values
+    if av.ndim < 2:
         raise InvalidArgument("max_over_rows needs at least 2 dimensions")
+    values = av.max(axis=-2)
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
         # the first row equal to the max is the first argmax; a boolean
         # argmax is several times faster than a float one
-        idx = np.argmax(a.values == np.expand_dims(out.values, -2), axis=-2)
-        g = np.zeros_like(a.values)
+        idx = np.argmax(av == np.expand_dims(values, -2), axis=-2)
+        g = np.zeros_like(av)
         np.put_along_axis(g, np.expand_dims(idx, -2), np.expand_dims(out.grad, -2), axis=-2)
-        _accum(a, g, fresh=True)
+        _accum(out._parents[0], g, fresh=True)
 
-    return _node("max_over_rows", a.values.max(axis=-2), (a,), backward)
+    return _node("max_over_rows", values, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def backward(out: Tensor) -> None:
-        _accum(a, np.full_like(a.values, out.grad), fresh=True)
+    def backward(out: _Node) -> None:
+        a = out._parents[0]
+        _accum(a, np.full(a.shape, out.grad, a.dtype), fresh=True)
 
     return _node("sum_all", np.sum(a.values), (a,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis with row-max subtraction."""
-    e = a.values - a.values.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    y = a.values - a.values.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
-    def backward(out: Tensor) -> None:
-        y, g = out.values, out.grad
+    def backward(out: _Node) -> None:
+        g = out.grad
         ga = g * y                                # y * (g - sum(g * y))
         np.subtract(g, ga.sum(axis=-1, keepdims=True), out=ga)
         ga *= y
-        _accum(a, ga, fresh=True)
+        _accum(out._parents[0], ga, fresh=True)
 
-    return _node("softmax_rows", e, (a,), backward)
+    return _node("softmax_rows", y, (a,), backward)
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -547,21 +612,22 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     s = e.sum(axis=-1, keepdims=True)
     values = (m + np.log(s)).squeeze(-1)
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
         ga = e / s
         ga *= np.expand_dims(out.grad, -1)
-        _accum(a, ga, fresh=True)
+        _accum(out._parents[0], ga, fresh=True)
 
     return _node("logsumexp_rows", values, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0), with +0 for every x <= 0; the gradient flows where x > 0."""
+    values = np.maximum(a.values, 0.0)
 
-    def backward(out: Tensor) -> None:
-        _accum(a, out.grad * (out.values > 0), fresh=True)
+    def backward(out: _Node) -> None:
+        _accum(out._parents[0], out.grad * (values > 0), fresh=True)
 
-    return _node("relu", np.maximum(a.values, 0.0), (a,), backward)
+    return _node("relu", values, (a,), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -580,7 +646,7 @@ def gelu(a: Tensor) -> Tensor:
     values = x * 0.5                # 0.5 * x * (1 + t)
     values *= t + 1.0
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
         d_inner = x * x         # C * (1 + 3A * x^2)
         d_inner *= 3.0 * _GELU_A
         d_inner += 1.0
@@ -593,7 +659,7 @@ def gelu(a: Tensor) -> Tensor:
         local *= 0.5
         local += slope
         local *= out.grad
-        _accum(a, local, fresh=True)
+        _accum(out._parents[0], local, fresh=True)
 
     return _node("gelu", values, (a,), backward)
 
@@ -603,14 +669,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = x.values.shape[-1]
     if gain.values.shape != (c,) or bias.values.shape != (c,):
         raise InvalidArgument(f"layer_norm gain/bias must have shape ({c},)")
+    gv = gain.values
     xhat = x.values - x.values.mean(axis=-1, keepdims=True)
     values = xhat * xhat            # the squares, as ndarray.var forms them
     inv = 1.0 / np.sqrt(values.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv
-    np.multiply(xhat, gain.values, out=values)
+    np.multiply(xhat, gv, out=values)
     values += bias.values
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
+        x, gain, bias = out._parents
         g = out.grad
         tmp = g * xhat
         if gain.requires_grad:
@@ -618,7 +686,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, c).sum(axis=0), fresh=True)
         if x.requires_grad:
-            gx = g * gain.values    # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
+            gx = g * gv             # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
             np.multiply(gx, xhat, out=tmp)
             mean_gx_xhat = tmp.mean(axis=-1, keepdims=True)
             gx -= gx.mean(axis=-1, keepdims=True)
@@ -635,17 +703,16 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         raise InvalidArgument("l2_normalize_rows expects a (..., rows, C) tensor")
     norms = np.linalg.norm(a.values, axis=-1, keepdims=True)
     denom = np.maximum(norms, _NORM_FLOOR)
-    values = a.values / denom
+    y = a.values / denom
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
         g = out.grad
         live = norms > _NORM_FLOOR
-        y = out.values
         proj = (g - y * (y * g).sum(axis=-1, keepdims=True)) / denom
         clipped = g / _NORM_FLOOR
-        _accum(a, np.where(live, proj, clipped), fresh=True)
+        _accum(out._parents[0], np.where(live, proj, clipped), fresh=True)
 
-    return _node("l2_normalize_rows", values, (a,), backward)
+    return _node("l2_normalize_rows", y, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +750,10 @@ def chamfer_batch(pred: Tensor, target: np.ndarray) -> Tensor:
     t3 = tgt.reshape((-1,) + tgt.shape[-2:])
     per_pair, ia, ib = chamfer_nearest(p3, t3)
 
-    def backward(out: Tensor) -> None:
+    def backward(out: _Node) -> None:
+        pred = out._parents[0]
         g = float(out.grad) / p3.shape[0]
-        _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pv.shape), fresh=True)
+        _accum(pred, (g * _chamfer_grad(p3, t3, ia, ib)).reshape(pred.shape), fresh=True)
 
     return _node("chamfer_batch", per_pair.mean(), (pred,), backward)
 

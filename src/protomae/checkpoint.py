@@ -19,9 +19,10 @@ from its float64 array, so a save of a float64 store builds no copy of the
 model in memory.  A float32 store is widened one tensor at a time.  The file
 stays float64 whatever the compute dtype: widening is exact, so a float32
 store saves and loads back bit for bit, and its dtype travels in the config
-text (``dtype = float32``).  ``load`` keeps each tensor a read-only view of
-the one buffer it reads the file into, and rejects a tensor holding a NaN
-or an infinity as corrupt.  Loading (``load_into``) needs every
+text (``dtype = float32``).  ``load`` reads each tensor into a read-only
+array of its own, after checking its length against the file size, so no
+buffer the size of the file is ever held; it rejects a tensor holding a
+NaN or an infinity as corrupt.  Loading (``load_into``) needs every
 tensor of the receiving store, shape included, casts into the store's dtype
 and ignores the rest, so a run builds the store it trains or reads and
 creates anything fresh (a classification head) after loading.
@@ -106,18 +107,35 @@ def save(path: str | Path, store: ad.ParamStore, cfg: RunConfig,
 
 
 class _Reader:
-    def __init__(self, data: memoryview, path: Path):
-        self.data = data
+    """Reads a checkpoint field by field.
+
+    Each read checks its length against the file size before it allocates,
+    so a corrupt length is a truncation error, never a ``MemoryError``.
+    """
+
+    def __init__(self, fh, size: int, path: Path):
+        self.fh = fh
+        self.size = size
         self.off = 0
         self.path = path
 
-    def take(self, n: int) -> memoryview:
-        if self.off + n > len(self.data):
-            raise ConfigError(f"truncated checkpoint {self.path} "
-                              f"(wanted {n} bytes at offset {self.off})")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
+    def _read(self, n: int, alloc):
+        if self.off + n <= self.size:
+            buf = alloc(n)
+            if self.fh.readinto(buf) == n:
+                self.off += n
+                return buf
+        raise ConfigError(f"truncated checkpoint {self.path} "
+                          f"(wanted {n} bytes at offset {self.off})")
+
+    def take(self, n: int) -> bytearray:
+        return self._read(n, bytearray)
+
+    def floats(self, count: int) -> np.ndarray:
+        """``count`` little-endian float64 values, in a read-only array of their own."""
+        arr = self._read(count * 8, lambda n: np.empty(count, dtype="<f8"))
+        arr.flags.writeable = False
+        return arr
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -136,10 +154,14 @@ class _Reader:
 def load(path: str | Path) -> Checkpoint:
     path = Path(path)
     try:
-        data = memoryview(path.read_bytes())
+        with open(path, "rb") as fh:
+            return _parse(_Reader(fh, os.fstat(fh.fileno()).st_size, path))
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
-    r = _Reader(data, path)
+
+
+def _parse(r: _Reader) -> Checkpoint:
+    path = r.path
     if r.take(4) != MAGIC:
         raise ConfigError(f"{path} is not a checkpoint (bad magic)")
     version = r.u32()
@@ -155,9 +177,9 @@ def load(path: str | Path) -> Checkpoint:
         name = r.text(r.u32(), "tensor name")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        payload = r.take(math.prod(shape) * 8)
+        flat = r.floats(math.prod(shape))
         try:
-            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+            arr = flat.reshape(shape)
         except ValueError as exc:
             raise ConfigError(f"{path}: tensor '{name}' has a bad shape: {exc}") from None
         if name in tensors:
@@ -165,8 +187,8 @@ def load(path: str | Path) -> Checkpoint:
         if not np.isfinite(arr).all():
             raise ConfigError(f"{path}: tensor '{name}' holds non-finite values")
         tensors[name] = arr
-    if r.off != len(data):
-        raise ConfigError(f"{path}: {len(data) - r.off} trailing bytes")
+    if r.off != r.size:
+        raise ConfigError(f"{path}: {r.size - r.off} trailing bytes")
     return Checkpoint(version=version, config_text=config_text,
                       rng_state=rng_state, tensors=tensors, path=path)
 

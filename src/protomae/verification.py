@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone, embedding, geometry, heads, pcsm, pipeline, shapes
 from .autodiff import Tensor
-from .config import RunConfig, preset
+from .config import RunConfig
 from .masking import csem_mask
 
 
@@ -75,7 +75,7 @@ class OracleReport:
         return self.mismatches == 0
 
 
-def oracle_suite(instances: int = 200) -> list[OracleReport]:
+def oracle_suite(instances: int) -> list[OracleReport]:
     """Compare fps/knn/chamfer against independent brute-force versions.
 
     Index-valued results must agree exactly: fps picks, knn members and
@@ -196,8 +196,8 @@ def _check_loss(store: ad.ParamStore, loss_fn, names: list[str],
     return probes, skipped, worst, worst_name
 
 
-def gradient_suite(cfg: RunConfig | None = None) -> list[GradReport]:
-    """Finite-difference checks for all four losses, on the toy preset by default.
+def gradient_suite(cfg: RunConfig) -> list[GradReport]:
+    """Finite-difference checks for all four losses, at ``cfg``'s sizes.
 
     The suite always runs in float64, whatever ``cfg.dtype`` says: its 1e-4
     bound is a double-precision bound.
@@ -209,7 +209,7 @@ def gradient_suite(cfg: RunConfig | None = None) -> list[GradReport]:
     fixed, exactly as the training tape does: features cross the
     stop-gradient boundary as constants and the argmax is index data.
     """
-    cfg = replace(cfg or preset("toy"), dtype="float64")
+    cfg = replace(cfg, dtype="float64")
     rng = np.random.default_rng(0)
     kinds = cfg.kinds()
     store = pipeline.init_model(cfg, decoder=True, pcsm_branch=True)

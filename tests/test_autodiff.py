@@ -425,6 +425,34 @@ def test_backward_frees_the_tape_it_walks():
     assert w.grad is not None and np.any(w.grad != 0.0)
 
 
+def test_an_activation_no_backward_reads_dies_with_its_handle():
+    # a residual add feeding relu and layer_norm, which save their own arrays
+    x0, w0 = RNG.normal(size=(2, 5, 4)), RNG.normal(size=(4, 4))
+    gain0, bias0 = RNG.normal(size=4) + 1.0, RNG.normal(size=4)
+
+    def run(hold):
+        x, w, gain, bias = (ad.Tensor(v.copy(), requires_grad=True)
+                            for v in (x0, w0, gain0, bias0))
+        lin = ad.linear(x, w)
+        h = ad.add(x, lin)
+        r, n = ad.relu(h), ad.layer_norm(h, gain, bias)
+        loss = ad.sum_all(ad.add(r, n))
+        alive = weakref.ref(h.values)
+        handles = [lin, h, r, n]
+        del lin, h, r, n
+        if not hold:
+            handles.clear()
+        freed = alive() is None
+        loss.backward()
+        return freed, [t.grad for t in (x, w, gain, bias)]
+
+    freed, grads = run(hold=False)
+    freed_while_held, reference = run(hold=True)
+    assert freed and not freed_while_held
+    for got, want in zip(grads, reference):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_non_finite_forward_raises_with_op_name():
     big = ad.Tensor(np.array([[1e308]]))
     with np.errstate(over="ignore"):
@@ -768,6 +796,7 @@ def test_adamw_parameter_of_another_dtype_is_invariant_violation():
     (lambda a, b: ad.concat([a, b], axis=-1), "concat"),
     (lambda a, b: ad.mul_const(a, b.values), "mul_const"),
     (lambda a, b: ad.linear(a, a, ad.Tensor(b.values[0])), "linear"),
+    (lambda a, b: ad.mul_const(b, a.values), "mul_const"),
 ])
 def test_mixing_float32_and_float64_operands_names_the_op(build, op):
     a = ad.Tensor(RNG.normal(size=(3, 3)).astype(np.float32), requires_grad=True)

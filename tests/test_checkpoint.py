@@ -135,6 +135,20 @@ def test_float32_store_round_trips_exactly(tmp_path):
     assert pipeline.params_hash(widened) == pipeline.params_hash(store)
 
 
+def test_loaded_tensors_are_read_only_arrays_of_their_own(tmp_path):
+    cfg, store = make_store()
+    path = tmp_path / "ck.bin"
+    checkpoint.save(path, store, cfg, np.random.default_rng(0))
+    tensors = list(checkpoint.load(path).tensors.values())
+    for arr in tensors:
+        assert not arr.flags.writeable
+        base = arr if arr.base is None else arr.base   # the flat array reshaped
+        assert base.flags.owndata and base.nbytes == arr.nbytes
+    for i, a in enumerate(tensors):
+        for b in tensors[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 # ----------------------------------------------------------- load_into
 
 def test_mismatched_width_names_first_offending_tensor(tmp_path):
@@ -202,6 +216,13 @@ def test_truncated_file_is_reported(tmp_path):
     with pytest.raises(ConfigError, match="truncated"):
         checkpoint.load(path)
     path.write_bytes(blob[:2])
+    with pytest.raises(ConfigError, match="truncated"):
+        checkpoint.load(path)
+    # a shape asking for more bytes than the file holds, checked before allocating
+    ndim_at = blob.index(b"dec.mask_token") + len(b"dec.mask_token")
+    ndim = struct.unpack_from("<I", blob, ndim_at)[0]
+    path.write_bytes(blob[:ndim_at + 4] + struct.pack("<Q", 2 ** 40) * ndim
+                     + blob[ndim_at + 4 + 8 * ndim:])
     with pytest.raises(ConfigError, match="truncated"):
         checkpoint.load(path)
 

@@ -270,3 +270,23 @@ def test_forward_and_backward_leave_every_operand_unchanged(name, dtype):
         np.testing.assert_array_equal(bits(t.values), b)
     np.testing.assert_array_equal(bits(out.values), out_before)
     np.testing.assert_array_equal(bits(seed), seed_before)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_OP))
+def test_no_backward_closure_holds_a_tensor(name):
+    # a closure reads its parents from its node and captures only arrays, so
+    # an activation it does not read dies with the forward's handle
+    op, arrays = EVERY_OP[name]
+    inputs = [ad.mul_const(ad.Tensor(a, requires_grad=True), 1.0) for a in arrays]
+    stack, seen = [op(*inputs)], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        cells = node._backward.__closure__ if node._backward else None
+        for cell in cells or ():
+            held = cell.cell_contents
+            for x in held if isinstance(held, (list, tuple)) else (held,):
+                assert not isinstance(x, ad.Tensor), (node._op, x)
