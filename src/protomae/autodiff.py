@@ -1,15 +1,15 @@
 """Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
-A deliberately small engine: ``Tensor`` wraps a numpy array plus a gradient
-accumulator, every operation puts a node on an implicit tape, and
+A deliberately small engine: a ``Tensor`` is a numpy array plus its tape
+node, every operation puts a node on an implicit tape, and
 ``Tensor.backward()`` walks the tape once in reverse topological order.  The
-tape holds nodes, not values: an op returns a handle, its values plus a
-link to its node, and the node holds the op name, its parent nodes, its
-backward closure and gradient.  Each closure captures exactly the arrays it
-reads, so an activation lives only while a handle or a closure that saved
-it holds it; one that no backward reads (a residual sum, a projection that
-feeds an add) dies when the forward drops its handle.  Parameters and
-constants are their own nodes.  Every op checks its operands and raises
+tape holds nodes, not values: an op returns a tensor over its values and
+its node, and the node holds the op name, its parent nodes, its backward
+closure and gradient.  Each closure captures exactly the arrays it reads,
+so an activation lives only while a tensor or a closure that saved it
+holds it; one that no backward reads (a residual sum, a projection that
+feeds an add) dies when the forward drops its tensor.  Parameters and
+constants have leaf nodes.  Every op checks its operands and raises
 ``InvalidArgument`` naming itself, so the layers built on the ops do not
 repeat those checks.  Any op that produces a non-finite value raises
 ``NumericError`` naming the op, so NaNs cannot propagate silently into a
@@ -60,7 +60,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -73,6 +72,7 @@ DTYPES = ("float32", "float64")
 _LN_EPS = 1e-5        # layer_norm's variance offset
 _NORM_FLOOR = 1e-12   # l2_normalize_rows' smallest divisor
 _ADAM_EPS = 1e-8      # AdamW's denominator offset
+_INIT_STD = 0.02      # truncated_normal's standard deviation
 
 
 def _keep_heap() -> None:
@@ -115,57 +115,65 @@ class _Node:
 
     __slots__ = ("grad", "requires_grad", "dtype", "shape", "_op", "_parents", "_backward")
 
+    def __init__(self, op: str, values: np.ndarray, requires_grad: bool,
+                 parents: tuple[_Node, ...] = (), backward: Callable[[_Node], None] | None = None):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.dtype = values.dtype
+        self.shape = values.shape
+        self._op = op
+        self._parents = parents
+        self._backward = backward
 
-class Tensor(_Node):
-    """A float32 or float64 array with an optional gradient accumulator.
+
+class Tensor:
+    """A float32 or float64 array and the tape node that backward walks.
 
     A float32 array stays float32; anything else becomes float64.  A tensor
-    made here is a leaf (a parameter, an input or a constant), and is its
-    own tape node.  An op returns a handle instead: a ``Tensor`` that holds
-    the op's values and a link to the node the op put on the tape.  A
-    handle's ``grad``, ``requires_grad``, ``_op``, ``_parents`` and
-    ``_backward`` are its node's.  The node holds no values, so an op's
-    values live only while a handle, or a backward closure that saved them,
-    holds them.  Every tensor, leaf or interior, starts with ``grad`` None
-    and gets its gradient from the first contribution a backward pass makes
-    to it.
+    made here is a leaf (a parameter, an input or a constant) with a node of
+    op ``"leaf"``; an op returns a tensor over its values and the node it
+    put on the tape.  The node holds no values, so an op's values live only
+    while a tensor, or a backward closure that saved them, holds them.
+    ``grad`` is the node's, and starts None until the first contribution a
+    backward pass makes to it.
     """
 
-    __slots__ = ("values",)
-    _tape_node: _Node | None = None   # a leaf is its own node; a handle links to its op's
+    __slots__ = ("values", "node")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values)
         if arr.dtype != np.float32:
             arr = arr.astype(np.float64, copy=False)
         self.values = arr
-        self.dtype = arr.dtype
-        self.shape = arr.shape
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents: tuple[_Node, ...] = ()
-        self._backward: Callable[[_Node], None] | None = None
-        self._op = "leaf"
+        self.node = _Node("leaf", arr, bool(requires_grad))
 
-    def detach(self) -> "Tensor":
-        """A constant tensor sharing this tensor's values."""
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    def detach(self) -> Tensor:
+        """A constant tensor over this tensor's values, neither copied nor recast."""
         out = Tensor.__new__(Tensor)
-        out.values, out.dtype, out.shape = self.values, self.dtype, self.shape
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._op = "detach"
+        out.values = self.values
+        out.node = _Node("leaf", self.values, False)
         return out
 
-    def backward(self, release: Callable[[Tensor], None] | None = None) -> None:
+    def backward(self, release: Callable[[_Node], None] | None = None) -> None:
         """Accumulate gradients of this tensor into every reachable parent.
 
         The walk starts from a gradient of ones (a scalar loss); to start from
         another gradient g, call backward on ``sum_all(mul_const(out, g))``.
         Multiple uses of a tensor sum their contributions.  The walk goes
         over tape nodes, which hold no values, so the only activations alive
-        are those a handle or a saving closure holds.  The walk consumes the
+        are those a tensor or a saving closure holds.  The walk consumes the
         tape: each interior node drops its parents and backward closure once
         its backward has run, so a second backward through any of its nodes
         raises ``InvalidArgument`` naming the op, before any gradient moves.
@@ -174,21 +182,21 @@ class Tensor(_Node):
 
         The sort counts the tape edges into each leaf.  Once the backward of
         a leaf's last consumer has run its gradient is complete, and the walk
-        passes the leaf to ``release`` (``AdamW.step`` steps it there and
-        drops its gradient).  Every closure that reads a leaf's values belongs
-        to one of its consumers or to a descendant of one, and reverse
+        passes the leaf's node to ``release`` (``AdamW.step`` steps it there
+        and drops its gradient).  Every closure that reads a leaf's values
+        belongs to one of its consumers or to a descendant of one, and reverse
         topological order runs those first, so a leaf may be updated in place
         from then on.  A constant view of a leaf (``detach``, ``frozen``) on
         the same tape as the live leaf would break that, and is unsupported.
         A leaf that is ``self`` has no consumer and is never released.
         """
-        root = self._tape_node or self
+        root = self.node
         if not root.requires_grad:
             raise InvalidArgument("backward() on a tensor that does not require grad")
 
         topo: list[_Node] = []
         seen: set[int] = set()
-        uses: dict[int, int] = {}     # id(leaf) -> tape edges into it not yet walked
+        uses: dict[int, int] = {}     # id(leaf node) -> tape edges into it not yet walked
         stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
@@ -229,33 +237,6 @@ class Tensor(_Node):
         except InvariantViolation as exc:
             raise InvariantViolation(f"backward of op '{node._op}': {exc}") from None
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
-
-
-def _set_on_node(name: str) -> Callable[[Tensor, object], None]:
-    def set_(handle: Tensor, value) -> None:
-        setattr(handle._tape_node, name, value)
-    return set_
-
-
-class _Output(Tensor):
-    """An op's output: its values, and a link to the node the op put on the tape.
-
-    The node's attributes read through; ``grad`` and ``_backward`` also
-    write through.  The slots a handle inherits as a leaf go unused.
-    """
-
-    __slots__ = ("_tape_node",)   # shadows the class attribute leaves read
-
-    grad = property(attrgetter("_tape_node.grad"), _set_on_node("grad"))
-    _backward = property(attrgetter("_tape_node._backward"), _set_on_node("_backward"))
-    requires_grad = property(attrgetter("_tape_node.requires_grad"))
-    dtype = property(attrgetter("_tape_node.dtype"))
-    shape = property(attrgetter("_tape_node.shape"))
-    _op = property(attrgetter("_tape_node._op"))
-    _parents = property(attrgetter("_tape_node._parents"))
-
 
 def _accum(t: _Node, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``, allocating it on the first contribution.
@@ -279,10 +260,10 @@ def _accum(t: _Node, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[_Node], None] | None) -> Tensor:
+          backward: Callable[[_Node], None]) -> Tensor:
     """Put an op's node on the tape, checking the dtype and finiteness of its value.
 
-    Returns the handle.  The value must have every parent's dtype: numpy
+    Returns the tensor.  The value must have every parent's dtype: numpy
     promotes a float32 and a float64 operand to float64, so a mix shows here
     as a parent whose dtype differs from the value's.  The node keeps
     ``backward`` and its parents' nodes only when it requires grad, so a
@@ -290,28 +271,17 @@ def _node(op: str, values: np.ndarray, parents: Sequence[Tensor],
     gets the node, and reads the parents from its ``_parents``.
     """
     values = np.asarray(values)
-    parents = tuple([p._tape_node or p for p in parents])
+    parents = tuple([p.node for p in parents])
     for p in parents:
         if p.dtype != values.dtype:
             mix = " and ".join(sorted((p.dtype.name, values.dtype.name)))
             raise InvariantViolation(f"op '{op}' mixes {mix} operands")
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite values produced by op '{op}'")
-    node = _Node()
-    node.dtype = values.dtype
-    node.shape = values.shape
-    node.requires_grad = any(p.requires_grad for p in parents)
-    node.grad = None
-    node._op = op
-    if node.requires_grad and backward is not None:
-        node._parents = parents
-        node._backward = backward
-    else:
-        node._parents = ()
-        node._backward = None
-    out = _Output.__new__(_Output)
+    tracked = any(p.requires_grad for p in parents)
+    out = Tensor.__new__(Tensor)
     out.values = values
-    out._tape_node = node
+    out.node = _Node(op, values, True, parents, backward) if tracked else _Node(op, values, False)
     return out
 
 
@@ -836,21 +806,20 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                     std: float = 0.02) -> np.ndarray:
-    """N(0, std^2) samples with |x| > 2*std redrawn until inside the band.
+def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """N(0, std^2) samples, std ``_INIT_STD``, with |x| > 2*std redrawn until inside the band.
 
     Each round redraws, in flat order, only the entries the last round left
     outside the band, so the draws are those of redrawing over the whole
     array each round.
     """
-    out = rng.normal(0.0, std, size=shape)
+    out = rng.normal(0.0, _INIT_STD, size=shape)
     flat = out.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * _INIT_STD)
     while bad.size:
-        redrawn = rng.normal(0.0, std, size=bad.size)
+        redrawn = rng.normal(0.0, _INIT_STD, size=bad.size)
         flat[bad] = redrawn
-        bad = bad[np.abs(redrawn) > 2.0 * std]
+        bad = bad[np.abs(redrawn) > 2.0 * _INIT_STD]
     return out
 
 
@@ -965,9 +934,9 @@ class AdamW:
         """
         t = self.t + 1
         bc1, bc2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        pending = {id(p): (name, p) for name, p in self.store.items()}
+        pending = {id(p.node): (name, p) for name, p in self.store.items()}
 
-        def release(leaf: Tensor) -> None:
+        def release(leaf: _Node) -> None:
             entry = pending.pop(id(leaf), None)
             if entry is not None:
                 self.t = t                # the step counts from its first update

@@ -275,10 +275,13 @@ def test_forward_and_backward_leave_every_operand_unchanged(name, dtype):
 @pytest.mark.parametrize("name", sorted(EVERY_OP))
 def test_no_backward_closure_holds_a_tensor(name):
     # a closure reads its parents from its node and captures only arrays, so
-    # an activation it does not read dies with the forward's handle
+    # an activation it does not read dies with the forward's tensor, and a
+    # consumed tape is not kept alive by a node some closure captured
     op, arrays = EVERY_OP[name]
     inputs = [ad.mul_const(ad.Tensor(a, requires_grad=True), 1.0) for a in arrays]
-    stack, seen = [op(*inputs)], set()
+    out = op(*inputs)
+    assert type(out) is ad.Tensor
+    stack, seen = [out.node], set()
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -289,4 +292,4 @@ def test_no_backward_closure_holds_a_tensor(name):
         for cell in cells or ():
             held = cell.cell_contents
             for x in held if isinstance(held, (list, tuple)) else (held,):
-                assert not isinstance(x, ad.Tensor), (node._op, x)
+                assert not isinstance(x, (ad.Tensor, ad._Node)), (node._op, x)
